@@ -1,0 +1,227 @@
+"""Golden values: exact numbers that no refactor or optimisation may move.
+
+The artifact digests cover `simulate`, `solve` and `verify-dpp` on the three
+shipped configs; `runtime_ms` is the only field left out. The floats are
+compared through `repr`, so a change in the last bit fails. A change that
+moves any of these on purpose records the old and new values and the reason
+in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import warnings
+from importlib.resources import files
+
+import numpy as np
+import pytest
+
+from mfstop import cli
+from mfstop.calculus import make_unstopped_functional
+from mfstop.catalog import build_instance
+from mfstop.dynamics import Problem, TimeGrid
+from mfstop.measures import StopMap, make_empirical
+from mfstop.policy import Policy, evaluate_policy
+from mfstop.rng import _philox_rounds
+from mfstop.solver import SearchConfig, backward_enumeration, verify_dpp
+
+ARTIFACT_SHA256 = {
+    ("standard_put", "simulate"): "24704733dbe8a8820a69fba61c9e06f9e49bb5967892f11b00f80474b5df70cd",
+    ("standard_put", "solve"): "ce0835d312ea39ac81c06fa4ddb136adedaa2c89e8984b79ad955db64deda4be",
+    ("standard_put", "verify-dpp"): "21d15f7f77285fc2e396d164b0b54f8843bd595069121f1e55c4f360c7c9da14",
+    ("mean_variance", "simulate"): "ae10e8a40f1ee4be5fa7c8213d942c186d046406e4ca87d2b13866b5d82d880d",
+    ("mean_variance", "solve"): "f04bff2588d27bc5f90d1a9307f0639fc8d8400c7fe373ec0349639b725474a1",
+    ("mean_variance", "verify-dpp"): "e9701ff742bb9fce5f3f55f1caabde517823bd8ed9f34372aef945389cdf99c8",
+    ("attraction", "simulate"): "b866fe86c6c156495c2c2934ffd47cdce96cd77cfdfe7549b66f2551086823dc",
+    ("attraction", "solve"): "c06b674753a2220afaf63753d5befece259fd34f393daaeb8dbc7235bf331b55",
+    ("attraction", "verify-dpp"): "ebd655c218f18644a3c1c0d02039f3de88a07ed2f146768f3024fd54cf56d0a6",
+}
+
+TERMINAL_CSV_SHA256 = {
+    "standard_put": "6d6342c7017c393489c2c486dbb4543c9465a801398c87b269adccabc60542ef",
+    "mean_variance": "8001085ab8b73eb5c0b7ece5b4db78b4ef1edfd1fec2675d8e6ee5def2259d58",
+    "attraction": "c18db86aa53e7356717a4d4abd82942a95417bd38e7f6de10df03d5b60bb59d6",
+}
+
+ARTIFACT_NAME = {"simulate": "simulate.json", "solve": "solve.json", "verify-dpp": "dpp.json"}
+
+
+def _artifact_digest(payload: dict) -> str:
+    body = {k: v for k, v in payload.items() if k != "runtime_ms"}
+    blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("config,command", sorted(ARTIFACT_SHA256))
+def test_shipped_config_artifacts_are_bit_identical(tmp_path, config, command):
+    path = str(files("mfstop").joinpath("configs", f"{config}.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli.main([command, "--config", path, "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    with open(os.path.join(tmp_path, ARTIFACT_NAME[command]), encoding="utf-8") as fh:
+        assert _artifact_digest(json.load(fh)) == ARTIFACT_SHA256[(config, command)]
+    if command == "simulate":
+        with open(os.path.join(tmp_path, "simulate_terminal.csv"), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == TERMINAL_CSV_SHA256[config]
+
+
+# ---------------------------------------------------------------------------
+# the simulated never-stop functional
+# ---------------------------------------------------------------------------
+
+
+def test_unstopped_functional_on_attraction():
+    inst = build_instance("attraction")
+    u = make_unstopped_functional(inst.problem, paths_per_atom=50, seed=5)
+    shifted = make_empirical([(x + 0.125, 1) for x in (-1.0, 0.0, 1.0)], [0.3, 0.3, 0.4])
+    assert repr(u(0.0, inst.m0)) == "0.10661441317738278"
+    assert repr(u(0.5, inst.m0)) == "0.10467709641129697"
+    assert repr(u(0.0, shifted)) == "0.2316144131773828"
+    assert repr(u(0.5, shifted)) == "0.22967709641129697"
+
+
+def test_unstopped_functional_with_running_reward_and_frozen_atoms():
+    # trapezoid over the running reward, a reward that reads the measure,
+    # and a stopped atom carried outside the path arrays
+    problem = Problem(
+        d=1,
+        b=lambda t, x, m: -0.3 * x,
+        sigma=lambda t, x, m: 0.45 * x,
+        f=lambda t, x, m: 0.1 * x[:, 0] + 0.01 * m.surviving_mass(),
+        g=lambda xs, ws: float(xs[:, 0] @ ws),
+        horizon=2.0,
+        f_uses_measure=True,
+    )
+    u = make_unstopped_functional(problem, n_steps=12, paths_per_atom=40, seed=3)
+    m = make_empirical([(0.8, 1), (1.1, 1), (1.35, 0)], [0.4, 0.35, 0.25])
+    assert repr(u(0.7, m)) == "0.8340411771604395"
+    assert repr(u(0.0, m)) == "0.772871001054875"
+
+
+# ---------------------------------------------------------------------------
+# exact enumeration and the DPP check
+# ---------------------------------------------------------------------------
+
+
+def hump_problem():
+    """The sigma = 0 instance of test_solver.py."""
+    return Problem(
+        d=1,
+        b=lambda t, x, m: 1.0 - 2.8 * t,
+        sigma=lambda t, x, m: 0.0,
+        f=None,
+        g=lambda p, w: float(-((p[:, 0] - 1.0) ** 2) @ w),
+        horizon=1.0,
+    )
+
+
+HUMP_M0 = make_empirical([(0.4, 1), (1.0, 1), (0.75, 1)], [0.3, 0.3, 0.4])
+
+
+def pull_problem(sigma=lambda t, x, m: 0.0):
+    """Measure-dependent drift, a running reward, and a tunable volatility."""
+
+    def b(t, x, m):
+        xs, ws = m.survivors()
+        total = float(ws.sum())
+        center = float(xs[:, 0] @ ws / total) if total > 0 else 0.0
+        return 1.5 * (center - x) + 0.3 - t
+
+    return Problem(
+        d=1,
+        b=b,
+        sigma=sigma,
+        f=lambda t, x, m: np.cos(2.0 * x[:, 0]) - 0.3,
+        g=lambda p, w: float(-((p[:, 0] - 0.6) ** 2) @ w),
+        horizon=1.0,
+        b_uses_measure=True,
+    )
+
+
+PULL_M0 = make_empirical([(0.1, 1), (0.9, 1), (1.6, 1), (0.4, 0)], [0.2, 0.3, 0.3, 0.2])
+
+
+def test_enumeration_on_hump_instance():
+    grid = TimeGrid(2, 1.0)
+    res = backward_enumeration(HUMP_M0, hump_problem(), grid)
+    assert repr(res.value) == "-0.004"
+    assert res.stop_nodes == (1, None, 0)
+    report = verify_dpp(HUMP_M0, hump_problem(), grid, split_index=1, mode="exact")
+    assert (repr(report.lhs), repr(report.rhs)) == ("-0.004", "-0.004")
+
+
+def test_enumeration_with_measure_dependent_drift_and_frozen_atom():
+    grid = TimeGrid(3, 1.0)
+    res = backward_enumeration(PULL_M0, pull_problem(), grid)
+    assert repr(res.value) == "-0.2631812767919637"
+    assert res.stop_nodes == (None, 0, 0)
+    report = verify_dpp(PULL_M0, pull_problem(), grid, split_index=2, mode="exact")
+    assert repr(report.lhs) == "-0.2631812767919637"
+    assert repr(report.rhs) == "-0.2631812767919637"
+
+
+# ---------------------------------------------------------------------------
+# policy evaluation with running reward, fractional stops and the pool
+# ---------------------------------------------------------------------------
+
+
+def noisy_pull_problem():
+    return pull_problem(sigma=lambda t, x, m: 0.4 + 0.1 * x[:, 0] ** 2)
+
+
+def test_policy_value_with_fractional_stops_and_running_reward():
+    pol = Policy(
+        (
+            StopMap.constant(0.7),
+            StopMap.threshold(0.2, "below"),
+            StopMap.logistic(2.0, -1.0),
+            StopMap.constant(1.0),
+        )
+    )
+    est = evaluate_policy(PULL_M0, noisy_pull_problem(), TimeGrid(4, 1.0), pol, 30, seed=17)
+    assert repr(est.value) == "-0.6092659206071385"
+    assert repr(est.mc_stderr) == "0.023611146870461758"
+
+
+def test_dpp_search_with_prefix_bootstrap():
+    cfg = SearchConfig(paths_per_atom=12, refine_rounds=1, restart_paths=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = verify_dpp(
+            PULL_M0, noisy_pull_problem(), TimeGrid(4, 1.0), 2, solver_cfg=cfg, seed=23
+        )
+    assert repr(report.lhs) == "-0.2889394248726528"
+    assert repr(report.rhs) == "-0.28260765964954926"
+    assert repr(report.combined_stderr) == "0.013282461455935483"
+
+
+# ---------------------------------------------------------------------------
+# Philox-4x32-10 known answers (Salmon et al., SC'11, Random123 kat_vectors)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "counter,key,expected",
+    [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        (
+            (0xFFFFFFFF,) * 4,
+            (0xFFFFFFFF,) * 2,
+            (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD),
+        ),
+        (
+            (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+            (0xA4093822, 0x299F31D0),
+            (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+        ),
+    ],
+)
+def test_philox_known_answers(counter, key, expected):
+    lanes = [np.array([v], dtype=np.uint32) for v in counter + key]
+    with np.errstate(over="ignore"):
+        out = _philox_rounds(*lanes)
+    assert tuple(int(w[0]) for w in out) == expected
+
