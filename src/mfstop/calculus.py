@@ -43,8 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import rng as crng
-from .dynamics import Problem, advance_positions
+from .dynamics import Particles, Problem, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays
 from .solver import _random_stop_map
 from .util import parallel_map, rng_for
@@ -294,64 +293,34 @@ def make_unstopped_functional(
             raise ValueError("time outside [0, horizon]")
         t = min(max(t, 0.0), horizon)
 
-        xs_stop, ws_stop = m.stopped()
-        xs_live, ws_live = m.survivors()
-        n_live = xs_live.shape[0]
+        n_live = int((m.flags == 1).sum())
         if n_live == 0 or t >= horizon:
             # nothing moves and survivors are absent or out of time, so the
             # running-reward integral vanishes
             return float(problem.g(m.xs, m.ws))
 
         p = paths_per_atom
-        start = np.repeat(xs_live[:, 0], p)
-        w_path = np.repeat(ws_live / p, p)
-        idx = np.floor(start / bucket).astype(np.int64) + (1 << 31)
+        particles = Particles.from_measure(m, p, freeze_stopped=True)
+        idx = np.floor(particles.x[:, 0] / bucket).astype(np.int64) + (1 << 31)
         ids = (idx.astype(np.uint64) << np.uint64(20)) | np.tile(
             np.arange(p, dtype=np.uint64), n_live
         )
-
-        needs_m = problem.measure_dependent
-        f_needs_m = problem.f_uses_measure
         dt = (horizon - t) / n_steps
-        x = start.copy()
-        alive = np.ones(x.shape[0], dtype=bool)
-        f_series = np.empty(n_steps + 1) if problem.f is not None else None
 
-        def snapshot(x_now):
-            return from_arrays(
-                np.concatenate([x_now, xs_stop[:, 0]])[:, None],
-                np.concatenate(
-                    [np.ones(x_now.size, dtype=np.uint8),
-                     np.zeros(xs_stop.shape[0], dtype=np.uint8)]
-                ),
-                np.concatenate([w_path, ws_stop]),
-            )
+        def reward_rate(tk, m_snap) -> float:
+            m_f = m_snap if problem.f_uses_measure else None
+            f_vals = np.asarray(problem.f(tk, particles.x, m_f), dtype=float)
+            return float(f_vals.reshape(-1) @ particles.w)
 
-        for k in range(n_steps):
-            tk = t + k * dt
-            m_snap = snapshot(x) if (needs_m or f_needs_m) else None
-            if f_series is not None:
-                f_vals = np.asarray(
-                    problem.f(tk, x[:, None], m_snap if f_needs_m else None),
-                    dtype=float,
-                ).reshape(-1)
-                f_series[k] = float(f_vals @ w_path)
-            noise = crng.normals(seed, ids, k, 1)
-            x = advance_positions(
-                x[:, None], alive, tk, dt, problem,
-                m_snap if needs_m else None, noise,
-            )[:, 0]
+        f_series = []
+        for _, tk, m_snap in flow(particles, problem, t, dt, range(n_steps), seed=seed, ids=ids):
+            if problem.f is not None:
+                f_series.append(reward_rate(tk, m_snap))
+        value = float(problem.g(*particles.marginal()))
 
-        xs_term = np.concatenate([x, xs_stop[:, 0]])[:, None]
-        ws_term = np.concatenate([w_path, ws_stop])
-        value = float(problem.g(xs_term, ws_term))
-
-        if f_series is not None:
-            m_snap = snapshot(x) if f_needs_m else None
-            f_vals = np.asarray(
-                problem.f(horizon, x[:, None], m_snap), dtype=float
-            ).reshape(-1)
-            f_series[n_steps] = float(f_vals @ w_path)
+        if problem.f is not None:
+            m_snap = particles.snapshot() if problem.f_uses_measure else None
+            f_series.append(reward_rate(horizon, m_snap))
             value += float(np.trapezoid(f_series, dx=dt))
         return value
 

@@ -284,6 +284,9 @@ class ExperimentConfig:
             )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if self.seed >= 1 << 64:
+            # the noise streams read the seed modulo 2^64
+            raise ValueError("seed must fit in an unsigned 64-bit integer")
         for name in ("grid_n", "paths_per_atom", "threads", "trials", "z_samples"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:

@@ -12,7 +12,8 @@ package version, and a runtime_ms field; reruns with equal seeds reproduce
 the artifact byte for byte apart from runtime_ms. With --out the artifacts
 are written atomically into the given directory, otherwise they go to
 stdout. Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 a
-tolerance failure inside `acceptance`.
+tolerance failure inside `acceptance`, 4 the computation could not finish
+(the obstacle or transport solver failed, or memory ran out).
 """
 
 from __future__ import annotations
@@ -486,6 +487,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (RuntimeError, MemoryError) as exc:
+        print(f"error: the computation could not finish ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

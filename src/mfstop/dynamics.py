@@ -5,37 +5,36 @@ drift and volatility may read the current particle law; the simulation then
 feeds them the empirical snapshot of the whole system, lagged to the left
 endpoint of each step (weak order-1 mean-field scheme).
 
+Every particle flow in the package runs through one kernel, `flow`. At each
+decision node it applies the node's stop rule, builds the snapshot of the
+post-stop law, hands both to the caller, then draws the node's noise and
+takes one Euler step. Callers accumulate their own running rewards from
+what the kernel hands them; only this module knows the step order, how the
+noise is addressed and how frozen mass enters the snapshot.
+
 Survival freezing: a particle whose flag is 0 never moves again. The flag
 factor multiplies both the drift and the noise, which is the discrete copy of
 stopped dynamics where integrands carry the survival indicator.
 
-Noise comes from `rng.normals(seed, particle_ids, step, d)`, so a simulation
-is a deterministic function of its seed regardless of batching or thread
-count, and two simulations sharing a seed see identical increments wherever
-their particle ids coincide.
+Noise comes from `rng.normals(seed, particle_ids, k, d)` with k the node
+index, so a simulation is a deterministic function of its seed regardless
+of batching, and two simulations sharing a seed see identical increments
+wherever their particle ids coincide. A run without a seed is a sigma = 0
+replay: it draws no noise and steps by the drift alone.
 """
 
 from __future__ import annotations
 
-import struct
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from . import rng as crng
 from .measures import EmpiricalMeasure, from_arrays
 
-__all__ = [
-    "Problem",
-    "TimeGrid",
-    "PathBundle",
-    "euler_step",
-    "simulate_unstopped",
-    "save_bundle",
-    "load_bundle",
-]
+__all__ = ["Problem", "TimeGrid", "Particles", "flow"]
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,8 @@ class Problem:
         coefficient actually reads `m`; when all are False the simulation
         skips building per-step snapshots.
     truncated_horizon : marks a problem built by truncating an infinite
-        horizon; simulation warns if the surviving state has not decayed.
+        horizon; a run to the horizon that stops nothing warns if the
+        surviving state has not decayed.
     """
 
     d: int
@@ -112,67 +112,85 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.n + 1)
 
 
-class PathBundle:
-    """Simulated particle system: per-step positions, flags, live weights.
+class Particles:
+    """One particle system: rows that move, and atoms that never move.
 
-    Arrays are indexed [step, particle]. `pool` holds mass frozen by
-    fractional stopping: pool[k] is either None or a (positions, weights)
-    pair created at node k; those atoms never move, so they are stored once.
-    Steps up to `k_filled` are complete and must be treated as immutable;
-    `euler_step` only ever writes the next slot.
+    Row i sits at x[i] with weight w[i] and moves while alive[i]. Frozen
+    atoms are stored once, outside the rows: first the atoms given at the
+    start, then the mass shed by fractional stops (the pool), with the row
+    that shed each pool atom in `pool_src`. Snapshots and marginals list the
+    rows, then the frozen atoms, then the pool.
     """
 
-    def __init__(self, grid: TimeGrid, n_particles: int, d: int, seed: int,
-                 particle_ids: np.ndarray, atom_of: np.ndarray):
-        n = grid.n
-        self.grid = grid
-        self.seed = int(seed)
-        self.d = d
-        self.xs = np.zeros((n + 1, n_particles, d))
-        self.flags = np.zeros((n + 1, n_particles), dtype=np.uint8)
-        self.ws = np.zeros((n + 1, n_particles))
-        self.pool: list = [None] * (n + 1)
-        self.particle_ids = np.asarray(particle_ids, dtype=np.uint64)
-        self.atom_of = np.asarray(atom_of, dtype=np.int64)
-        self.k_filled = 0
+    def __init__(self, x, alive, w, frozen_x=None, frozen_w=None):
+        self.x = x
+        self.alive = alive
+        self.w = w
+        self.frozen_x = np.zeros((0, x.shape[1])) if frozen_x is None else frozen_x
+        self.frozen_w = np.zeros(0) if frozen_w is None else frozen_w
+        self.pool_x: list = []
+        self.pool_w: list = []
+        self.pool_src: list = []
+        self.stopped_any = False
 
-    @property
-    def n_particles(self) -> int:
-        return self.xs.shape[1]
+    @classmethod
+    def from_measure(
+        cls, m: EmpiricalMeasure, paths_per_atom: int = 1, freeze_stopped: bool = False
+    ) -> "Particles":
+        """paths_per_atom equal-weight rows per atom, in atom order.
 
-    def state_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw (positions, flags, weights) of step k, pool excluded."""
-        return self.xs[k], self.flags[k], self.ws[k]
+        With freeze_stopped only the surviving atoms get rows and the
+        stopped atoms are kept once as frozen atoms; otherwise they become
+        rows that are never alive.
+        """
+        if freeze_stopped:
+            xs, ws = m.survivors()
+            alive = np.ones(ws.shape[0], dtype=bool)
+            frozen = m.stopped()
+        else:
+            xs, ws, alive, frozen = m.xs, m.ws, m.flags == 1, (None, None)
+        rows = np.repeat(np.arange(ws.shape[0]), paths_per_atom)
+        return cls(xs[rows], alive[rows], ws[rows] / paths_per_atom, *frozen)
 
-    def pool_upto(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """All frozen-pool atoms created at nodes <= k."""
-        xs = [p[0] for p in self.pool[: k + 1] if p is not None]
-        ws = [p[1] for p in self.pool[: k + 1] if p is not None]
-        if not xs:
-            return np.zeros((0, self.d)), np.zeros(0)
-        return np.vstack(xs), np.concatenate(ws)
+    def marginal(self) -> tuple[np.ndarray, np.ndarray]:
+        """Spatial marginal as raw (points, weights): rows, frozen, pool."""
+        points = np.vstack([self.x, self.frozen_x, *self.pool_x])
+        return points, np.concatenate([self.w, self.frozen_w, *self.pool_w])
 
-    def snapshot(self, k: int) -> EmpiricalMeasure:
-        """Empirical law at node k (live particles plus frozen pool)."""
-        px, pw = self.pool_upto(k)
-        xs = np.vstack([self.xs[k], px])
-        flags = np.concatenate([self.flags[k], np.zeros(len(pw), dtype=np.uint8)])
-        ws = np.concatenate([self.ws[k], pw])
-        return from_arrays(xs, flags, ws)
+    def snapshot(self) -> EmpiricalMeasure:
+        """The law of the system: live rows flagged 1, everything else 0."""
+        points, weights = self.marginal()
+        flags = np.zeros(weights.shape[0], dtype=np.uint8)
+        flags[: self.w.shape[0]] = self.alive
+        return from_arrays(points, flags, weights)
 
-    def marginal_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Spatial marginal at node k as raw arrays, in particle-then-pool order."""
-        px, pw = self.pool_upto(k)
-        return np.vstack([self.xs[k], px]), np.concatenate([self.ws[k], pw])
+    def pool_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if not self.pool_w:
+            return np.zeros((0, self.x.shape[1])), np.zeros(0), np.zeros(0, dtype=int)
+        return np.vstack(self.pool_x), np.concatenate(self.pool_w), np.concatenate(self.pool_src)
 
-    def total_mass(self, k: int) -> float:
-        _, pw = self.pool_upto(k)
-        return float(self.ws[k].sum() + pw.sum())
+    def stop(self, k: int, rule: Callable) -> None:
+        """Keep the fraction rule(k, x, rows) of each surviving row's weight.
 
-
-# ---------------------------------------------------------------------------
-# stepping
-# ---------------------------------------------------------------------------
+        `rows` indexes the surviving rows and `x` holds their positions. A
+        fraction of 0 stops the row; a fraction strictly between 0 and 1
+        moves the rest of its weight into the pool.
+        """
+        if not self.alive.any():
+            return
+        idx = np.nonzero(self.alive)[0]
+        p = rule(k, self.x[idx], idx)
+        full = p == 0.0
+        frac = (p > 0.0) & (p < 1.0)
+        if frac.any():
+            sub = idx[frac]
+            self.pool_x.append(self.x[sub].copy())
+            self.pool_w.append(self.w[sub] * (1.0 - p[frac]))
+            self.pool_src.append(sub)
+            self.w[sub] = self.w[sub] * p[frac]
+        if full.any():
+            self.alive[idx[full]] = False
+        self.stopped_any = self.stopped_any or bool(frac.any() or full.any())
 
 
 def _sigma_times_noise(sig, xi: np.ndarray) -> np.ndarray:
@@ -194,172 +212,67 @@ def advance_positions(
     dt: float,
     problem: Problem,
     m: Optional[EmpiricalMeasure],
-    noise: np.ndarray,
+    noise: Optional[np.ndarray],
 ) -> np.ndarray:
     """One Euler update x + 1_alive (b dt + sigma sqrt(dt) xi).
 
-    Shared by the unstopped simulator and the policy evaluator so that runs
-    with a common seed produce bitwise-identical paths wherever their alive
-    sets coincide.
+    The step of `flow`. With noise None, sigma is not evaluated and the
+    update is the drift alone, as in a sigma = 0 replay.
     """
     drift = np.broadcast_to(np.asarray(problem.b(t, x, m), dtype=float), x.shape)
-    shock = _sigma_times_noise(problem.sigma(t, x, m), noise)
-    incr = drift * dt + shock * np.sqrt(dt)
+    incr = drift * dt
+    if noise is not None:
+        incr = incr + _sigma_times_noise(problem.sigma(t, x, m), noise) * np.sqrt(dt)
     if not np.all(np.isfinite(incr)):
         raise ValueError("non-finite coefficient evaluation during Euler step")
     return x + incr * alive[:, None]
 
 
-def euler_step(bundle: PathBundle, k: int, problem: Problem, noise: np.ndarray) -> PathBundle:
-    """Advance the bundle from node k to k+1 with the supplied Gaussians.
-
-    Surviving particles move by b dt + sigma sqrt(dt) xi with coefficients
-    frozen at (t_k, m_{t_k}); stopped particles keep (x, i, w) unchanged.
-    """
-    if k >= bundle.grid.n:
-        raise ValueError("stepping past the terminal node")
-    if noise.shape != (bundle.n_particles, bundle.d):
-        raise ValueError("noise must have shape (n_particles, d)")
-    t = bundle.grid.nodes[k]
-    m = bundle.snapshot(k) if problem.measure_dependent else None
-    x, flags, ws = bundle.state_arrays(k)
-    alive = flags == 1
-    bundle.xs[k + 1] = advance_positions(x, alive, t, bundle.grid.dt, problem, m, noise)
-    bundle.flags[k + 1] = flags
-    bundle.ws[k + 1] = ws
-    bundle.k_filled = k + 1
-    return bundle
-
-
-def spawn_particles(
-    m0: EmpiricalMeasure, grid: TimeGrid, paths_per_atom: int, seed: int
-) -> PathBundle:
-    """Replicate each atom into paths_per_atom particles of equal weight."""
-    if paths_per_atom < 1:
-        raise ValueError("paths_per_atom must be >= 1")
-    n_atoms = m0.n_atoms
-    n_part = n_atoms * paths_per_atom
-    atom_of = np.repeat(np.arange(n_atoms), paths_per_atom)
-    ids = np.arange(n_part, dtype=np.uint64)
-    bundle = PathBundle(grid, n_part, m0.d, seed, ids, atom_of)
-    bundle.xs[0] = m0.xs[atom_of]
-    bundle.flags[0] = m0.flags[atom_of]
-    bundle.ws[0] = m0.ws[atom_of] / paths_per_atom
-    return bundle
-
-
-def simulate_unstopped(
-    m0: EmpiricalMeasure,
+def flow(
+    particles: Particles,
     problem: Problem,
-    grid: TimeGrid,
-    paths_per_atom: int,
-    seed: int,
-) -> PathBundle:
-    """Run the dynamics with no stopping before T; flags drop to 0 at T.
+    t0: float,
+    dt: float,
+    nodes: range,
+    stop: Optional[Callable] = None,
+    seed: Optional[int] = None,
+    ids: Optional[np.ndarray] = None,
+) -> Iterator[tuple[int, float, Optional[EmpiricalMeasure]]]:
+    """Advance `particles` in place over the node indices `nodes`.
 
-    Atoms that start stopped stay frozen throughout. The terminal flag drop
-    is the forced stop at the horizon; it changes no position or weight.
+    At node k, at time t0 + k dt: apply `stop` through `Particles.stop`
+    unless it is None or nothing survives; build the snapshot when
+    `problem.needs_snapshots()`; yield (k, t, snapshot), where the caller
+    reads the post-stop state; then take one Euler step with the noise
+    `rng.normals(seed, ids, k, d)`, or with none when seed is None. The
+    drift and volatility see the snapshot only when the problem declares
+    that they read the measure.
+
+    A run that reaches the horizon on a truncated-horizon problem without
+    stopping anything warns when the surviving state has not decayed to 5%
+    of its initial mean absolute size.
     """
-    if abs(grid.horizon - problem.horizon) > 1e-12:
-        raise ValueError("grid horizon differs from problem horizon")
-    bundle = spawn_particles(m0, grid, paths_per_atom, seed)
-    for k in range(grid.n):
-        noise = crng.normals(seed, bundle.particle_ids, k, problem.d)
-        euler_step(bundle, k, problem, noise)
-    bundle.flags[grid.n] = 0
-    _warn_if_truncation_unconverged(bundle, problem)
-    return bundle
-
-
-def _warn_if_truncation_unconverged(bundle: PathBundle, problem: Problem) -> None:
-    if not problem.truncated_horizon:
-        return
-    x0 = np.abs(bundle.xs[0]).mean()
-    xT = np.abs(bundle.xs[-1]).mean()
-    if x0 > 0 and xT > 0.05 * x0:
-        warnings.warn(
-            "truncated infinite horizon: terminal state has only decayed to "
-            f"{xT / x0:.1%} of its initial size; consider a larger horizon",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-# ---------------------------------------------------------------------------
-# binary replay dump
-# ---------------------------------------------------------------------------
-#
-# Layout (all little-endian):
-#   magic   8 bytes  b"MFSTOPB1"
-#   u64     n_particles
-#   u64     n_steps (grid.n)
-#   u64     d
-#   u64     seed
-#   f64     horizon
-#   f64     xs      (n_steps+1) * n_particles * d
-#   u8      flags   (n_steps+1) * n_particles
-#   f64     ws      (n_steps+1) * n_particles
-#   u64     particle_ids   n_particles
-#   i64     atom_of        n_particles
-#   then per node k = 0..n_steps: u64 pool count c_k, then c_k * (d+1) f64
-#   rows (x..., w)
-
-_MAGIC = b"MFSTOPB1"
-
-
-def save_bundle(bundle: PathBundle, path: str) -> None:
-    """Serialize a bundle for replay; format documented above."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<QQQQd",
-                bundle.n_particles,
-                bundle.grid.n,
-                bundle.d,
-                bundle.seed,
-                bundle.grid.horizon,
+    guard = (
+        problem.truncated_horizon
+        and particles.alive.any()
+        and t0 + nodes.stop * dt >= problem.horizon * (1 - 1e-9)
+    )
+    size0 = np.abs(particles.x[particles.alive]).mean() if guard else 0.0
+    for k in nodes:
+        t = t0 + k * dt
+        if stop is not None:
+            particles.stop(k, stop)
+        snap = particles.snapshot() if problem.needs_snapshots() else None
+        yield k, t, snap
+        noise = None if seed is None else crng.normals(seed, ids, k, problem.d)
+        m = snap if problem.measure_dependent else None
+        particles.x = advance_positions(particles.x, particles.alive, t, dt, problem, m, noise)
+    if guard and not particles.stopped_any:
+        size = np.abs(particles.x[particles.alive]).mean()
+        if size > 0.05 * size0 > 0:
+            warnings.warn(
+                "truncated infinite horizon: terminal state has only decayed to "
+                f"{size / size0:.1%} of its initial size; consider a larger horizon",
+                RuntimeWarning,
+                stacklevel=2,
             )
-        )
-        fh.write(np.ascontiguousarray(bundle.xs, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(bundle.flags, dtype="u1").tobytes())
-        fh.write(np.ascontiguousarray(bundle.ws, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(bundle.particle_ids, dtype="<u8").tobytes())
-        fh.write(np.ascontiguousarray(bundle.atom_of, dtype="<i8").tobytes())
-        for entry in bundle.pool:
-            if entry is None:
-                fh.write(struct.pack("<Q", 0))
-            else:
-                px, pw = entry
-                fh.write(struct.pack("<Q", len(pw)))
-                rows = np.hstack([px, pw[:, None]])
-                fh.write(np.ascontiguousarray(rows, dtype="<f8").tobytes())
-
-
-def load_bundle(path: str) -> PathBundle:
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a path-bundle file")
-        n_part, n_steps, d, seed, horizon = struct.unpack("<QQQQd", fh.read(40))
-        grid = TimeGrid(n=int(n_steps), horizon=horizon)
-
-        def read(dtype, count):
-            arr = np.frombuffer(fh.read(np.dtype(dtype).itemsize * count), dtype=dtype)
-            return arr.astype(dtype if dtype != "u1" else np.uint8)
-
-        xs = read("<f8", (n_steps + 1) * n_part * d).reshape(n_steps + 1, n_part, d)
-        flags = read("u1", (n_steps + 1) * n_part).reshape(n_steps + 1, n_part)
-        ws = read("<f8", (n_steps + 1) * n_part).reshape(n_steps + 1, n_part)
-        ids = read("<u8", n_part)
-        atom_of = read("<i8", n_part)
-        bundle = PathBundle(grid, int(n_part), int(d), int(seed), ids, atom_of)
-        bundle.xs[:] = xs
-        bundle.flags[:] = flags
-        bundle.ws[:] = ws
-        for k in range(int(n_steps) + 1):
-            (count,) = struct.unpack("<Q", fh.read(8))
-            if count:
-                rows = read("<f8", count * (d + 1)).reshape(count, d + 1)
-                bundle.pool[k] = (rows[:, :d].copy(), rows[:, d].copy())
-        bundle.k_filled = int(n_steps)
-        return bundle

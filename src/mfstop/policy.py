@@ -1,7 +1,8 @@
 """Relaxed stopping policies on a time grid and their Monte Carlo evaluation.
 
 A `Policy` attaches one survival map p_k to every decision node t_k,
-k = 0..n-1. Evaluation runs stop-then-diffuse: at each node the map splits
+k = 0..n-1. Evaluation runs the maps through the forward kernel
+`dynamics.flow`, stop-then-diffuse: at each node the map splits
 surviving weight into a continuing part and a frozen part, the post-stop
 snapshot feeds the running reward and (when needed) the coefficients, then
 one Euler step advances the survivors. At the horizon everything is stopped
@@ -11,8 +12,8 @@ stop does not alter.
 Fractional stopping never duplicates live particles: the stopped fraction is
 appended to a frozen pool (it can never move again) and the live particle
 continues with reduced weight. Pure {0,1} policies therefore reduce to flag
-flips with the initial weights, and the all-survive policy reproduces the
-unstopped simulation path for path under the same seed.
+flips with the initial weights, and the all-survive policy reproduces a
+kernel run with no stop rule path for path under the same seed.
 """
 
 from __future__ import annotations
@@ -23,17 +24,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import rng as crng
-from .dynamics import Problem, TimeGrid, advance_positions
-from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays
+from .dynamics import Particles, Problem, TimeGrid, flow
+from .measures import EmpiricalMeasure, StopMap, apply_stop
 from .util import rng_for
 
 __all__ = [
     "Policy",
     "ValueEstimate",
+    "PolicyRun",
+    "run_policy",
     "evaluate_policy",
     "terminal_stop_sup",
-    "unstopped_value",
     "policy_to_json",
     "policy_from_json",
 ]
@@ -99,61 +100,49 @@ class Policy:
 # ---------------------------------------------------------------------------
 
 
-class _SimState:
-    """Mutable simulation state for one policy evaluation."""
+@dataclass
+class PolicyRun:
+    """A policy simulated forward to its end node.
 
-    def __init__(self, m0: EmpiricalMeasure, paths_per_atom: int):
-        n_atoms = m0.n_atoms
-        self.atom_of = np.repeat(np.arange(n_atoms), paths_per_atom)
-        self.ids = np.arange(n_atoms * paths_per_atom, dtype=np.uint64)
-        self.x = m0.xs[self.atom_of].copy()
-        self.alive = (m0.flags[self.atom_of] == 1).copy()
-        self.w = (m0.ws[self.atom_of] / paths_per_atom).copy()
-        self.fsum = np.zeros(len(self.ids))  # running-reward contribution per particle
-        self.pool_x: list = []
-        self.pool_w: list = []
-        self.pool_src: list = []  # particle index that shed the mass
-        self.survivor_mass_trace: list = []
+    `reward` holds each row's running reward (left Riemann sum over the
+    post-stop nodes) and `survivor_mass` the surviving weight after each
+    node's stop.
+    """
 
-    def snapshot(self) -> EmpiricalMeasure:
-        xs = [self.x]
-        flags = [self.alive.astype(np.uint8)]
-        ws = [self.w]
-        if self.pool_w:
-            px = np.vstack(self.pool_x)
-            xs.append(px)
-            flags.append(np.zeros(px.shape[0], dtype=np.uint8))
-            ws.append(np.concatenate(self.pool_w))
-        return from_arrays(np.vstack(xs), np.concatenate(flags), np.concatenate(ws))
+    problem: Problem
+    particles: Particles
+    reward: np.ndarray
+    survivor_mass: list
+    n_atoms: int
+    paths_per_atom: int
 
-    def pool_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.pool_w:
-            return np.zeros((0, self.x.shape[1])), np.zeros(0), np.zeros(0, dtype=int)
-        return (
-            np.vstack(self.pool_x),
-            np.concatenate(self.pool_w),
-            np.concatenate(self.pool_src),
-        )
+    def multiplicities(self, rng, resamples: int):
+        """Row multiplicities of a bootstrap stratified by source atom."""
+        r = self.paths_per_atom
+        offsets = (np.arange(self.n_atoms) * r)[:, None]
+        for _ in range(resamples):
+            picks = rng.integers(0, r, size=(self.n_atoms, r)) + offsets
+            yield np.bincount(picks.ravel(), minlength=self.n_atoms * r).astype(float)
 
-    def apply_node_stop(self, stop: StopMap) -> None:
-        if not self.alive.any():
-            return
-        idx = np.nonzero(self.alive)[0]
-        p = stop(self.x[idx])
-        full = p == 0.0
-        frac = (p > 0.0) & (p < 1.0)
-        if frac.any():
-            sub = idx[frac]
-            shed = self.w[sub] * (1.0 - p[frac])
-            self.pool_x.append(self.x[sub].copy())
-            self.pool_w.append(shed)
-            self.pool_src.append(sub)
-            self.w[sub] = self.w[sub] * p[frac]
-        if full.any():
-            self.alive[idx[full]] = False
+    def estimate(self, seed: int, resamples: int) -> ValueEstimate:
+        """Objective on the realized paths plus a stratified bootstrap stderr."""
+        points, weights = self.particles.marginal()
+        value = float(self.reward.sum() + self.problem.g(points, weights))
+        if not np.isfinite(value):
+            raise ValueError("non-finite terminal reward")
+        stderr = 0.0
+        if self.paths_per_atom >= 2 and resamples != 0:
+            w, (_, pw, psrc) = self.particles.w, self.particles.pool_arrays()
+            vals = [
+                (self.reward * mult).sum()
+                + self.problem.g(points, np.concatenate([w * mult, pw * mult[psrc]]))
+                for mult in self.multiplicities(rng_for(seed, "bootstrap"), resamples)
+            ]
+            stderr = float(np.std(vals, ddof=1))
+        return ValueEstimate(value=value, mc_stderr=stderr, n_paths=len(self.reward))
 
 
-def _run_policy(
+def run_policy(
     m0: EmpiricalMeasure,
     problem: Problem,
     grid: TimeGrid,
@@ -162,7 +151,7 @@ def _run_policy(
     seed: int,
     start_node: int = 0,
     end_node: Optional[int] = None,
-) -> _SimState:
+) -> PolicyRun:
     """Simulate nodes start_node..end_node with the given survival maps.
 
     `end_node` defaults to the full horizon; a smaller value stops the run at
@@ -172,59 +161,24 @@ def _run_policy(
         raise ValueError("grid horizon differs from problem horizon")
     if len(maps) != grid.n:
         raise ValueError("policy must supply one map per decision node")
-    if end_node is None:
-        end_node = grid.n
-    state = _SimState(m0, paths_per_atom)
-    nodes = grid.nodes
+    particles = Particles.from_measure(m0, paths_per_atom)
+    n_rows = particles.w.shape[0]
+    run = PolicyRun(problem, particles, np.zeros(n_rows), [], m0.n_atoms, paths_per_atom)
     dt = grid.dt
-    for k in range(start_node, end_node):
-        state.apply_node_stop(maps[k])
-        state.survivor_mass_trace.append(float(state.w[state.alive].sum()))
-        m_k = state.snapshot() if problem.needs_snapshots() else None
-        if problem.f is not None and state.alive.any():
-            idx = np.nonzero(state.alive)[0]
-            fv = np.asarray(problem.f(nodes[k], state.x[idx], m_k), dtype=float)
+    nodes = range(start_node, grid.n if end_node is None else end_node)
+    stop = lambda k, x, rows: maps[k](x)
+    ids = np.arange(n_rows, dtype=np.uint64)
+    for k, t, m_k in flow(particles, problem, 0.0, dt, nodes, stop, seed, ids):
+        alive, w = particles.alive, particles.w
+        run.survivor_mass.append(float(w[alive].sum()))
+        if problem.f is not None and alive.any():
+            idx = np.nonzero(alive)[0]
+            fv = np.asarray(problem.f(t, particles.x[idx], m_k), dtype=float)
             fv = np.broadcast_to(fv, (idx.shape[0],))
             if not np.all(np.isfinite(fv)):
                 raise ValueError("non-finite running reward")
-            state.fsum[idx] += fv * state.w[idx] * dt
-        noise = crng.normals(seed, state.ids, k, problem.d)
-        state.x = advance_positions(
-            state.x, state.alive, nodes[k], dt, problem, m_k, noise
-        )
-    return state
-
-
-def _terminal_value_and_stderr(
-    state: _SimState,
-    problem: Problem,
-    m0: EmpiricalMeasure,
-    paths_per_atom: int,
-    seed: int,
-    resamples: int = BOOTSTRAP_RESAMPLES,
-) -> tuple[float, float]:
-    """Objective on the realized paths plus a stratified bootstrap stderr."""
-    px, pw, psrc = state.pool_arrays()
-    points = np.vstack([state.x, px])
-    weights = np.concatenate([state.w, pw])
-    value = float(state.fsum.sum() + problem.g(points, weights))
-    if not np.isfinite(value):
-        raise ValueError("non-finite terminal reward")
-    if paths_per_atom < 2 or resamples == 0:
-        return value, 0.0
-
-    n_atoms = m0.n_atoms
-    rng = rng_for(seed, "bootstrap")
-    vals = np.empty(resamples)
-    r = paths_per_atom
-    offsets = (np.arange(n_atoms) * r)[:, None]
-    n_total = len(state.ids)
-    for bi in range(resamples):
-        picks = rng.integers(0, r, size=(n_atoms, r)) + offsets
-        mult = np.bincount(picks.ravel(), minlength=n_total).astype(float)
-        w_res = np.concatenate([state.w * mult, pw * mult[psrc] if len(pw) else pw])
-        vals[bi] = (state.fsum * mult).sum() + problem.g(points, w_res)
-    return value, float(vals.std(ddof=1))
+            run.reward[idx] += fv * w[idx] * dt
+    return run
 
 
 def evaluate_policy(
@@ -243,11 +197,8 @@ def evaluate_policy(
     survivor-weighted running reward at the post-stop snapshots, and a
     stratified (per source atom) bootstrap standard error.
     """
-    state = _run_policy(m0, problem, grid, pol.maps, paths_per_atom, seed, start_node)
-    value, stderr = _terminal_value_and_stderr(
-        state, problem, m0, paths_per_atom, seed, resamples
-    )
-    return ValueEstimate(value=value, mc_stderr=stderr, n_paths=len(state.ids))
+    run = run_policy(m0, problem, grid, pol.maps, paths_per_atom, seed, start_node)
+    return run.estimate(seed, resamples)
 
 
 def evaluate_policy_detailed(
@@ -261,60 +212,13 @@ def evaluate_policy_detailed(
     resamples: int = BOOTSTRAP_RESAMPLES,
 ) -> tuple[ValueEstimate, dict]:
     """evaluate_policy plus search diagnostics (survivor-mass trace)."""
-    state = _run_policy(m0, problem, grid, pol.maps, paths_per_atom, seed, start_node)
-    value, stderr = _terminal_value_and_stderr(
-        state, problem, m0, paths_per_atom, seed, resamples
-    )
-    est = ValueEstimate(value=value, mc_stderr=stderr, n_paths=len(state.ids))
+    run = run_policy(m0, problem, grid, pol.maps, paths_per_atom, seed, start_node)
     diag = {
-        "survivor_mass_mean": float(np.mean(state.survivor_mass_trace)),
-        "terminal_snapshot": state.snapshot(),
-        "n_pool_atoms": sum(len(w) for w in state.pool_w),
+        "survivor_mass_mean": float(np.mean(run.survivor_mass)),
+        "terminal_snapshot": run.particles.snapshot(),
+        "n_pool_atoms": sum(len(w) for w in run.particles.pool_w),
     }
-    return est, diag
-
-
-def unstopped_value(
-    m: EmpiricalMeasure,
-    problem: Problem,
-    t_start: float,
-    n_steps: int,
-    paths_per_atom: int,
-    seed: int,
-) -> float:
-    """The no-stopping objective started at time t_start from law m.
-
-    Simulates the surviving atoms over [t_start, T] on a fresh uniform grid
-    (noise keyed by local step index, so time bumps of t_start reuse the same
-    increments) and returns the running-reward integral plus the terminal
-    reward. Used by the derivative probes, which need the value as a smooth
-    function of (t_start, m).
-    """
-    T = problem.horizon
-    if t_start >= T:
-        xs, ws = m.x_marginal()
-        return float(problem.g(xs, ws))
-    dt = (T - t_start) / n_steps
-    n_atoms = m.n_atoms
-    atom_of = np.repeat(np.arange(n_atoms), paths_per_atom)
-    ids = np.arange(n_atoms * paths_per_atom, dtype=np.uint64)
-    x = m.xs[atom_of].copy()
-    alive = m.flags[atom_of] == 1
-    w = m.ws[atom_of] / paths_per_atom
-    total = 0.0
-    for k in range(n_steps):
-        t = t_start + k * dt
-        m_k = (
-            from_arrays(x, alive.astype(np.uint8), w)
-            if problem.needs_snapshots()
-            else None
-        )
-        if problem.f is not None and alive.any():
-            fv = np.asarray(problem.f(t, x[alive], m_k), dtype=float)
-            total += float((np.broadcast_to(fv, (alive.sum(),)) * w[alive]).sum()) * dt
-        noise = crng.normals(seed, ids, k, problem.d)
-        x = advance_positions(x, alive, t, dt, problem, m_k, noise)
-    return total + float(problem.g(x, w))
+    return run.estimate(seed, resamples), diag
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,7 @@ def meanvar_alpha_star_path(
     pre-stop law. Data only: argmax locations are flat near ties, so the
     reported drift carries no pass/fail meaning.
     """
-    from .policy import _run_policy
+    from .policy import run_policy
 
     if lam <= 0:
         raise ValueError("slope tracking needs lam > 0")
@@ -380,7 +380,7 @@ def meanvar_alpha_star_path(
     nodes = sorted({int(round(q)) for q in np.linspace(0, grid.n - 1, checkpoints)})
     out = []
     for k in nodes:
-        state = _run_policy(m, problem, grid, maps, paths_per_atom, seed, end_node=k)
-        snap = state.snapshot()
+        run = run_policy(m, problem, grid, maps, paths_per_atom, seed, end_node=k)
+        snap = run.particles.snapshot()
         out.append({"t": float(grid.nodes[k]), "alpha_star": alpha_star_at(grid.nodes[k], snap)})
     return out

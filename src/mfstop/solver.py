@@ -28,15 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Problem, TimeGrid
-from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays
-from .policy import (
-    Policy,
-    ValueEstimate,
-    _run_policy,
-    _terminal_value_and_stderr,
-    evaluate_policy,
-)
+from .dynamics import Particles, Problem, TimeGrid, flow
+from .measures import EmpiricalMeasure, StopMap, apply_stop
+from .policy import Policy, ValueEstimate, evaluate_policy, run_policy
 from .util import parallel_map, rng_for
 
 __all__ = [
@@ -112,7 +106,7 @@ class _Searcher:
     def value(self, pol: Policy) -> float:
         key = self._key(pol)
         if key not in self.seen:
-            state = _run_policy(
+            run = run_policy(
                 self.m0,
                 self.problem,
                 self.grid,
@@ -121,11 +115,9 @@ class _Searcher:
                 self.seed,
                 self.start_node,
             )
-            val, _ = _terminal_value_and_stderr(
-                state, self.problem, self.m0, self.cfg.paths_per_atom, self.seed, 0
-            )
+            val = run.estimate(self.seed, 0).value
             self.n_evaluations += 1
-            self.seen[key] = (val, float(np.mean(state.survivor_mass_trace)))
+            self.seen[key] = (val, float(np.mean(run.survivor_mass)))
         return self.seen[key][0]
 
     def survivor_mass(self, pol: Policy) -> float:
@@ -316,46 +308,18 @@ def backward_enumeration(
     the assignment count exceeds `enum_budget`.
     """
     _require_deterministic(problem, m0)
-    xs0, ws_live = m0.survivors()
-    xstop, wstop = m0.stopped()
-    k = xs0.shape[0]
+    k = m0.survivors()[1].shape[0]
     n = grid.n
     choices = (n - start_node) + 1
     if choices**k > enum_budget:
         raise ValueError(
             f"enumeration over {choices}^{k} assignments exceeds the budget {enum_budget}"
         )
-    dt = grid.dt
-    nodes = grid.nodes
-
     best: Optional[EnumerationResult] = None
     for raw in itertools.product(range(choices), repeat=k):
         stop_at = [start_node + a if a < choices - 1 else None for a in raw]
-        x = xs0.copy()
-        alive = np.ones(k, dtype=bool)
-        reward = 0.0
-        positions = []
-        for j in range(start_node, n):
-            positions.append(x.copy())
-            newly = np.array([stop_at[i] == j for i in range(k)], dtype=bool)
-            alive = alive & ~newly
-            snap = None
-            if problem.needs_snapshots():
-                snap = from_arrays(
-                    np.vstack([x, xstop]) if xstop.size else x,
-                    np.concatenate([alive.astype(np.uint8), np.zeros(len(wstop), dtype=np.uint8)]),
-                    np.concatenate([ws_live, wstop]),
-                )
-            if problem.f is not None and alive.any():
-                fv = np.asarray(problem.f(nodes[j], x[alive], snap), dtype=float)
-                reward += dt * float(np.broadcast_to(fv, (alive.sum(),)) @ ws_live[alive])
-            bstep = np.broadcast_to(
-                np.asarray(problem.b(nodes[j], x, snap), dtype=float), x.shape
-            )
-            x = x + bstep * dt * alive[:, None]
-        pts = np.vstack([x, xstop]) if xstop.size else x
-        wts = np.concatenate([ws_live, wstop])
-        total = reward + float(problem.g(pts, wts))
+        reward, particles, positions = _replay(m0, problem, grid, stop_at, start_node, n)
+        total = reward + float(problem.g(*particles.marginal()))
         if best is None or total > best.value + 1e-15 or (
             abs(total - best.value) <= 1e-15
             and sum(s is None for s in stop_at) > sum(s is None for s in best.stop_nodes)
@@ -363,6 +327,28 @@ def backward_enumeration(
             best = EnumerationResult(total, tuple(stop_at), tuple(positions))
     assert best is not None
     return best
+
+
+def _replay(m0, problem, grid, stop_at, first, last):
+    """Deterministic flow of m0 over nodes first..last-1 with per-atom stops.
+
+    stop_at[i] is the node at which surviving atom i stops, or None. Returns
+    the running reward, the particles at node `last` and the positions
+    entering each node.
+    """
+    particles = Particles.from_measure(m0, freeze_stopped=True)
+    codes = np.array([-1 if s is None else s for s in stop_at], dtype=np.int64)
+    stop = lambda j, x, rows: (codes[rows] != j).astype(float)
+    w = particles.w
+    reward = 0.0
+    positions = []
+    for j, t, snap in flow(particles, problem, 0.0, grid.dt, range(first, last), stop):
+        positions.append(particles.x)
+        alive = particles.alive
+        if problem.f is not None and alive.any():
+            fv = np.asarray(problem.f(t, particles.x[alive], snap), dtype=float)
+            reward += grid.dt * float(np.broadcast_to(fv, (alive.sum(),)) @ w[alive])
+    return reward, particles, positions
 
 
 def _enumeration_candidate(
@@ -429,20 +415,12 @@ class DppReport:
 
 def _prefix_run(m0, problem, grid, pol, paths, seed, s):
     """Replay a policy to node s; returns (reward, reward stderr, snapshot)."""
-    state = _run_policy(m0, problem, grid, pol.maps, paths, seed, 0, end_node=s)
-    reward = float(state.fsum.sum())
+    run = run_policy(m0, problem, grid, pol.maps, paths, seed, 0, end_node=s)
     se = 0.0
     if problem.f is not None and paths >= 2:
         rng = rng_for(seed, "prefix-bootstrap")
-        n_atoms = m0.n_atoms
-        offsets = (np.arange(n_atoms) * paths)[:, None]
-        vals = np.empty(100)
-        for bi in range(vals.shape[0]):
-            picks = rng.integers(0, paths, size=(n_atoms, paths)) + offsets
-            mult = np.bincount(picks.ravel(), minlength=len(state.ids)).astype(float)
-            vals[bi] = float(state.fsum @ mult)
-        se = float(vals.std(ddof=1))
-    return reward, se, state.snapshot()
+        se = float(np.std([run.reward @ mult for mult in run.multiplicities(rng, 100)], ddof=1))
+    return float(run.reward.sum()), se, run.particles.snapshot()
 
 
 def verify_dpp(
@@ -517,43 +495,13 @@ def _verify_dpp_exact(m0, problem, grid, s, cfg) -> DppReport:
     """Enumerated two-sided check for deterministic dynamics."""
     lhs = backward_enumeration(m0, problem, grid, 0, cfg.enum_budget).value
 
-    xs0, ws_live = m0.survivors()
-    xstop, wstop = m0.stopped()
-    k = xs0.shape[0]
-    dt = grid.dt
-    nodes = grid.nodes
+    k = m0.survivors()[1].shape[0]
     best_rhs = -np.inf
     # prefix assignment: stop at one of nodes 0..s-1, or still running at s
     for raw in itertools.product(range(s + 1), repeat=k):
         stop_at = [a if a < s else None for a in raw]
-        x = xs0.copy()
-        alive = np.ones(k, dtype=bool)
-        reward = 0.0
-        for j in range(s):
-            newly = np.array([stop_at[i] == j for i in range(k)], dtype=bool)
-            alive = alive & ~newly
-            snap = None
-            if problem.needs_snapshots():
-                snap = from_arrays(
-                    np.vstack([x, xstop]) if xstop.size else x,
-                    np.concatenate(
-                        [alive.astype(np.uint8), np.zeros(len(wstop), dtype=np.uint8)]
-                    ),
-                    np.concatenate([ws_live, wstop]),
-                )
-            if problem.f is not None and alive.any():
-                fv = np.asarray(problem.f(nodes[j], x[alive], snap), dtype=float)
-                reward += dt * float(np.broadcast_to(fv, (alive.sum(),)) @ ws_live[alive])
-            bstep = np.broadcast_to(
-                np.asarray(problem.b(nodes[j], x, snap), dtype=float), x.shape
-            )
-            x = x + bstep * dt * alive[:, None]
-        all_x = np.vstack([x, xstop]) if xstop.size else x
-        all_flags = np.concatenate(
-            [alive.astype(np.uint8), np.zeros(len(wstop), dtype=np.uint8)]
-        )
-        all_w = np.concatenate([ws_live, wstop])
-        snapshot = from_arrays(all_x, all_flags, all_w)
+        reward, particles, _ = _replay(m0, problem, grid, stop_at, 0, s)
+        snapshot = particles.snapshot()
         if s == grid.n:
             pts, wts = snapshot.x_marginal()
             cont = float(problem.g(pts, wts))

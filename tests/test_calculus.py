@@ -154,6 +154,22 @@ def _gbm_problem():
     )
 
 
+def test_unstopped_functional_exact_for_deterministic_drift():
+    problem = Problem(
+        d=1,
+        b=lambda t, x, m: 1.0,
+        sigma=lambda t, x, m: 0.0,
+        f=lambda t, x, m: np.ones(x.shape[0]),
+        g=lambda xs, ws: float(xs[:, 0] @ ws),
+        horizon=1.0,
+    )
+    m = make_empirical([(2.0, 1)])
+    u = make_unstopped_functional(problem, n_steps=7, paths_per_atom=1, seed=0)
+    # running reward 1 * surviving mass over [0.4, 1], then the drifted mean
+    assert u(0.4, m) == pytest.approx(0.6 + 2.6, abs=1e-12)
+    assert u(1.0, m) == pytest.approx(2.0, abs=1e-15)
+
+
 def test_simulated_functional_is_linear_under_reweighting():
     # with a linear terminal reward and linear running reward, the simulated
     # functional is exactly linear in the weights once the noise is frozen,

@@ -82,6 +82,12 @@ def test_experiment_config_validation():
         ExperimentConfig(problem="shortfall", seed=-1)
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(problem="shortfall", seed=True)
+    # seeds are read modulo 2^64, so 2^64 + 5 would silently rerun seed 5
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(problem="shortfall", seed=(1 << 64) + 5)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(problem="shortfall", seed=1 << 64)
+    assert ExperimentConfig(problem="shortfall", seed=(1 << 64) - 1).seed == (1 << 64) - 1
     with pytest.raises(ValueError, match="split_index"):
         ExperimentConfig(problem="shortfall", seed=0, grid_n=4, split_index=5)
     with pytest.raises(ValueError, match="mollifier_n"):
@@ -104,6 +110,10 @@ def test_load_experiment_config_errors(tmp_path):
         load_experiment_config(p)
 
     p.write_text(json.dumps({"problem": "shortfall"}))
+    with pytest.raises(ValueError, match="seed"):
+        load_experiment_config(p)
+
+    p.write_text(json.dumps({"problem": "shortfall", "seed": (1 << 64) + 5}))
     with pytest.raises(ValueError, match="seed"):
         load_experiment_config(p)
 

@@ -81,6 +81,36 @@ def test_residual_time_out_of_range_exits_2(tmp_path, capsys):
     assert "time" in capsys.readouterr().err.lower()
 
 
+def test_config_seed_beyond_u64_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, seed=(1 << 64) + 5)
+    assert cli.main(["solve", "--config", path]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def _raise(exc):
+    def handler(*args, **kwargs):
+        raise exc
+
+    return handler
+
+
+def test_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # the obstacle solver raises RuntimeError when it does not converge
+    monkeypatch.setattr(cli, "standard_os_pde", _raise(RuntimeError("PSOR did not converge")))
+    path = _write_config(tmp_path)
+    assert cli.main(["residual", "--config", path]) == 4
+    err = capsys.readouterr().err
+    assert "could not finish" in err and "PSOR did not converge" in err
+
+
+def test_memory_exhaustion_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "evaluate_policy_detailed", _raise(MemoryError()))
+    path = _write_config(tmp_path)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 4
+    assert "MemoryError" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "simulate.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------

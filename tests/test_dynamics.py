@@ -1,21 +1,16 @@
-"""Simulation: freezing, conservation, determinism, moment oracles."""
+"""The forward kernel: freezing, conservation, determinism, moment oracles."""
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
 
-from mfstop.dynamics import (
-    Problem,
-    TimeGrid,
-    euler_step,
-    load_bundle,
-    save_bundle,
-    simulate_unstopped,
-    spawn_particles,
-)
+from mfstop.calculus import make_unstopped_functional
+from mfstop.dynamics import Particles, Problem, TimeGrid, flow
 from mfstop.measures import make_empirical
-from mfstop.rng import normals
+from mfstop.policy import Policy, evaluate_policy
 
 
 def _mean_g(points, weights):
@@ -45,35 +40,54 @@ def gbm_problem(b0, s0, horizon=1.0, truncated=False):
     )
 
 
+def simulate(m0, problem, grid, paths_per_atom, seed, stop=None, nodes=None):
+    """Kernel run of paths_per_atom rows per atom; positions at every node."""
+    particles = Particles.from_measure(m0, paths_per_atom)
+    ids = np.arange(particles.w.shape[0], dtype=np.uint64)
+    xs = []
+    nodes = range(grid.n) if nodes is None else nodes
+    for _ in flow(particles, problem, 0.0, grid.dt, nodes, stop, seed, ids):
+        xs.append(particles.x)
+    xs.append(particles.x)
+    return particles, xs
+
+
 def test_zero_coefficients_freeze_everything():
     prob = Problem(
         d=1, b=lambda t, x, m: 0.0, sigma=lambda t, x, m: 0.0, f=None,
         g=_mean_g, horizon=1.0,
     )
     m0 = make_empirical([(0.5, 1), (-1.0, 1), (2.0, 0)])
-    bundle = simulate_unstopped(m0, prob, TimeGrid(4, 1.0), paths_per_atom=3, seed=0)
+    _, xs = simulate(m0, prob, TimeGrid(4, 1.0), paths_per_atom=3, seed=0)
+    assert len(xs) == 5
     for k in range(5):
-        assert np.array_equal(bundle.xs[k], bundle.xs[0])
+        assert np.array_equal(xs[k], xs[0])
 
 
 def test_stopped_particles_never_move():
     prob = brownian_problem()
     m0 = make_empirical([(0.0, 1), (5.0, 0)])
-    bundle = simulate_unstopped(m0, prob, TimeGrid(6, 1.0), paths_per_atom=4, seed=1)
-    frozen = bundle.flags[0] == 0
+    particles = Particles.from_measure(m0, 4)
+    w0 = particles.w.copy()
+    particles, xs = simulate(m0, prob, TimeGrid(6, 1.0), paths_per_atom=4, seed=1)
+    frozen = ~particles.alive
     assert frozen.any()
     for k in range(1, 7):
-        assert np.array_equal(bundle.xs[k][frozen], bundle.xs[0][frozen])
-        assert np.array_equal(bundle.ws[k], bundle.ws[0])
+        assert np.array_equal(xs[k][frozen], xs[0][frozen])
+    assert np.array_equal(particles.w, w0)
 
 
 def test_terminal_flags_zeroed_positions_kept():
+    # the forced stop at the horizon is a stop rule of zeros at node n: it
+    # clears every flag and moves no position
     prob = brownian_problem()
     m0 = make_empirical([(0.0, 1)])
-    bundle = simulate_unstopped(m0, prob, TimeGrid(3, 1.0), paths_per_atom=8, seed=2)
-    assert np.all(bundle.flags[3] == 0)
-    assert np.all(bundle.flags[2] == 1)
-    assert not np.array_equal(bundle.xs[3], bundle.xs[2])
+    particles, xs = simulate(m0, prob, TimeGrid(3, 1.0), paths_per_atom=8, seed=2)
+    assert np.all(particles.alive)
+    particles.stop(3, lambda k, x, rows: np.zeros(rows.shape[0]))
+    assert not particles.alive.any()
+    assert particles.x is xs[3]
+    assert not np.array_equal(xs[3], xs[2])
 
 
 def test_single_step_increment_variance():
@@ -82,10 +96,8 @@ def test_single_step_increment_variance():
     n = 100_000
     grid = TimeGrid(10, 1.0)
     m0 = make_empirical([(0.0, 1)])
-    bundle = spawn_particles(m0, grid, paths_per_atom=n, seed=3)
-    noise = normals(3, bundle.particle_ids, 0, 1)
-    euler_step(bundle, 0, prob, noise)
-    incr = bundle.xs[1][:, 0] - bundle.xs[0][:, 0]
+    _, xs = simulate(m0, prob, grid, paths_per_atom=n, seed=3, nodes=range(1))
+    incr = xs[1][:, 0] - xs[0][:, 0]
     var = incr.var()
     se = np.sqrt(2.0 / n) * grid.dt  # stderr of a variance estimate at Var=dt
     assert abs(var - grid.dt) < 3 * se
@@ -96,8 +108,8 @@ def test_gbm_terminal_mean():
     b0, s0, T = 0.12, 0.3, 1.0
     prob = gbm_problem(b0, s0, T)
     m0 = make_empirical([(1.0, 1)])
-    bundle = simulate_unstopped(m0, prob, TimeGrid(64, T), paths_per_atom=40_000, seed=4)
-    xT = bundle.xs[-1][:, 0]
+    _, xs = simulate(m0, prob, TimeGrid(64, T), paths_per_atom=40_000, seed=4)
+    xT = xs[-1][:, 0]
     want = np.exp(b0 * T)
     se = xT.std() / np.sqrt(len(xT))
     # allow 3 MC stderr plus first-order discretization slack
@@ -107,32 +119,42 @@ def test_gbm_terminal_mean():
 def test_seed_determinism():
     prob = gbm_problem(0.05, 0.2)
     m0 = make_empirical([(1.0, 1), (2.0, 1)], [1, 3])
-    a = simulate_unstopped(m0, prob, TimeGrid(5, 1.0), 10, seed=42)
-    b = simulate_unstopped(m0, prob, TimeGrid(5, 1.0), 10, seed=42)
-    c = simulate_unstopped(m0, prob, TimeGrid(5, 1.0), 10, seed=43)
-    assert np.array_equal(a.xs, b.xs)
-    assert np.array_equal(a.ws, b.ws)
-    assert not np.array_equal(a.xs, c.xs)
+    a, xa = simulate(m0, prob, TimeGrid(5, 1.0), 10, seed=42)
+    b, xb = simulate(m0, prob, TimeGrid(5, 1.0), 10, seed=42)
+    c, xc = simulate(m0, prob, TimeGrid(5, 1.0), 10, seed=43)
+    assert np.array_equal(np.stack(xa), np.stack(xb))
+    assert np.array_equal(a.w, b.w)
+    assert not np.array_equal(np.stack(xa), np.stack(xc))
 
 
 def test_mass_conservation():
+    # with and without a fractional stop rule that sheds mass into the pool
     prob = brownian_problem()
     m0 = make_empirical([(0.0, 1), (1.0, 1), (2.0, 0)], [1, 2, 3])
-    bundle = simulate_unstopped(m0, prob, TimeGrid(20, 1.0), 50, seed=5)
-    for k in range(21):
-        assert abs(bundle.total_mass(k) - 1.0) <= 1e-12
+    for stop in (None, lambda k, x, rows: np.full(rows.shape[0], 0.9)):
+        particles = Particles.from_measure(m0, 50)
+        ids = np.arange(particles.w.shape[0], dtype=np.uint64)
+        masses = []
+        for _ in flow(particles, prob, 0.0, 0.05, range(20), stop, 5, ids):
+            masses.append(particles.marginal()[1].sum())
+        masses.append(particles.marginal()[1].sum())
+        assert len(masses) == 21
+        for mass in masses:
+            assert abs(mass - 1.0) <= 1e-12
+    assert len(particles.pool_w) == 20
 
 
 def test_martingale_mean_preserved():
     prob = brownian_problem()
     m0 = make_empirical([(0.3, 1), (-0.7, 1), (1.5, 0)], [2, 1, 1])
-    bundle = simulate_unstopped(m0, prob, TimeGrid(16, 1.0), 4000, seed=6)
-    w = bundle.ws[0]
-    mean0 = w @ bundle.xs[0][:, 0]
+    grid = TimeGrid(16, 1.0)
+    particles, xs = simulate(m0, prob, grid, 4000, seed=6)
+    w = particles.w
+    mean0 = w @ xs[0][:, 0]
     for k in (4, 8, 16):
-        mk = w @ bundle.xs[k][:, 0]
-        alive_w = w[bundle.flags[0] == 1]
-        se = np.sqrt((alive_w**2).sum() * bundle.grid.nodes[k])
+        mk = w @ xs[k][:, 0]
+        alive_w = w[particles.alive]
+        se = np.sqrt((alive_w**2).sum() * grid.nodes[k])
         assert abs(mk - mean0) < 3 * se
 
 
@@ -149,21 +171,56 @@ def test_measure_dependent_drift_sees_snapshot():
         horizon=1.0, b_uses_measure=True,
     )
     m0 = make_empirical([(0.0, 1), (2.0, 1)])
-    bundle = simulate_unstopped(m0, prob, TimeGrid(4, 1.0), 1, seed=7)
+    _, xs = simulate(m0, prob, TimeGrid(4, 1.0), 1, seed=7)
+    assert len(seen) == 4
     assert all(s is not None for s in seen)
     # attraction to the (preserved) mean: particles contract toward 1.0
-    gap0 = abs(bundle.xs[0][0, 0] - bundle.xs[0][1, 0])
-    gapT = abs(bundle.xs[-1][0, 0] - bundle.xs[-1][1, 0])
+    gap0 = abs(xs[0][0, 0] - xs[0][1, 0])
+    gapT = abs(xs[-1][0, 0] - xs[-1][1, 0])
     assert gapT < gap0
 
 
 def test_snapshot_is_valid_measure():
     prob = brownian_problem()
     m0 = make_empirical([(0.0, 1), (1.0, 0)], [3, 1])
-    bundle = simulate_unstopped(m0, prob, TimeGrid(5, 1.0), 7, seed=8)
-    snap = bundle.snapshot(3)
+    particles = Particles.from_measure(m0, 7)
+    ids = np.arange(particles.w.shape[0], dtype=np.uint64)
+    for k, _, snap in flow(particles, prob, 0.0, 0.2, range(5), seed=8, ids=ids):
+        assert snap is None  # no coefficient reads the measure
+        if k == 3:
+            snap = particles.snapshot()
+            assert snap.total_mass() == pytest.approx(1.0, abs=1e-12)
+            assert snap.surviving_mass() == pytest.approx(0.75, abs=1e-12)
+
+
+def test_frozen_atoms_stay_outside_the_rows():
+    # the layout that keeps stopped atoms once, outside the path arrays
+    prob = brownian_problem()
+    m0 = make_empirical([(0.0, 1), (1.0, 0)], [3, 1])
+    particles = Particles.from_measure(m0, 7, freeze_stopped=True)
+    assert particles.w.shape[0] == 7 and particles.alive.all()
+    ids = np.arange(7, dtype=np.uint64)
+    for _ in flow(particles, prob, 0.0, 0.2, range(5), seed=8, ids=ids):
+        pass
+    snap = particles.snapshot()
     assert snap.total_mass() == pytest.approx(1.0, abs=1e-12)
     assert snap.surviving_mass() == pytest.approx(0.75, abs=1e-12)
+    xs, ws = snap.stopped()
+    assert xs[:, 0].tolist() == [1.0] and ws[0] == pytest.approx(0.25, abs=1e-15)
+
+
+def test_replay_without_seed_draws_no_noise():
+    calls = []
+
+    def sigma(t, x, m):
+        calls.append(t)
+        return 1.0
+
+    prob = Problem(d=1, b=lambda t, x, m: 1.0, sigma=sigma, f=None, g=_mean_g, horizon=1.0)
+    m0 = make_empirical([(2.0, 1)])
+    particles, _ = simulate(m0, prob, TimeGrid(4, 1.0), 1, seed=None)
+    assert calls == []
+    assert particles.x[0, 0] == pytest.approx(3.0, abs=1e-15)
 
 
 def test_nonfinite_coefficients_raise():
@@ -173,7 +230,7 @@ def test_nonfinite_coefficients_raise():
     )
     m0 = make_empirical([(0.0, 1)])
     with pytest.raises(ValueError, match="non-finite"):
-        simulate_unstopped(m0, prob, TimeGrid(2, 1.0), 3, seed=9)
+        simulate(m0, prob, TimeGrid(2, 1.0), 3, seed=9)
 
 
 def test_truncation_warning():
@@ -181,32 +238,29 @@ def test_truncation_warning():
     prob = gbm_problem(-0.5, 0.1, horizon=1.0, truncated=True)
     m0 = make_empirical([(1.0, 1)])
     with pytest.warns(RuntimeWarning, match="truncated infinite horizon"):
-        simulate_unstopped(m0, prob, TimeGrid(8, 1.0), 100, seed=10)
+        simulate(m0, prob, TimeGrid(8, 1.0), 100, seed=10)
 
 
 def test_truncation_quiet_when_decayed():
-    import warnings as w
-
     prob = gbm_problem(-1.0, 0.05, horizon=8.0, truncated=True)
     m0 = make_empirical([(1.0, 1)])
-    with w.catch_warnings():
-        w.simplefilter("error")
-        simulate_unstopped(m0, prob, TimeGrid(64, 8.0), 100, seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate(m0, prob, TimeGrid(64, 8.0), 100, seed=11)
 
 
-def test_bundle_binary_round_trip(tmp_path):
-    prob = gbm_problem(0.1, 0.25)
-    m0 = make_empirical([(1.0, 1), (2.0, 0)], [1, 1])
-    bundle = simulate_unstopped(m0, prob, TimeGrid(6, 1.0), 5, seed=12)
-    bundle.pool[2] = (np.array([[9.0]]), np.array([0.0125]))  # exercise pool IO
-    path = str(tmp_path / "paths.bin")
-    save_bundle(bundle, path)
-    loaded = load_bundle(path)
-    assert np.array_equal(loaded.xs, bundle.xs)
-    assert np.array_equal(loaded.flags, bundle.flags)
-    assert np.array_equal(loaded.ws, bundle.ws)
-    assert np.array_equal(loaded.particle_ids, bundle.particle_ids)
-    assert loaded.pool[2] is not None
-    assert np.array_equal(loaded.pool[2][0], bundle.pool[2][0])
-    assert loaded.pool[1] is None
-    assert loaded.grid.n == 6 and loaded.seed == 12
+def test_truncation_guard_runs_on_the_production_paths():
+    prob = gbm_problem(-0.5, 0.1, horizon=1.0, truncated=True)
+    m0 = make_empirical([(1.0, 1)])
+    grid = TimeGrid(8, 1.0)
+    with pytest.warns(RuntimeWarning, match="truncated infinite horizon"):
+        evaluate_policy(m0, prob, grid, Policy.never_stop(grid.n), 20, seed=10)
+    u = make_unstopped_functional(prob, n_steps=8, paths_per_atom=20, seed=10)
+    with pytest.warns(RuntimeWarning, match="truncated infinite horizon"):
+        u(0.0, m0)
+    # stopping runs and runs that end before the horizon stay quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evaluate_policy(m0, prob, grid, Policy.stop_now(grid.n), 20, seed=10)
+        evaluate_policy(m0, prob, grid, Policy.constant([0.5] * grid.n), 20, seed=10)
+        simulate(m0, prob, grid, 20, seed=10, nodes=range(4))

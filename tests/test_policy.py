@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from mfstop.dynamics import Problem, TimeGrid, simulate_unstopped
+from mfstop.dynamics import Particles, Problem, TimeGrid, flow
 from mfstop.measures import StopMap, make_empirical
 from mfstop.policy import (
     Policy,
@@ -15,7 +15,6 @@ from mfstop.policy import (
     policy_from_json,
     policy_to_json,
     terminal_stop_sup,
-    unstopped_value,
 )
 
 
@@ -42,37 +41,49 @@ def brownian(f=None, g=mean_g, horizon=1.0):
 
 
 def test_never_stop_matches_unstopped_simulation_exactly():
-    # same seed, same particle ids: paths and value must agree bitwise
-    problem = Problem(
-        d=1,
-        b=lambda t, x, m: 0.2 * x,
-        sigma=lambda t, x, m: 0.3 * np.abs(x[:, 0]),
-        f=lambda t, x, m: np.cos(x[:, 0]),
-        g=put_g(1.2),
-        horizon=1.0,
-    )
+    # same seed, same particle ids: a kernel run with no stop rule and the
+    # never-stop policy must agree bitwise, path for path and in value
+    seen = {"kernel": [], "policy": []}
+
+    def make_problem(tag):
+        def f(t, x, m):
+            seen[tag].append(x.copy())
+            return np.cos(x[:, 0])
+
+        return Problem(
+            d=1,
+            b=lambda t, x, m: 0.2 * x,
+            sigma=lambda t, x, m: 0.3 * np.abs(x[:, 0]),
+            f=f,
+            g=put_g(1.2),
+            horizon=1.0,
+        )
+
     grid = TimeGrid(n=10, horizon=1.0)
     m0 = make_empirical([(1.0, 1)])
     seed = 99
 
-    bundle = simulate_unstopped(m0, problem, grid, paths_per_atom=400, seed=seed)
-    manual = 0.0
-    for k in range(grid.n):
-        x, flags, ws = bundle.state_arrays(k)
-        alive = flags == 1
-        manual += grid.dt * float(np.cos(x[alive, 0]) @ ws[alive])
-    pts, wts = bundle.marginal_arrays(grid.n)
-    manual += problem.g(pts, wts)
+    problem = make_problem("kernel")
+    particles = Particles.from_measure(m0, 400)
+    ids = np.arange(400, dtype=np.uint64)
+    reward = np.zeros(400)
+    for k, t, snap in flow(particles, problem, 0.0, grid.dt, range(grid.n), seed=seed, ids=ids):
+        alive = particles.alive
+        reward[alive] += problem.f(t, particles.x[alive], snap) * particles.w[alive] * grid.dt
+    manual = float(reward.sum() + problem.g(*particles.marginal()))
 
     est, diag = evaluate_policy_detailed(
-        m0, problem, grid, Policy.never_stop(grid.n), paths_per_atom=400, seed=seed
+        m0, make_problem("policy"), grid, Policy.never_stop(grid.n), paths_per_atom=400,
+        seed=seed,
     )
+    assert len(seen["policy"]) == len(seen["kernel"]) == grid.n
+    for x_policy, x_kernel in zip(seen["policy"], seen["kernel"]):
+        assert np.array_equal(x_policy, x_kernel)
     snap = diag["terminal_snapshot"]
-    xs_m, ws_m = snap.x_marginal()
-    xs_b, ws_b = bundle.snapshot(grid.n).x_marginal()
-    assert np.array_equal(xs_m, xs_b)
-    assert np.allclose(ws_m, ws_b, atol=1e-15)
-    assert est.value == pytest.approx(manual, abs=1e-12)
+    kernel_snap = particles.snapshot()
+    assert np.array_equal(snap.xs, kernel_snap.xs)
+    assert np.array_equal(snap.ws, kernel_snap.ws)
+    assert est.value == manual
 
 
 def test_stop_now_returns_terminal_reward_of_initial_marginal():
@@ -161,23 +172,6 @@ def test_evaluate_policy_from_interior_node():
         m, problem, grid, Policy.never_stop(grid.n), 1, seed=0, start_node=4
     )
     assert est.value == pytest.approx(2.0 + 0.6, abs=1e-12)
-
-
-def test_unstopped_value_exact_for_deterministic_drift():
-    problem = Problem(
-        d=1,
-        b=lambda t, x, m: 1.0,
-        sigma=lambda t, x, m: 0.0,
-        f=lambda t, x, m: np.ones(x.shape[0]),
-        g=mean_g,
-        horizon=1.0,
-    )
-    m = make_empirical([(2.0, 1)])
-    val = unstopped_value(m, problem, t_start=0.4, n_steps=7, paths_per_atom=1, seed=0)
-    # running reward 1 * surviving mass over [0.4, 1], then the drifted mean
-    assert val == pytest.approx(0.6 + 2.6, abs=1e-12)
-    at_horizon = unstopped_value(m, problem, 1.0, 5, 1, seed=0)
-    assert at_horizon == pytest.approx(2.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
