@@ -342,7 +342,7 @@ def _replay(m0, problem, grid, stop_at, first, last):
     w = particles.w
     reward = 0.0
     positions = []
-    for j, t, snap in flow(particles, problem, 0.0, grid.dt, range(first, last), stop):
+    for _, t, snap in flow(particles, problem, 0.0, grid.dt, range(first, last), stop):
         positions.append(particles.x)
         alive = particles.alive
         if problem.f is not None and alive.any():

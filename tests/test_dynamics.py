@@ -258,9 +258,11 @@ def test_truncation_guard_runs_on_the_production_paths():
     u = make_unstopped_functional(prob, n_steps=8, paths_per_atom=20, seed=10)
     with pytest.warns(RuntimeWarning, match="truncated infinite horizon"):
         u(0.0, m0)
-    # stopping runs and runs that end before the horizon stay quiet
+    # stopping runs and runs over part of [0, T] stay quiet
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         evaluate_policy(m0, prob, grid, Policy.stop_now(grid.n), 20, seed=10)
         evaluate_policy(m0, prob, grid, Policy.constant([0.5] * grid.n), 20, seed=10)
         simulate(m0, prob, grid, 20, seed=10, nodes=range(4))
+        simulate(m0, prob, grid, 20, seed=10, nodes=range(4, 8))
+        u(0.5, m0)
