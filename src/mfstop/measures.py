@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 __all__ = [
     "EmpiricalMeasure",
@@ -437,6 +435,8 @@ def wasserstein(
             f"transport problem too large for the exact solver ({n1} x {n2} atoms)"
         )
     cost = _ground_cost(m1, m2, flag_weight) ** order
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
 
     # transport LP: row sums = ws1, column sums = ws2
     rows, cols, vals = [], [], []

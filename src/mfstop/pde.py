@@ -7,11 +7,13 @@ ones. `standard_os_pde` produces the surface, `aggregate_value` does the
 integration.
 
 The scheme is implicit Euler in time with central/upwind differences in
-space, and the obstacle is enforced at every backward step by projected SOR
-(red-black sweeps, so the inner loop is two vectorized updates). The same
-kernel serves both inequality directions: mode 'sup' keeps v >= psi
-(maximize over stopping), mode 'inf' keeps v <= psi (minimize, used by the
-shortfall reduction).
+space. Each backward step is a tridiagonal linear complementarity problem
+with an M-matrix, solved exactly by policy iteration (Howard's algorithm):
+every row either obeys the linear equation or sits on the obstacle, and
+each iteration is one LAPACK tridiagonal solve (Reisinger & Witte, SIAM J.
+Financial Math. 3, 2012). The same kernel serves both inequality
+directions: mode 'sup' keeps v >= psi (maximize over stopping), mode 'inf'
+keeps v <= psi (minimize, used by the shortfall reduction).
 """
 
 from __future__ import annotations
@@ -38,17 +40,12 @@ class PdeConfig:
     x_hi: float
     nx: int = 481
     nt: int = 600
-    omega: float = 1.5
-    tol: float = 1e-10
-    max_iter: int = 20000
 
     def __post_init__(self):
         if not self.x_lo < self.x_hi:
             raise ValueError("need x_lo < x_hi")
         if self.nx < 5 or self.nt < 1:
             raise ValueError("grid too small")
-        if not 0.0 < self.omega < 2.0:
-            raise ValueError("SOR relaxation must lie in (0, 2)")
 
 
 @dataclass(frozen=True)
@@ -133,41 +130,48 @@ def _tridiag(problem: Problem, t: float, dt: float, xs: np.ndarray):
     return lower, diag, upper
 
 
-def _psor_step(
-    v: np.ndarray,
+def _lcp_step(
     rhs: np.ndarray,
     lower: np.ndarray,
     diag: np.ndarray,
     upper: np.ndarray,
     psi: np.ndarray,
+    on_obstacle: np.ndarray,
     mode: str,
-    cfg: PdeConfig,
+    gtsv,
 ) -> np.ndarray:
-    """Solve the complementarity system for one backward step.
+    """Solve the complementarity system for one backward step exactly.
 
     mode 'sup': min(Av - rhs, v - psi) = 0;  'inf': min(rhs - Av, psi - v) = 0.
+    Policy iteration from the rows `on_obstacle` marks (the two boundary rows
+    always are, which pins them to psi), updated in place; `gtsv` is LAPACK's
+    tridiagonal solver. It stops on a residual at rounding level, not on a
+    repeated set of rows, which can cycle where v and psi coincide.
     """
-    project = np.maximum if mode == "sup" else np.minimum
-    v = project(v.copy(), psi)
-    n = len(v)
-    interior = np.arange(1, n - 1)
-    evens = interior[interior % 2 == 0]
-    odds = interior[interior % 2 == 1]
-    for it in range(cfg.max_iter):
-        for idx in (evens, odds):
-            gs = (rhs[idx] - lower[idx] * v[idx - 1] - upper[idx] * v[idx + 1]) / diag[idx]
-            v[idx] = project(v[idx] + cfg.omega * (gs - v[idx]), psi[idx])
+    sign = 1.0 if mode == "sup" else -1.0
+    # rounding in Av - rhs grows with |A| |v|, and |v| <= max(|rhs|, |psi|)
+    norm_a = np.max(np.abs(lower) + diag + np.abs(upper))
+    tol = 1e-13 * norm_a * (np.max(np.abs(rhs)) + np.max(np.abs(psi)))
+    for _ in range(len(rhs)):
+        _, _, _, v, info = gtsv(
+            np.where(on_obstacle[1:], 0.0, lower[1:]),
+            np.where(on_obstacle, 1.0, diag),
+            np.where(on_obstacle[:-1], 0.0, upper[:-1]),
+            np.where(on_obstacle, psi, rhs),
+        )
+        if info != 0:
+            raise RuntimeError(f"LAPACK tridiagonal solve failed (info={info})")
         av = diag * v
         av[1:] += lower[1:] * v[:-1]
         av[:-1] += upper[:-1] * v[1:]
-        if mode == "sup":
-            resid = np.minimum(av - rhs, v - psi)
-        else:
-            resid = np.minimum(rhs - av, psi - v)
-        if np.max(np.abs(resid[1:-1])) < cfg.tol:
-            return v
+        equation_gap = sign * (av - rhs)[1:-1]
+        obstacle_gap = sign * (v - psi)[1:-1]
+        if np.max(np.abs(np.minimum(equation_gap, obstacle_gap))) <= tol:
+            return np.maximum(v, psi) if mode == "sup" else np.minimum(v, psi)
+        # near-ties leave the obstacle; flipping them on rounding noise stalls
+        on_obstacle[1:-1] = obstacle_gap < equation_gap - tol
     raise RuntimeError(
-        f"projected SOR did not reach tol={cfg.tol} within {cfg.max_iter} iterations"
+        f"obstacle step did not settle within {len(rhs)} policy iterations"
     )
 
 
@@ -198,22 +202,19 @@ def standard_os_pde(
     if psi_values.shape != xs.shape or not np.all(np.isfinite(psi_values)):
         raise ValueError("psi must map the grid to finite values")
 
+    from scipy.linalg.lapack import dgtsv
+
     values = np.empty((cfg.nt + 1, cfg.nx))
     values[-1] = psi_values
-    v = psi_values.copy()
+    on_obstacle = np.ones(cfg.nx, dtype=bool)
     for k in range(cfg.nt - 1, -1, -1):
         t = ts[k]
         lower, diag, upper = _tridiag(problem, t, dt, xs)
-        rhs = v.copy()
+        rhs = values[k + 1]
         if problem.f is not None:
             fv = np.asarray(problem.f(t, xs[:, None], None), dtype=float)
             rhs = rhs + dt * np.broadcast_to(fv, xs.shape)
-        rhs[0] = psi_values[0]
-        rhs[-1] = psi_values[-1]
-        v = _psor_step(v, rhs, lower, diag, upper, psi_values, mode, cfg)
-        v[0] = psi_values[0]
-        v[-1] = psi_values[-1]
-        values[k] = v
+        values[k] = _lcp_step(rhs, lower, diag, upper, psi_values, on_obstacle, mode, dgtsv)
     return ObstaclePDEGrid(xs=xs, ts=ts, values=values, psi_values=psi_values, mode=mode)
 
 

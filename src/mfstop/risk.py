@@ -196,6 +196,20 @@ class MeanVarianceResult:
         return iter((self.value, self.alpha_star))
 
 
+def _meanvar_alpha_bounds(m: EmpiricalMeasure, lam: float) -> tuple:
+    """Default slope range: 1 + lam * (mean -/+ 6 (std + 1)) of the x-marginal."""
+    xs, ws = m.x_marginal()
+    z1 = float(xs[:, 0] @ ws)
+    z2 = float(xs[:, 0] ** 2 @ ws)
+    spread = math.sqrt(max(z2 - z1 * z1, 0.0)) + 1.0
+    return (1.0 + lam * (z1 - 6.0 * spread), 1.0 + lam * (z1 + 6.0 * spread))
+
+
+def _meanvar_payoff(a: float, lam: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The linearized payoff a x - (lam/2) x^2 of slope a."""
+    return lambda x: a * np.asarray(x, dtype=float) - 0.5 * lam * np.asarray(x, dtype=float) ** 2
+
+
 def _linear_value(m, problem, psi, pde_cfg) -> float:
     pde = standard_os_pde(problem, psi, pde_cfg, mode="sup")
     return aggregate_value(m, pde, psi)
@@ -229,12 +243,8 @@ def mean_variance_dual(
         value = _linear_value(m, problem, lambda x: np.asarray(x, dtype=float), pde_cfg)
         return MeanVarianceResult(value=value, alpha_star=1.0)
 
-    xs, ws = m.x_marginal()
-    z1 = float(xs[:, 0] @ ws)
-    z2 = float(xs[:, 0] ** 2 @ ws)
     if alpha_bounds is None:
-        spread = math.sqrt(max(z2 - z1 * z1, 0.0)) + 1.0
-        alpha_bounds = (1.0 + lam * (z1 - 6.0 * spread), 1.0 + lam * (z1 + 6.0 * spread))
+        alpha_bounds = _meanvar_alpha_bounds(m, lam)
     a_lo, a_hi = alpha_bounds
     if not a_lo < a_hi:
         raise ValueError("alpha bounds must be increasing")
@@ -244,9 +254,7 @@ def mean_variance_dual(
     def dual_objective(a: float) -> float:
         key = round(a, 12)
         if key not in cache:
-            psi = lambda x, a=a: a * np.asarray(x, dtype=float) - 0.5 * lam * np.asarray(
-                x, dtype=float
-            ) ** 2
+            psi = _meanvar_payoff(a, lam)
             cache[key] = _linear_value(m, problem, psi, pde_cfg) - (a - 1.0) ** 2 / (
                 2.0 * lam
             )
@@ -344,24 +352,14 @@ def meanvar_alpha_star_path(
 
     if lam <= 0:
         raise ValueError("slope tracking needs lam > 0")
-    xs, ws = m.x_marginal()
-    z1 = float(xs[:, 0] @ ws)
-    z2 = float(xs[:, 0] ** 2 @ ws)
     if alpha_bounds is None:
-        spread = math.sqrt(max(z2 - z1 * z1, 0.0)) + 1.0
-        alpha_bounds = (1.0 + lam * (z1 - 6.0 * spread), 1.0 + lam * (z1 + 6.0 * spread))
+        alpha_bounds = _meanvar_alpha_bounds(m, lam)
     alphas = np.linspace(alpha_bounds[0], alpha_bounds[1], grid_points)
-
-    def make_psi(a):
-        return lambda x, a=a: a * np.asarray(x, dtype=float) - 0.5 * lam * np.asarray(
-            x, dtype=float
-        ) ** 2
-
-    pdes = [standard_os_pde(problem, make_psi(a), pde_cfg, mode="sup") for a in alphas]
+    pdes = [standard_os_pde(problem, _meanvar_payoff(a, lam), pde_cfg, mode="sup") for a in alphas]
 
     def alpha_star_at(t: float, meas: EmpiricalMeasure) -> float:
         vals = [
-            aggregate_value(meas, pde, make_psi(a), t=t) - (a - 1.0) ** 2 / (2.0 * lam)
+            aggregate_value(meas, pde, _meanvar_payoff(a, lam), t=t) - (a - 1.0) ** 2 / (2.0 * lam)
             for a, pde in zip(alphas, pdes)
         ]
         return float(alphas[int(np.argmax(vals))])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from importlib.resources import files
 
 import pytest
@@ -96,11 +98,12 @@ def _raise(exc):
 
 def test_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
     # the obstacle solver raises RuntimeError when it does not converge
-    monkeypatch.setattr(cli, "standard_os_pde", _raise(RuntimeError("PSOR did not converge")))
+    failure = "obstacle step did not settle within 481 policy iterations"
+    monkeypatch.setattr(cli, "standard_os_pde", _raise(RuntimeError(failure)))
     path = _write_config(tmp_path)
     assert cli.main(["residual", "--config", path]) == 4
     err = capsys.readouterr().err
-    assert "could not finish" in err and "PSOR did not converge" in err
+    assert "could not finish" in err and failure in err
 
 
 def test_memory_exhaustion_exits_4(tmp_path, capsys, monkeypatch):
@@ -216,3 +219,31 @@ def test_example_table_embeds_config_hash(tmp_path):
     assert head[0].startswith("# config_sha256=")
     assert head[1].startswith("# seed=")
     assert head[2].startswith("# version=")
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+STARTUP = """
+import sys
+from importlib.resources import files
+import mfstop.cli
+from mfstop.catalog import build_instance, instance_names, load_experiment_config
+for path in sorted(files("mfstop").joinpath("configs").iterdir()):
+    if path.name.endswith(".json"):
+        load_experiment_config(str(path)).instance()
+for name in instance_names():
+    build_instance(name)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_import_and_catalog_builds_leave_scipy_unloaded():
+    # scipy costs about half a second to import; only the transport LP and
+    # the obstacle solver need it, and they load it when they run
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", STARTUP], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -23,13 +23,15 @@ from mfstop.calculus import make_unstopped_functional
 from mfstop.catalog import build_instance
 from mfstop.dynamics import Problem, TimeGrid
 from mfstop.measures import StopMap, make_empirical
+from mfstop.pde import aggregate_value, standard_os_pde
 from mfstop.policy import Policy, evaluate_policy
+from mfstop.risk import expected_shortfall_value, mean_variance_dual
 from mfstop.rng import _philox_rounds
 from mfstop.solver import SearchConfig, backward_enumeration, verify_dpp
 
 ARTIFACT_SHA256 = {
     ("standard_put", "simulate"): "24704733dbe8a8820a69fba61c9e06f9e49bb5967892f11b00f80474b5df70cd",
-    ("standard_put", "solve"): "ce0835d312ea39ac81c06fa4ddb136adedaa2c89e8984b79ad955db64deda4be",
+    ("standard_put", "solve"): "01e8dc17dc843c701e64c1904f1dad2670842c9e50683c08d58f4141625fd3d0",
     ("standard_put", "verify-dpp"): "21d15f7f77285fc2e396d164b0b54f8843bd595069121f1e55c4f360c7c9da14",
     ("mean_variance", "simulate"): "ae10e8a40f1ee4be5fa7c8213d942c186d046406e4ca87d2b13866b5d82d880d",
     ("mean_variance", "solve"): "f04bff2588d27bc5f90d1a9307f0639fc8d8400c7fe373ec0349639b725474a1",
@@ -196,6 +198,29 @@ def test_dpp_search_with_prefix_bootstrap():
     assert repr(report.lhs) == "-0.2889394248726528"
     assert repr(report.rhs) == "-0.28260765964954926"
     assert repr(report.combined_stderr) == "0.013282461455935483"
+
+
+# ---------------------------------------------------------------------------
+# the obstacle solver and the risk duals built on it
+# ---------------------------------------------------------------------------
+
+
+def test_put_surface_aggregate():
+    inst = build_instance("standard_put")
+    surface = standard_os_pde(inst.problem, inst.psi, inst.pde_cfg)
+    assert repr(aggregate_value(inst.m0, surface, inst.psi)) == "0.3704203443492085"
+
+
+def test_mean_variance_dual():
+    inst = build_instance("mean_variance")
+    res = mean_variance_dual(inst.m0, inst.problem, 1.0, inst.pde_cfg)
+    assert (repr(res.value), repr(res.alpha_star)) == ("0.5648000000000001", "1.7599999999999998")
+
+
+def test_expected_shortfall_dual():
+    inst = build_instance("shortfall")
+    res = expected_shortfall_value(inst.m0, inst.problem, 0.8, inst.pde_cfg)
+    assert (repr(res.value), repr(res.beta_star)) == ("1.200000052404613", "1.2000000524046117")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
 """Obstacle solver against analytic values and structural properties."""
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.stats import norm
 
 from mfstop.dynamics import Problem
 from mfstop.measures import make_empirical
-from mfstop.pde import ObstaclePDEGrid, PdeConfig, aggregate_value, standard_os_pde
+from mfstop.pde import (
+    ObstaclePDEGrid,
+    PdeConfig,
+    _lcp_step,
+    aggregate_value,
+    standard_os_pde,
+)
 
 K = 1.0
 
@@ -74,10 +83,73 @@ def test_inf_mode_keeps_convex_payoff_exercised_immediately():
     assert np.max(np.abs(pde.values - pde.psi_values[None, :])) < 1e-12
 
 
-def test_psor_iteration_cap_raises():
-    cfg = small_cfg(max_iter=1)
-    with pytest.raises(RuntimeError, match="SOR"):
-        standard_os_pde(brownian_problem(0.0), put_psi, cfg, mode="sup")
+def brute_force_lcp(lower, diag, upper, rhs, psi, mode):
+    """Try every set of interior rows on the obstacle; keep the complementary one."""
+    n = len(rhs)
+    a = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+    sign = 1.0 if mode == "sup" else -1.0
+    for mask in itertools.product((False, True), repeat=n - 2):
+        on = np.array((True,) + mask + (True,))
+        system = np.where(on[:, None], np.eye(n), a)
+        v = np.linalg.solve(system, np.where(on, psi, rhs))
+        equation_gap = sign * (a @ v - rhs)
+        obstacle_gap = sign * (v - psi)
+        if np.all(np.where(on, equation_gap, obstacle_gap)[1:-1] >= -1e-12):
+            return v
+    raise AssertionError("no set of rows satisfies complementarity")
+
+
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+def test_lcp_step_matches_brute_force_enumeration(mode):
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        n = int(rng.integers(3, 11))
+        lower = -rng.uniform(0.0, 2.0, n)
+        upper = -rng.uniform(0.0, 2.0, n)
+        diag = 1.0 + rng.uniform(0.0, 0.5, n) - lower - upper
+        rhs = rng.normal(size=n)
+        psi = rng.normal(size=n)
+        # ties: rows where the obstacle and the equation data coincide
+        psi[rng.random(n) < 0.2] = 0.0
+        rhs[rng.random(n) < 0.2] = 0.0
+        start = rng.random(n) < 0.5
+        start[[0, -1]] = True
+        v = _lcp_step(rhs, lower, diag, upper, psi, start, mode, scipy.linalg.lapack.dgtsv)
+        oracle = brute_force_lcp(lower, diag, upper, rhs, psi, mode)
+        assert np.max(np.abs(v - oracle)) < 1e-12
+        assert np.all(v >= psi) if mode == "sup" else np.all(v <= psi)
+
+
+def test_fine_grid_with_long_steps_matches_unconstrained_solve():
+    # a driftless put is never exercised early, so the obstacle step must
+    # reproduce the plain implicit Euler solve; with h = 6e-4 and dt = 0.1
+    # the rows of A reach 5.6e5, so two solvers agree only to about
+    # eps * cond(A) * max|v| = 2.2e-16 * 2.2e6 * 6 = 3e-9
+    cfg = PdeConfig(x_lo=-5.0, x_hi=7.0, nx=20001, nt=10)
+    pde = standard_os_pde(brownian_problem(0.0), put_psi, cfg, mode="sup")
+    off = -pde.dt / (2.0 * pde.h**2)
+    ab = np.empty((3, cfg.nx))
+    ab[0], ab[1], ab[2] = off, 1.0 - 2.0 * off, off
+    ab[0, 1], ab[1, 0], ab[1, -1], ab[2, -2] = 0.0, 1.0, 1.0, 0.0
+    v = pde.psi_values
+    for _ in range(cfg.nt):
+        v = scipy.linalg.solve_banded((1, 1), ab, v)
+    assert np.max(np.abs(pde.values[0] - v)) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "info,solution,message",
+    [(1, 0.0, "LAPACK"), (0, -5.0, "did not settle")],
+    ids=["lapack-info", "iteration-cap"],
+)
+def test_obstacle_step_failures_raise(monkeypatch, info, solution, message):
+    # a singular solve, or solves that never satisfy complementarity
+    def fake_gtsv(dl, d, du, b):
+        return dl, d, du, np.full_like(b, solution), info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", fake_gtsv)
+    with pytest.raises(RuntimeError, match=message):
+        standard_os_pde(brownian_problem(0.0), put_psi, small_cfg(), mode="sup")
 
 
 def test_interpolation_and_domain_guard():
