@@ -20,14 +20,14 @@ import pytest
 
 from mfstop import cli
 from mfstop.calculus import make_unstopped_functional
-from mfstop.catalog import build_instance
+from mfstop.catalog import build_instance, load_experiment_config
 from mfstop.dynamics import Problem, TimeGrid
 from mfstop.measures import StopMap, make_empirical
 from mfstop.pde import aggregate_value, standard_os_pde
-from mfstop.policy import Policy, evaluate_policy
+from mfstop.policy import Policy, evaluate_policy, policy_to_json
 from mfstop.risk import expected_shortfall_value, mean_variance_dual
 from mfstop.rng import _philox_rounds
-from mfstop.solver import SearchConfig, backward_enumeration, verify_dpp
+from mfstop.solver import SearchConfig, backward_enumeration, solve_value, verify_dpp
 
 ARTIFACT_SHA256 = {
     ("standard_put", "simulate"): "24704733dbe8a8820a69fba61c9e06f9e49bb5967892f11b00f80474b5df70cd",
@@ -198,6 +198,43 @@ def test_dpp_search_with_prefix_bootstrap():
     assert repr(report.lhs) == "-0.2889394248726528"
     assert repr(report.rhs) == "-0.28260765964954926"
     assert repr(report.combined_stderr) == "0.013282461455935483"
+
+
+# ---------------------------------------------------------------------------
+# searches that exhaust every refinement round
+# ---------------------------------------------------------------------------
+
+UNCONVERGED_ATTRACTION = {
+    # solver seed: value, stderr, evaluations, sha256 of the policy JSON
+    1: (
+        "0.12107895678669901",
+        "0.00617029559217964",
+        200,
+        "09d249b8fc9f5381997badc9422dc90eda7e343b285aad4f45f3a16bcf92c2e1",
+    ),
+    7: (
+        "0.11348557168369183",
+        "0.0037677359566737965",
+        185,
+        "ff4271ed5e28398d5ec821f9a030d78b41a74993e20f995b030d8494506a13a2",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(UNCONVERGED_ATTRACTION))
+def test_unconverged_search_on_attraction(seed):
+    # the SearchConfig that `mfstop solve` builds from the shipped config
+    cfg = load_experiment_config(str(files("mfstop").joinpath("configs", "attraction.json")))
+    inst = cfg.instance()
+    grid = TimeGrid(cfg.grid_n, inst.problem.horizon)
+    scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom, threads=cfg.threads)
+    with pytest.warns(RuntimeWarning, match="budget exhausted"):
+        res = solve_value(inst.m0, inst.problem, grid, scfg, seed=seed)
+    value, stderr, n_evaluations, policy_sha256 = UNCONVERGED_ATTRACTION[seed]
+    assert (repr(res.estimate.value), repr(res.estimate.mc_stderr)) == (value, stderr)
+    assert res.n_evaluations == n_evaluations
+    assert res.converged is False
+    assert hashlib.sha256(policy_to_json(res.policy).encode()).hexdigest() == policy_sha256
 
 
 # ---------------------------------------------------------------------------
