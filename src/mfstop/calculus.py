@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import Particles, Problem, flow
+from .dynamics import Noise, Particles, Problem, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays
 from .solver import _random_stop_map
 from .util import parallel_map, rng_for
@@ -313,7 +313,9 @@ def make_unstopped_functional(
             return float(f_vals.reshape(-1) @ particles.w)
 
         f_series = []
-        for _, tk, m_snap in flow(particles, problem, t, dt, range(n_steps), seed=seed, ids=ids):
+        nodes = range(n_steps)
+        noise = Noise(seed, ids, problem.d, nodes)
+        for _, tk, m_snap in flow(particles, problem, t, dt, nodes, noise=noise):
             if problem.f is not None:
                 f_series.append(reward_rate(tk, m_snap))
         value = float(problem.g(*particles.marginal()))

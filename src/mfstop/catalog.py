@@ -28,6 +28,7 @@ __all__ = [
     "instance_names",
     "ExperimentConfig",
     "load_experiment_config",
+    "MAX_THREADS",
 ]
 
 
@@ -257,6 +258,10 @@ _CONFIG_FIELDS = {
 }
 
 
+# cap on worker threads, so that no config or flag asks for thousands of them
+MAX_THREADS = 64
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one run; every count is explicit.
@@ -291,6 +296,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.threads > MAX_THREADS:
+            raise ValueError(f"threads must be at most {MAX_THREADS}")
         if not isinstance(self.mollifier_n, int) or self.mollifier_n < 2:
             raise ValueError("mollifier_n must be an integer >= 2")
         if self.split_index is not None and not 0 < self.split_index <= self.grid_n:

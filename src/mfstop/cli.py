@@ -13,7 +13,10 @@ the artifact byte for byte apart from runtime_ms. With --out the artifacts
 are written atomically into the given directory, otherwise they go to
 stdout. Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 a
 tolerance failure inside `acceptance`, 4 the computation could not finish
-(the obstacle or transport solver failed, or memory ran out).
+(the obstacle or transport solver failed, or memory ran out). Validation
+includes two caps checked before anything is allocated or started: at most
+`catalog.MAX_THREADS` worker threads, and at most
+`dynamics.MAX_NOISE_DOUBLES` doubles of particle noise in one run or search.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .calculus import BumpSizes, ResidualConfig, make_unstopped_functional, obstacle_residual
-from .catalog import ExperimentConfig, build_instance, load_experiment_config
+from .catalog import MAX_THREADS, ExperimentConfig, build_instance, load_experiment_config
 from .dynamics import TimeGrid
 from .measures import measure_from_csv, measure_to_csv
 from .mollifier import MollifierParams, mollify
@@ -391,6 +394,8 @@ def _cmd_acceptance(args) -> int:
 
     t0 = time.perf_counter()
     threads = args.threads if args.threads is not None else 1
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must lie in 1..{MAX_THREADS}")
     results = acceptance.run_all(threads=threads, quiet=args.quiet)
     body = {
         "n_criteria": len(results),

@@ -19,8 +19,11 @@ stopped dynamics where integrands carry the survival indicator.
 Noise comes from `rng.normals(seed, particle_ids, k, d)` with k the node
 index, so a simulation is a deterministic function of its seed regardless
 of batching, and two simulations sharing a seed see identical increments
-wherever their particle ids coincide. A run without a seed is a sigma = 0
-replay: it draws no noise and steps by the drift alone.
+wherever their particle ids coincide. A `Noise` object owns that address
+and draws each node's block once: runs that share one object (every
+candidate of a policy search) reuse the same blocks instead of drawing them
+again. A run without noise is a sigma = 0 replay: it draws nothing and
+steps by the drift alone.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ import numpy as np
 from . import rng as crng
 from .measures import EmpiricalMeasure, from_arrays
 
-__all__ = ["Problem", "TimeGrid", "Particles", "flow"]
+__all__ = ["Problem", "TimeGrid", "Particles", "Noise", "flow", "MAX_NOISE_DOUBLES"]
+
+# cap on the doubles one Noise object may hold: 2^25 doubles, 256 MiB
+MAX_NOISE_DOUBLES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,43 @@ class Particles:
         self.stopped_any = self.stopped_any or bool(frac.any() or full.any())
 
 
+class Noise:
+    """The particle noise at address (seed, ids, d) over the node indices `nodes`.
+
+    `block(k)` is the (len(ids), d) block `rng.normals(seed, ids, k, d)`,
+    drawn on first use and kept, read-only, for every later run that asks
+    for node k. An integer `ids` n stands for the ids 0..n-1. A table of
+    more than MAX_NOISE_DOUBLES is refused before anything is allocated.
+    Safe to share between threads: a block drawn twice by racing threads is
+    the same bits, and the first one stored is the one every caller gets.
+    """
+
+    def __init__(self, seed: int, ids, d: int, nodes: range):
+        count = isinstance(ids, (int, np.integer))
+        size = (int(ids) if count else len(ids)) * len(nodes) * d
+        if size > MAX_NOISE_DOUBLES:
+            raise ValueError(
+                f"the particle noise needs {size} doubles, more than the cap of "
+                f"{MAX_NOISE_DOUBLES} (256 MiB); lower paths_per_atom or grid_n"
+            )
+        self.seed = seed
+        self.ids = np.arange(ids, dtype=np.uint64) if count else ids
+        self.d = d
+        self.nodes = nodes
+        self._blocks: dict = {}
+
+    def block(self, k: int) -> np.ndarray:
+        block = self._blocks.get(k)
+        if block is None:
+            if k not in self.nodes:
+                raise ValueError(f"node {k} lies outside the noise table's nodes {self.nodes}")
+            # a contiguous copy, so that a kept block holds d columns, not 2 ceil(d/2)
+            block = np.ascontiguousarray(crng.normals(self.seed, self.ids, k, self.d))
+            block.flags.writeable = False
+            block = self._blocks.setdefault(k, block)
+        return block
+
+
 def _sigma_times_noise(sig, xi: np.ndarray) -> np.ndarray:
     """Apply sigma (scalar / diag / full) to the (N, d) noise block."""
     sig = np.asarray(sig, dtype=float)
@@ -235,8 +278,7 @@ def flow(
     dt: float,
     nodes: range,
     stop: Optional[Callable] = None,
-    seed: Optional[int] = None,
-    ids: Optional[np.ndarray] = None,
+    noise: Optional[Noise] = None,
 ) -> Iterator[tuple[int, float, Optional[EmpiricalMeasure]]]:
     """Advance `particles` in place over the node indices `nodes`.
 
@@ -244,7 +286,7 @@ def flow(
     unless it is None or nothing survives; build the snapshot when
     `problem.needs_snapshots()`; yield (k, t, snapshot), where the caller
     reads the post-stop state; then take one Euler step with the noise
-    `rng.normals(seed, ids, k, d)`, or with none when seed is None. The
+    `noise.block(k)`, or with none when noise is None. The
     drift and volatility see the snapshot only when the problem declares
     that they read the measure.
 
@@ -266,9 +308,9 @@ def flow(
             particles.stop(k, stop)
         snap = particles.snapshot() if problem.needs_snapshots() else None
         yield k, t, snap
-        noise = None if seed is None else crng.normals(seed, ids, k, problem.d)
+        xi = None if noise is None else noise.block(k)
         m = snap if problem.measure_dependent else None
-        particles.x = advance_positions(particles.x, particles.alive, t, dt, problem, m, noise)
+        particles.x = advance_positions(particles.x, particles.alive, t, dt, problem, m, xi)
     if guard and not particles.stopped_any:
         size = np.abs(particles.x[particles.alive]).mean()
         if size > 0.05 * size0 > 0:

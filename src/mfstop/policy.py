@@ -9,6 +9,12 @@ one Euler step advances the survivors. At the horizon everything is stopped
 by fiat; the terminal reward reads the spatial marginal, which that forced
 stop does not alter.
 
+Row i of a run from m0 with r paths per atom is particle id i, so the
+noise of every run is fixed by (m0, r, seed) alone. `policy_noise` builds
+it once; a policy search hands that one object to every candidate, which
+draws each node's noise once per search and gives common random numbers
+across candidates by construction.
+
 Fractional stopping never duplicates live particles: the stopped fraction is
 appended to a frozen pool (it can never move again) and the live particle
 continues with reduced weight. Pure {0,1} policies therefore reduce to flag
@@ -24,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import Particles, Problem, TimeGrid, flow
+from .dynamics import Noise, Particles, Problem, TimeGrid, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop
 from .util import rng_for
 
@@ -32,6 +38,7 @@ __all__ = [
     "Policy",
     "ValueEstimate",
     "PolicyRun",
+    "policy_noise",
     "run_policy",
     "evaluate_policy",
     "terminal_stop_sup",
@@ -142,6 +149,17 @@ class PolicyRun:
         return ValueEstimate(value=value, mc_stderr=stderr, n_paths=len(self.reward))
 
 
+def policy_noise(
+    m0: EmpiricalMeasure,
+    problem: Problem,
+    paths_per_atom: int,
+    seed: int,
+    nodes: range,
+) -> Noise:
+    """The noise of every policy run from (m0, paths_per_atom, seed) over `nodes`."""
+    return Noise(seed, m0.n_atoms * paths_per_atom, problem.d, nodes)
+
+
 def run_policy(
     m0: EmpiricalMeasure,
     problem: Problem,
@@ -151,24 +169,30 @@ def run_policy(
     seed: int,
     start_node: int = 0,
     end_node: Optional[int] = None,
+    noise: Optional[Noise] = None,
 ) -> PolicyRun:
     """Simulate nodes start_node..end_node with the given survival maps.
 
     `end_node` defaults to the full horizon; a smaller value stops the run at
     that node, leaving the state at t_end before any node-end_node stopping.
+    `noise` is a `policy_noise` object shared with other runs, built from the
+    same (m0, problem, paths_per_atom, seed); by default the run builds its own.
     """
     if abs(grid.horizon - problem.horizon) > 1e-12:
         raise ValueError("grid horizon differs from problem horizon")
     if len(maps) != grid.n:
         raise ValueError("policy must supply one map per decision node")
+    nodes = range(start_node, grid.n if end_node is None else end_node)
+    if noise is None:
+        noise = policy_noise(m0, problem, paths_per_atom, seed, nodes)
+    elif (noise.seed, len(noise.ids), noise.d) != (seed, m0.n_atoms * paths_per_atom, problem.d):
+        raise ValueError("the shared noise belongs to another seed, path count or dimension")
     particles = Particles.from_measure(m0, paths_per_atom)
     n_rows = particles.w.shape[0]
     run = PolicyRun(problem, particles, np.zeros(n_rows), [], m0.n_atoms, paths_per_atom)
     dt = grid.dt
-    nodes = range(start_node, grid.n if end_node is None else end_node)
     stop = lambda k, x, rows: maps[k](x)
-    ids = np.arange(n_rows, dtype=np.uint64)
-    for k, t, m_k in flow(particles, problem, 0.0, dt, nodes, stop, seed, ids):
+    for k, t, m_k in flow(particles, problem, 0.0, dt, nodes, stop, noise):
         alive, w = particles.alive, particles.w
         run.survivor_mass.append(float(w[alive].sum()))
         if problem.f is not None and alive.any():
@@ -190,14 +214,16 @@ def evaluate_policy(
     seed: int,
     start_node: int = 0,
     resamples: int = BOOTSTRAP_RESAMPLES,
+    noise: Optional[Noise] = None,
 ) -> ValueEstimate:
     """Estimate the objective of one policy.
 
     Returns sum_k F(t_k, m_{t_k}) dt + g(terminal marginal) with F the
     survivor-weighted running reward at the post-stop snapshots, and a
-    stratified (per source atom) bootstrap standard error.
+    stratified (per source atom) bootstrap standard error. `noise` is as in
+    `run_policy`.
     """
-    run = run_policy(m0, problem, grid, pol.maps, paths_per_atom, seed, start_node)
+    run = run_policy(m0, problem, grid, pol.maps, paths_per_atom, seed, start_node, noise=noise)
     return run.estimate(seed, resamples)
 
 

@@ -3,8 +3,10 @@
 `solve_value` maximizes the stopped objective over parametric policy
 families: a coarse sweep with one shared parameter across nodes, then
 per-node coordinate descent with shrinking brackets. All candidate
-evaluations share one seed, so the noise is common across policies and
-comparisons are far less noisy than the individual values.
+evaluations, and the final bootstrap evaluation of the winner, share one
+noise object (`policy.policy_noise`): each node's noise is drawn once per
+solve, it is common across policies by construction, and comparisons are
+far less noisy than the individual values.
 
 The state of the dynamic program is a measure, so no backward recursion over
 a finite state space is available in general. For deterministic dynamics
@@ -30,7 +32,7 @@ import numpy as np
 
 from .dynamics import Particles, Problem, TimeGrid, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop
-from .policy import Policy, ValueEstimate, evaluate_policy, run_policy
+from .policy import Policy, ValueEstimate, evaluate_policy, policy_noise, run_policy
 from .util import parallel_map, rng_for
 
 __all__ = [
@@ -85,7 +87,7 @@ class SolveResult:
 
 
 class _Searcher:
-    """Caches policy evaluations (no bootstrap) under one shared seed."""
+    """Caches policy evaluations (no bootstrap) under one shared noise object."""
 
     def __init__(self, m0, problem, grid, cfg, seed, start_node):
         self.m0 = m0
@@ -94,6 +96,8 @@ class _Searcher:
         self.cfg = cfg
         self.seed = seed
         self.start_node = start_node
+        nodes = range(start_node, grid.n)
+        self.noise = policy_noise(m0, problem, cfg.paths_per_atom, seed, nodes)
         self.n_evaluations = 0
         self.seen: dict = {}  # policy key -> (value, survivor_mass_mean)
 
@@ -114,6 +118,7 @@ class _Searcher:
                 self.cfg.paths_per_atom,
                 self.seed,
                 self.start_node,
+                noise=self.noise,
             )
             val = run.estimate(self.seed, 0).value
             self.n_evaluations += 1
@@ -217,7 +222,7 @@ def solve_value(
     if enum_policy is not None:
         candidates.append(enum_policy)
     if cfg.threads > 1:
-        # cache writes are idempotent, so racing duplicates are harmless
+        # cache and noise writes are idempotent, so racing duplicates are harmless
         parallel_map(searcher.value, candidates, cfg.threads)
     else:
         for pol in candidates:
@@ -263,6 +268,7 @@ def solve_value(
         seed,
         start_node=start_node,
         resamples=cfg.resamples,
+        noise=searcher.noise,
     )
     return SolveResult(
         estimate=est,

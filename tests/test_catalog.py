@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mfstop.catalog import (
+    MAX_THREADS,
     ExperimentConfig,
     build_instance,
     coefficient_field,
@@ -94,6 +95,9 @@ def test_experiment_config_validation():
         ExperimentConfig(problem="shortfall", seed=0, mollifier_n=1)
     with pytest.raises(ValueError, match="problem_params"):
         ExperimentConfig(problem="shortfall", seed=0, problem_params=[1])
+    assert ExperimentConfig(problem="shortfall", seed=0, threads=MAX_THREADS).threads == MAX_THREADS
+    with pytest.raises(ValueError, match="threads"):
+        ExperimentConfig(problem="shortfall", seed=0, threads=MAX_THREADS + 1)
 
     d = ExperimentConfig(problem="shortfall", seed=0, split_index=4).as_dict()
     assert d["problem"] == "shortfall" and d["split_index"] == 4

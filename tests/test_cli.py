@@ -11,6 +11,7 @@ from importlib.resources import files
 import pytest
 
 from mfstop import cli
+from mfstop.catalog import MAX_THREADS
 from mfstop.measures import measure_from_csv
 
 BUNDLED_PUT = str(files("mfstop").joinpath("configs", "standard_put.json"))
@@ -87,6 +88,31 @@ def test_config_seed_beyond_u64_exits_2(tmp_path, capsys):
     path = _write_config(tmp_path, seed=(1 << 64) + 5)
     assert cli.main(["solve", "--config", path]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_thread_cap_exits_2_before_any_thread_starts(tmp_path, capsys, monkeypatch):
+    from mfstop import acceptance
+
+    monkeypatch.setattr(cli, "solve_value", _raise(AssertionError("solver ran")))
+    monkeypatch.setattr(acceptance, "run_all", _raise(AssertionError("acceptance ran")))
+    path = _write_config(tmp_path)
+    cap = str(MAX_THREADS + 1)
+    assert cli.main(["solve", "--config", path, "--threads", cap]) == 2
+    assert "threads" in capsys.readouterr().err
+    assert cli.main(["acceptance", "--threads", cap, "--quiet"]) == 2
+    assert "threads" in capsys.readouterr().err
+
+
+def test_noise_cap_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
+    import mfstop.rng
+
+    monkeypatch.setattr(mfstop.rng, "normals", _raise(AssertionError("noise drawn")))
+    # 4 atoms x 8 nodes x 2^20 paths is exactly the cap
+    path = _write_config(tmp_path, grid_n=8, paths_per_atom=(1 << 20) + 1)
+    for command in ("simulate", "solve"):
+        assert cli.main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "paths_per_atom" in err and "grid_n" in err
 
 
 def _raise(exc):

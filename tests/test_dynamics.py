@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mfstop.calculus import make_unstopped_functional
-from mfstop.dynamics import Particles, Problem, TimeGrid, flow
+from mfstop.dynamics import Noise, Particles, Problem, TimeGrid, flow
 from mfstop.measures import make_empirical
 from mfstop.policy import Policy, evaluate_policy
 
@@ -46,7 +46,8 @@ def simulate(m0, problem, grid, paths_per_atom, seed, stop=None, nodes=None):
     ids = np.arange(particles.w.shape[0], dtype=np.uint64)
     xs = []
     nodes = range(grid.n) if nodes is None else nodes
-    for _ in flow(particles, problem, 0.0, grid.dt, nodes, stop, seed, ids):
+    noise = None if seed is None else Noise(seed, ids, problem.d, nodes)
+    for _ in flow(particles, problem, 0.0, grid.dt, nodes, stop, noise):
         xs.append(particles.x)
     xs.append(particles.x)
     return particles, xs
@@ -135,7 +136,8 @@ def test_mass_conservation():
         particles = Particles.from_measure(m0, 50)
         ids = np.arange(particles.w.shape[0], dtype=np.uint64)
         masses = []
-        for _ in flow(particles, prob, 0.0, 0.05, range(20), stop, 5, ids):
+        noise = Noise(5, ids, 1, range(20))
+        for _ in flow(particles, prob, 0.0, 0.05, range(20), stop, noise):
             masses.append(particles.marginal()[1].sum())
         masses.append(particles.marginal()[1].sum())
         assert len(masses) == 21
@@ -185,7 +187,7 @@ def test_snapshot_is_valid_measure():
     m0 = make_empirical([(0.0, 1), (1.0, 0)], [3, 1])
     particles = Particles.from_measure(m0, 7)
     ids = np.arange(particles.w.shape[0], dtype=np.uint64)
-    for k, _, snap in flow(particles, prob, 0.0, 0.2, range(5), seed=8, ids=ids):
+    for k, _, snap in flow(particles, prob, 0.0, 0.2, range(5), noise=Noise(8, ids, 1, range(5))):
         assert snap is None  # no coefficient reads the measure
         if k == 3:
             snap = particles.snapshot()
@@ -200,7 +202,7 @@ def test_frozen_atoms_stay_outside_the_rows():
     particles = Particles.from_measure(m0, 7, freeze_stopped=True)
     assert particles.w.shape[0] == 7 and particles.alive.all()
     ids = np.arange(7, dtype=np.uint64)
-    for _ in flow(particles, prob, 0.0, 0.2, range(5), seed=8, ids=ids):
+    for _ in flow(particles, prob, 0.0, 0.2, range(5), noise=Noise(8, ids, 1, range(5))):
         pass
     snap = particles.snapshot()
     assert snap.total_mass() == pytest.approx(1.0, abs=1e-12)

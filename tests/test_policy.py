@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from mfstop.dynamics import Particles, Problem, TimeGrid, flow
+from mfstop.dynamics import Noise, Particles, Problem, TimeGrid, flow
 from mfstop.measures import StopMap, make_empirical
 from mfstop.policy import (
     Policy,
     evaluate_policy,
     evaluate_policy_detailed,
     policy_from_json,
+    policy_noise,
     policy_to_json,
+    run_policy,
     terminal_stop_sup,
 )
 
@@ -67,7 +69,8 @@ def test_never_stop_matches_unstopped_simulation_exactly():
     particles = Particles.from_measure(m0, 400)
     ids = np.arange(400, dtype=np.uint64)
     reward = np.zeros(400)
-    for k, t, snap in flow(particles, problem, 0.0, grid.dt, range(grid.n), seed=seed, ids=ids):
+    noise = Noise(seed, ids, 1, range(grid.n))
+    for k, t, snap in flow(particles, problem, 0.0, grid.dt, range(grid.n), noise=noise):
         alive = particles.alive
         reward[alive] += problem.f(t, particles.x[alive], snap) * particles.w[alive] * grid.dt
     manual = float(reward.sum() + problem.g(*particles.marginal()))
@@ -172,6 +175,21 @@ def test_evaluate_policy_from_interior_node():
         m, problem, grid, Policy.never_stop(grid.n), 1, seed=0, start_node=4
     )
     assert est.value == pytest.approx(2.0 + 0.6, abs=1e-12)
+
+
+def test_shared_noise_gives_the_same_value_and_must_match_the_run():
+    problem, grid = brownian(g=put_g(1.0)), TimeGrid(n=4, horizon=1.0)
+    m0 = make_empirical([(0.8, 1), (1.3, 1)])
+    pol = Policy.threshold([0.7] * grid.n)
+    noise = policy_noise(m0, problem, 25, 8, range(1, grid.n))
+    own = evaluate_policy(m0, problem, grid, pol, 25, seed=8, start_node=1)
+    shared = evaluate_policy(m0, problem, grid, pol, 25, seed=8, start_node=1, noise=noise)
+    assert shared == own
+    for paths, seed in ((25, 9), (26, 8)):
+        with pytest.raises(ValueError, match="shared noise"):
+            run_policy(m0, problem, grid, pol.maps, paths, seed, 1, noise=noise)
+    with pytest.raises(ValueError, match="node 0"):
+        run_policy(m0, problem, grid, pol.maps, 25, 8, 0, noise=noise)
 
 
 # ---------------------------------------------------------------------------

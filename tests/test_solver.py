@@ -1,12 +1,16 @@
 """Policy search against exact enumeration, plus the two-stage DPP check."""
 
+import warnings
+from importlib.resources import files
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from mfstop.dynamics import Problem, TimeGrid
+from mfstop.catalog import build_instance, load_experiment_config
+from mfstop.dynamics import MAX_NOISE_DOUBLES, Problem, TimeGrid
 from mfstop.measures import StopMap, apply_stop, make_empirical
-from mfstop.policy import Policy, evaluate_policy
+from mfstop.policy import Policy, evaluate_policy, policy_to_json
 from mfstop.solver import (
     SearchConfig,
     backward_enumeration,
@@ -202,3 +206,62 @@ def test_monotonicity_report_is_clean_on_small_problem():
     assert report.n_violations == 0
     assert report.worst_gap >= 0.0
     assert len(report.details) == 4
+
+
+# ---------------------------------------------------------------------------
+# one noise table per search
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("start_node", [0, 3])
+def test_search_draws_each_node_noise_once(monkeypatch, start_node):
+    # every candidate and the final bootstrap evaluation share one table
+    import mfstop.rng
+
+    calls = []
+    draw = mfstop.rng.normals
+
+    def counted(seed, ids, step, d):
+        calls.append(step)
+        return draw(seed, ids, step, d)
+
+    monkeypatch.setattr(mfstop.rng, "normals", counted)
+    inst = build_instance("standard_put")
+    grid = TimeGrid(8, inst.problem.horizon)
+    cfg = SearchConfig(paths_per_atom=40, refine_rounds=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = solve_value(inst.m0, inst.problem, grid, cfg, seed=2, start_node=start_node)
+    assert res.n_evaluations > 1
+    assert sorted(calls) == list(range(start_node, grid.n))
+
+
+def test_search_with_two_threads_matches_one_thread():
+    cfg = load_experiment_config(str(files("mfstop").joinpath("configs", "attraction.json")))
+    inst = cfg.instance()
+    grid = TimeGrid(cfg.grid_n, inst.problem.horizon)
+    results = []
+    for threads in (1, 2):
+        scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom, threads=threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = solve_value(inst.m0, inst.problem, grid, scfg, seed=0)
+        results.append((res.estimate, policy_to_json(res.policy), res.converged, res.n_evaluations))
+    assert results[0] == results[1]
+
+
+def test_oversized_noise_table_is_refused_before_any_run(monkeypatch):
+    import mfstop.rng
+
+    def no_draws(*args):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(mfstop.rng, "normals", no_draws)
+    inst = build_instance("standard_put")
+    big_grid = TimeGrid(MAX_NOISE_DOUBLES, inst.problem.horizon)
+    with pytest.raises(ValueError, match="paths_per_atom or grid_n"):
+        solve_value(inst.m0, inst.problem, big_grid, SearchConfig(paths_per_atom=1), seed=0)
+    # 4 atoms x 8 nodes x 2^20 paths is exactly the cap; one path more is over it
+    grid = TimeGrid(8, inst.problem.horizon)
+    with pytest.raises(ValueError, match="paths_per_atom or grid_n"):
+        solve_value(inst.m0, inst.problem, grid, SearchConfig(paths_per_atom=(1 << 20) + 1))
