@@ -64,10 +64,6 @@ class ObstaclePDEGrid:
     mode: str
 
     @property
-    def h(self) -> float:
-        return float(self.xs[1] - self.xs[0])
-
-    @property
     def dt(self) -> float:
         return float(self.ts[1] - self.ts[0])
 
@@ -86,22 +82,6 @@ class ObstaclePDEGrid:
         row = (1.0 - wt) * self.values[k0] + wt * self.values[k0 + 1]
         return np.interp(x, self.xs, row)
 
-    def exercise_boundary(self, k: int, tol: float = 1e-7) -> float:
-        """Top of the lower binding interval at node k; nan if none.
-
-        Meaningful for put-type payoffs, where the genuine exercise region is
-        an interval growing up from the left edge. Scanning the contiguous
-        run avoids mistaking the far out-of-the-money zone (where v and psi
-        both vanish) for exercise.
-        """
-        binding = np.abs(self.values[k] - self.psi_values) <= tol
-        if not binding[1]:
-            return float("nan")
-        j = 1
-        while j < len(self.xs) - 1 and binding[j]:
-            j += 1
-        return float(self.xs[j - 1])
-
 
 def _coefficient_rows(problem: Problem, t: float, xs: np.ndarray):
     x_col = xs[:, None]
@@ -114,10 +94,9 @@ def _coefficient_rows(problem: Problem, t: float, xs: np.ndarray):
     return b, sig**2
 
 
-def _tridiag(problem: Problem, t: float, dt: float, xs: np.ndarray):
-    """Rows of A = I - dt L; upwind drift where advection dominates."""
-    h = xs[1] - xs[0]
-    b, s2 = _coefficient_rows(problem, t, xs)
+def _tridiag(b: np.ndarray, s2: np.ndarray, dt: float, h: float):
+    """Rows of A = I - dt L for drift b and variance s2; upwind drift where
+    advection dominates."""
     central = s2 >= np.abs(b) * h
     bp = np.maximum(b, 0.0)
     bm = np.minimum(b, 0.0)
@@ -207,9 +186,17 @@ def standard_os_pde(
     values = np.empty((cfg.nt + 1, cfg.nx))
     values[-1] = psi_values
     on_obstacle = np.ones(cfg.nx, dtype=bool)
+    coefficients = None
     for k in range(cfg.nt - 1, -1, -1):
         t = ts[k]
-        lower, diag, upper = _tridiag(problem, t, dt, xs)
+        b, s2 = _coefficient_rows(problem, t, xs)
+        # the rows depend on t only through the coefficients: rebuild them
+        # only when those change, which time-homogeneous problems never do
+        if coefficients is None or not (
+            np.array_equal(b, coefficients[0]) and np.array_equal(s2, coefficients[1])
+        ):
+            coefficients = (b, s2)
+            lower, diag, upper = _tridiag(b, s2, dt, xs[1] - xs[0])
         rhs = values[k + 1]
         if problem.f is not None:
             fv = np.asarray(problem.f(t, xs[:, None], None), dtype=float)

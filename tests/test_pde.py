@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg.lapack
 from scipy.stats import norm
 
+from mfstop import pde as pde_module
 from mfstop.dynamics import Problem
 from mfstop.measures import make_empirical
 from mfstop.pde import (
@@ -63,15 +64,32 @@ def test_driftless_put_matches_gaussian_integral():
     assert np.array_equal(pde.values[-1], pde.psi_values)
 
 
+def exercise_boundary(pde, k, tol=1e-7):
+    """Top of the lower binding interval at node k; nan if none.
+
+    Meaningful for put-type payoffs, where the genuine exercise region is
+    an interval growing up from the left edge. Scanning the contiguous run
+    avoids mistaking the far out-of-the-money zone (where v and psi both
+    vanish) for exercise.
+    """
+    binding = np.abs(pde.values[k] - pde.psi_values) <= tol
+    if not binding[1]:
+        return float("nan")
+    j = 1
+    while j < len(pde.xs) - 1 and binding[j]:
+        j += 1
+    return float(pde.xs[j - 1])
+
+
 def test_positive_drift_put_has_monotone_exercise_boundary():
     # upward drift erodes the put, so stopping low x early is strictly
     # optimal and the binding region grows as t -> T
     cfg = small_cfg(nx=361, nt=300)
     pde = standard_os_pde(brownian_problem(0.6), put_psi, cfg, mode="sup")
-    bounds = [pde.exercise_boundary(k) for k in range(0, cfg.nt + 1, 25)]
+    bounds = [exercise_boundary(pde, k) for k in range(0, cfg.nt + 1, 25)]
     assert all(np.isfinite(bv) for bv in bounds)
     diffs = np.diff(bounds)
-    assert np.all(diffs >= -pde.h - 1e-12)
+    assert np.all(diffs >= -(pde.xs[1] - pde.xs[0]) - 1e-12)
     assert bounds[-1] > bounds[0]  # strictly grows over the whole horizon
 
 
@@ -127,7 +145,7 @@ def test_fine_grid_with_long_steps_matches_unconstrained_solve():
     # eps * cond(A) * max|v| = 2.2e-16 * 2.2e6 * 6 = 3e-9
     cfg = PdeConfig(x_lo=-5.0, x_hi=7.0, nx=20001, nt=10)
     pde = standard_os_pde(brownian_problem(0.0), put_psi, cfg, mode="sup")
-    off = -pde.dt / (2.0 * pde.h**2)
+    off = -pde.dt / (2.0 * (pde.xs[1] - pde.xs[0]) ** 2)
     ab = np.empty((3, cfg.nx))
     ab[0], ab[1], ab[2] = off, 1.0 - 2.0 * off, off
     ab[0, 1], ab[1, 0], ab[1, -1], ab[2, -2] = 0.0, 1.0, 1.0, 0.0
@@ -150,6 +168,31 @@ def test_obstacle_step_failures_raise(monkeypatch, info, solution, message):
     monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", fake_gtsv)
     with pytest.raises(RuntimeError, match=message):
         standard_os_pde(brownian_problem(0.0), put_psi, small_cfg(), mode="sup")
+
+
+def test_rows_are_rebuilt_only_when_the_coefficients_change(monkeypatch):
+    builds = []
+    build = pde_module._tridiag
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(pde_module, "_tridiag", counted)
+    cfg = small_cfg(nt=40)
+    standard_os_pde(brownian_problem(0.3), put_psi, cfg, mode="sup")
+    assert len(builds) == 1
+    builds.clear()
+    moving = Problem(
+        d=1,
+        b=lambda t, x, m: 0.3 + 0.5 * t,
+        sigma=lambda t, x, m: 1.0,
+        f=None,
+        g=lambda p, w: 0.0,
+        horizon=1.0,
+    )
+    standard_os_pde(moving, put_psi, cfg, mode="sup")
+    assert len(builds) == cfg.nt
 
 
 def test_interpolation_and_domain_guard():
