@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -268,3 +269,33 @@ def test_truncation_guard_runs_on_the_production_paths():
         simulate(m0, prob, grid, 20, seed=10, nodes=range(4))
         simulate(m0, prob, grid, 20, seed=10, nodes=range(4, 8))
         u(0.5, m0)
+
+
+def test_shared_noise_hands_every_thread_the_same_blocks():
+    # more threads than cores and a short switch interval, so that threads
+    # race on the first draw of each block
+    from concurrent.futures import ThreadPoolExecutor
+
+    from mfstop.rng import normals
+
+    ids = np.arange(500, dtype=np.uint64) * 7
+    nodes = range(3, 11)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(20):
+                noise = Noise(13, ids, 2, nodes)
+                futures = [
+                    pool.submit(lambda: [noise.block(k) for k in nodes]) for _ in range(16)
+                ]
+                seen = [f.result(timeout=60) for f in futures]
+                for j in range(len(nodes)):
+                    assert all(blocks[j] is seen[0][j] for blocks in seen)
+    finally:
+        sys.setswitchinterval(interval)
+    for j, k in enumerate(nodes):
+        assert np.array_equal(seen[0][j], normals(13, ids, k, 2))
+        assert not seen[0][j].flags.writeable
+    with pytest.raises(ValueError, match="node 2"):
+        noise.block(2)
