@@ -1,7 +1,8 @@
 """Golden values: exact numbers that no refactor or optimisation may move.
 
 The artifact digests cover `simulate`, `solve` and `verify-dpp` on the three
-shipped configs; `runtime_ms` is the only field left out. The floats are
+shipped configs, and the `example meanvar` and `example es` outputs pin the
+risk duals; `runtime_ms` is the only field left out. The floats are
 compared through `repr`, so a change in the last bit fails. A change that
 moves any of these on purpose records the old and new values and the reason
 in CHANGES.md.
@@ -258,6 +259,34 @@ def test_expected_shortfall_dual():
     inst = build_instance("shortfall")
     res = expected_shortfall_value(inst.m0, inst.problem, 0.8, inst.pde_cfg)
     assert (repr(res.value), repr(res.beta_star)) == ("1.200000052404613", "1.2000000524046117")
+
+
+def test_mean_variance_dual_on_gbm():
+    # the one shipped dual whose obstacle steps need more than one policy
+    # iteration: the binding region moves, so the warm starts matter
+    inst = build_instance("mean_variance_gbm")
+    res = mean_variance_dual(inst.m0, inst.problem, 0.5, inst.pde_cfg)
+    assert (repr(res.value), repr(res.alpha_star)) == ("1.0611", "1.54")
+
+
+EXAMPLE_SHA256 = {
+    # the duals at lam in {0, 0.5, 1, 2} and alpha in {0.5, 0.75, 0.9}
+    "example_meanvar.csv": "505c9ee5abfefb4cd36511717a6267513ea7a24b7d68837bd58390e8bb0af7c7",
+    "example_es.csv": "462b17e57e70b668b64a68145cb25546bdf3704fa1a5c542d222befe097ed250",
+    # the slope path, without runtime_ms
+    "example_meanvar_alpha_path.json": "dc2c04245ff455d60547d242ed33d9dadd8edee5d3290d7e908e153d9c30f60d",
+}
+
+
+@pytest.mark.parametrize("which", ["meanvar", "es"])
+def test_risk_example_outputs_are_bit_identical(tmp_path, which):
+    assert cli.main(["example", which, "--out", str(tmp_path), "--quiet"]) == 0
+    with open(os.path.join(tmp_path, f"example_{which}.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == EXAMPLE_SHA256[f"example_{which}.csv"]
+    if which == "meanvar":
+        name = "example_meanvar_alpha_path.json"
+        with open(os.path.join(tmp_path, name), encoding="utf-8") as fh:
+            assert _artifact_digest(json.load(fh)) == EXAMPLE_SHA256[name]
 
 
 # ---------------------------------------------------------------------------
