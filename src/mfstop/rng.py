@@ -90,17 +90,3 @@ def normals(seed: int, particles: np.ndarray, step: int, d: int) -> np.ndarray:
         out[:, 2 * blk + 1] = r * np.sin(theta)
     return out[:, :d]
 
-
-def uniforms(seed: int, particles: np.ndarray, step: int, d: int) -> np.ndarray:
-    """Uniform [0,1) variates with the same addressing scheme as `normals`."""
-    particles = np.asarray(particles)
-    n = particles.shape[0]
-    if n == 0:
-        return np.zeros((0, d))
-    nblocks = (d + 1) // 2
-    out = np.empty((n, 2 * nblocks))
-    for blk in range(nblocks):
-        u1, u2 = _to_uniform_pair(*_blocks(seed, particles, step, blk))
-        out[:, 2 * blk] = u1 - _INV53
-        out[:, 2 * blk + 1] = u2
-    return out[:, :d]

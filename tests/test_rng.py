@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mfstop.rng import normals, uniforms
+from mfstop.rng import normals
 
 
 def test_same_address_same_numbers():
@@ -49,13 +49,6 @@ def test_normal_moments():
     assert abs(z.var() - 1.0) < 4 * np.sqrt(2.0 / n)
     assert abs((z**3).mean()) < 4 * np.sqrt(15.0 / n)
     assert np.all(np.isfinite(z))
-
-
-def test_uniforms_in_unit_interval():
-    u = uniforms(5, np.arange(10_000), step=2, d=2)
-    assert u.min() >= 0.0
-    assert u.max() < 1.0
-    assert abs(u.mean() - 0.5) < 0.01
 
 
 def test_d_columns_independent_addresses():
