@@ -14,6 +14,19 @@ each iteration is one LAPACK tridiagonal solve (Reisinger & Witte, SIAM J.
 Financial Math. 3, 2012). The same kernel serves both inequality
 directions: mode 'sup' keeps v >= psi (maximize over stopping), mode 'inf'
 keeps v <= psi (minimize, used by the shortfall reduction).
+
+There is one backward sweep, and it carries K obstacles on the same grid
+and coefficients at once; `standard_os_pde` is its K = 1 case. Each step
+evaluates the coefficient rows once and stacks the K blocks into one
+(K nx)-row tridiagonal system, so each policy iteration is a single
+`dgtsv` call over the blocks still live. A block keeps its own warm start,
+tolerance and iteration count, and leaves the later iterations once it
+settles. The stacked solve is the separate solves bit for bit: the two
+boundary rows of every block sit on the obstacle, so the entries coupling
+neighbouring blocks are exactly 0. At each block boundary the elimination
+multiplier is then 0 and partial pivoting never swaps rows across it, so
+every block goes through the separate solve's arithmetic. (Subtracting
+that zero product can only turn a -0.0 boundary payoff into +0.0.)
 """
 
 from __future__ import annotations
@@ -30,7 +43,10 @@ __all__ = [
     "PdeConfig",
     "ObstaclePDEGrid",
     "standard_os_pde",
+    "stacked_os_pde",
+    "stacked_initial_values",
     "aggregate_value",
+    "aggregate_slice",
 ]
 
 
@@ -69,9 +85,6 @@ class ObstaclePDEGrid:
 
     def value(self, t: float, x) -> np.ndarray:
         """Bilinear interpolation of v at (t, x); x may be an array."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.xs[0] - 1e-12) or np.any(x > self.xs[-1] + 1e-12):
-            raise ValueError("query point outside the PDE domain")
         T = self.ts[-1]
         if not -1e-12 <= t <= T + 1e-12:
             raise ValueError("query time outside [0, T]")
@@ -80,7 +93,15 @@ class ObstaclePDEGrid:
         k0 = min(int(kf), len(self.ts) - 2)
         wt = kf - k0
         row = (1.0 - wt) * self.values[k0] + wt * self.values[k0 + 1]
-        return np.interp(x, self.xs, row)
+        return _slice_value(self.xs, row, x)
+
+
+def _slice_value(xs: np.ndarray, row: np.ndarray, x) -> np.ndarray:
+    """Linear interpolation of one time slice; refuses points off the grid."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < xs[0] - 1e-12) or np.any(x > xs[-1] + 1e-12):
+        raise ValueError("query point outside the PDE domain")
+    return np.interp(x, xs, row)
 
 
 def _coefficient_rows(problem: Problem, t: float, xs: np.ndarray):
@@ -95,8 +116,9 @@ def _coefficient_rows(problem: Problem, t: float, xs: np.ndarray):
 
 
 def _tridiag(b: np.ndarray, s2: np.ndarray, dt: float, h: float):
-    """Rows of A = I - dt L for drift b and variance s2; upwind drift where
-    advection dominates."""
+    """Rows of A = I - dt L for drift b and variance s2, upwind drift where
+    advection dominates, and the row-sum norm |A|_inf that scales the
+    step's tolerance."""
     central = s2 >= np.abs(b) * h
     bp = np.maximum(b, 0.0)
     bm = np.minimum(b, 0.0)
@@ -106,52 +128,158 @@ def _tridiag(b: np.ndarray, s2: np.ndarray, dt: float, h: float):
     diag = np.where(
         central, 1.0 + 2.0 * dt * diff, 1.0 + 2.0 * dt * diff + dt * (bp - bm) / h
     )
-    return lower, diag, upper
+    return lower, diag, upper, np.max(np.abs(lower) + diag + np.abs(upper))
 
 
 def _lcp_step(
     rhs: np.ndarray,
-    lower: np.ndarray,
-    diag: np.ndarray,
-    upper: np.ndarray,
+    rows: tuple,
     psi: np.ndarray,
+    psi_max: np.ndarray,
     on_obstacle: np.ndarray,
     mode: str,
     gtsv,
 ) -> np.ndarray:
-    """Solve the complementarity system for one backward step exactly.
+    """Solve one backward step of K stacked complementarity systems exactly.
 
+    Every block (a row of `rhs`, `psi` and `on_obstacle`, shape (K, nx))
+    shares the rows (lower, diag, upper, |A|_inf) of `_tridiag`.
     mode 'sup': min(Av - rhs, v - psi) = 0;  'inf': min(rhs - Av, psi - v) = 0.
     Policy iteration from the rows `on_obstacle` marks (the two boundary rows
-    always are, which pins them to psi), updated in place; `gtsv` is LAPACK's
-    tridiagonal solver. It stops on a residual at rounding level, not on a
-    repeated set of rows, which can cycle where v and psi coincide.
+    of each block always are, which pins them to psi), updated in place;
+    `psi_max` is max|psi| per block. Each iteration solves every live block
+    with one call of `gtsv`, LAPACK's tridiagonal solver, and a block leaves
+    the later iterations once it settles. It settles on a residual at
+    rounding level, not on a repeated set of rows, which can cycle where v
+    and psi coincide.
     """
+    lower, diag, upper, norm_a = rows
     sign = 1.0 if mode == "sup" else -1.0
+    project = np.maximum if mode == "sup" else np.minimum
     # rounding in Av - rhs grows with |A| |v|, and |v| <= max(|rhs|, |psi|)
-    norm_a = np.max(np.abs(lower) + diag + np.abs(upper))
-    tol = 1e-13 * norm_a * (np.max(np.abs(rhs)) + np.max(np.abs(psi)))
-    for _ in range(len(rhs)):
+    tol = 1e-13 * norm_a * (np.max(np.abs(rhs), axis=1) + psi_max)
+    live = None  # indices of the unsettled blocks; None while all are
+    r, p, on, tl = rhs, psi, on_obstacle, tol
+    for _ in range(rhs.shape[1]):
         _, _, _, v, info = gtsv(
-            np.where(on_obstacle[1:], 0.0, lower[1:]),
-            np.where(on_obstacle, 1.0, diag),
-            np.where(on_obstacle[:-1], 0.0, upper[:-1]),
-            np.where(on_obstacle, psi, rhs),
+            np.where(on, 0.0, lower).ravel()[1:],
+            np.where(on, 1.0, diag).ravel(),
+            np.where(on, 0.0, upper).ravel()[:-1],
+            np.where(on, p, r).ravel(),
         )
         if info != 0:
             raise RuntimeError(f"LAPACK tridiagonal solve failed (info={info})")
+        v = v.reshape(r.shape)
         av = diag * v
-        av[1:] += lower[1:] * v[:-1]
-        av[:-1] += upper[:-1] * v[1:]
-        equation_gap = sign * (av - rhs)[1:-1]
-        obstacle_gap = sign * (v - psi)[1:-1]
-        if np.max(np.abs(np.minimum(equation_gap, obstacle_gap))) <= tol:
-            return np.maximum(v, psi) if mode == "sup" else np.minimum(v, psi)
+        av[:, 1:] += lower[1:] * v[:, :-1]
+        av[:, :-1] += upper[:-1] * v[:, 1:]
+        equation_gap = sign * (av - r)[:, 1:-1]
+        obstacle_gap = sign * (v - p)[:, 1:-1]
+        settled = np.max(np.abs(np.minimum(equation_gap, obstacle_gap)), axis=1) <= tl
+        if live is None and settled.all():
+            return project(v, p)
         # near-ties leave the obstacle; flipping them on rounding noise stalls
-        on_obstacle[1:-1] = obstacle_gap < equation_gap - tol
+        flips = obstacle_gap < equation_gap - tl[:, None]
+        if live is None and not settled.any():
+            on[:, 1:-1] = flips  # still all live: update in place
+            continue
+        if live is None:
+            live, out = np.arange(len(rhs)), np.empty_like(rhs)
+        out[live[settled]] = project(v[settled], p[settled])
+        live = live[~settled]
+        if len(live) == 0:
+            return out
+        on_obstacle[live, 1:-1] = flips[~settled]
+        r, p, on, tl = rhs[live], psi[live], on_obstacle[live], tol[live]
     raise RuntimeError(
-        f"obstacle step did not settle within {len(rhs)} policy iterations"
+        f"obstacle step did not settle within {rhs.shape[1]} policy iterations"
     )
+
+
+def _sweep(problem: Problem, psis, cfg: PdeConfig, mode: str, keep_surfaces: bool):
+    """One backward obstacle solve for K payoffs on one grid.
+
+    Returns (xs, ts, psi_values (K, nx), values): values is (nt+1, K, nx)
+    when `keep_surfaces`, else only the t = 0 slices (K, nx).
+    """
+    if problem.d != 1:
+        raise ValueError("the obstacle solver is one-dimensional")
+    if problem.measure_dependent:
+        raise ValueError("the aggregation route needs measure-free coefficients")
+    if mode not in ("sup", "inf"):
+        raise ValueError("mode must be 'sup' or 'inf'")
+    if len(psis) == 0:
+        raise ValueError("need at least one payoff")
+
+    xs = np.linspace(cfg.x_lo, cfg.x_hi, cfg.nx)
+    ts = np.linspace(0.0, problem.horizon, cfg.nt + 1)
+    dt = ts[1] - ts[0]
+    psi_values = np.empty((len(psis), cfg.nx))
+    for row, psi in zip(psi_values, psis):
+        value = np.asarray(psi(xs), dtype=float)
+        if value.shape != xs.shape or not np.all(np.isfinite(value)):
+            raise ValueError("psi must map the grid to finite values")
+        row[:] = value
+    psi_max = np.max(np.abs(psi_values), axis=1)
+
+    from scipy.linalg.lapack import dgtsv
+
+    current = psi_values
+    if keep_surfaces:
+        values = np.empty((cfg.nt + 1,) + psi_values.shape)
+        values[-1] = current
+    on_obstacle = np.ones(psi_values.shape, dtype=bool)
+    coefficients = None
+    for k in range(cfg.nt - 1, -1, -1):
+        t = ts[k]
+        b, s2 = _coefficient_rows(problem, t, xs)
+        # the rows depend on t only through the coefficients: rebuild them
+        # only when those change, which time-homogeneous problems never do
+        if coefficients is None or not (
+            np.array_equal(b, coefficients[0]) and np.array_equal(s2, coefficients[1])
+        ):
+            coefficients = (b, s2)
+            rows = _tridiag(b, s2, dt, xs[1] - xs[0])
+        rhs = current
+        if problem.f is not None:
+            fv = np.asarray(problem.f(t, xs[:, None], None), dtype=float)
+            rhs = rhs + dt * np.broadcast_to(fv, xs.shape)
+        current = _lcp_step(rhs, rows, psi_values, psi_max, on_obstacle, mode, dgtsv)
+        if keep_surfaces:
+            values[k] = current
+    return xs, ts, psi_values, values if keep_surfaces else current
+
+
+def stacked_os_pde(
+    problem: Problem,
+    psis,
+    cfg: PdeConfig,
+    mode: str = "sup",
+) -> list:
+    """`standard_os_pde` for several payoffs at once, one surface each.
+
+    All payoffs share the grid, the coefficients and every backward step;
+    each surface is bit-identical to its own `standard_os_pde` solve.
+    """
+    xs, ts, psi_values, values = _sweep(problem, psis, cfg, mode, keep_surfaces=True)
+    return [
+        ObstaclePDEGrid(xs=xs, ts=ts, values=values[:, j], psi_values=psi_values[j], mode=mode)
+        for j in range(len(psis))
+    ]
+
+
+def stacked_initial_values(
+    problem: Problem,
+    psis,
+    cfg: PdeConfig,
+    mode: str = "sup",
+) -> tuple:
+    """The t = 0 slices of `stacked_os_pde`, without keeping the surfaces.
+
+    Returns (xs, values) with values of shape (K, nx), one row per payoff.
+    """
+    xs, _, _, values = _sweep(problem, psis, cfg, mode, keep_surfaces=False)
+    return xs, values
 
 
 def standard_os_pde(
@@ -167,42 +295,7 @@ def standard_os_pde(
     psi (so the domain must be wide enough that the truncation is harmless),
     and the running reward f, when present, enters the right-hand side.
     """
-    if problem.d != 1:
-        raise ValueError("the obstacle solver is one-dimensional")
-    if problem.measure_dependent:
-        raise ValueError("the aggregation route needs measure-free coefficients")
-    if mode not in ("sup", "inf"):
-        raise ValueError("mode must be 'sup' or 'inf'")
-
-    xs = np.linspace(cfg.x_lo, cfg.x_hi, cfg.nx)
-    ts = np.linspace(0.0, problem.horizon, cfg.nt + 1)
-    dt = ts[1] - ts[0]
-    psi_values = np.asarray(psi(xs), dtype=float)
-    if psi_values.shape != xs.shape or not np.all(np.isfinite(psi_values)):
-        raise ValueError("psi must map the grid to finite values")
-
-    from scipy.linalg.lapack import dgtsv
-
-    values = np.empty((cfg.nt + 1, cfg.nx))
-    values[-1] = psi_values
-    on_obstacle = np.ones(cfg.nx, dtype=bool)
-    coefficients = None
-    for k in range(cfg.nt - 1, -1, -1):
-        t = ts[k]
-        b, s2 = _coefficient_rows(problem, t, xs)
-        # the rows depend on t only through the coefficients: rebuild them
-        # only when those change, which time-homogeneous problems never do
-        if coefficients is None or not (
-            np.array_equal(b, coefficients[0]) and np.array_equal(s2, coefficients[1])
-        ):
-            coefficients = (b, s2)
-            lower, diag, upper = _tridiag(b, s2, dt, xs[1] - xs[0])
-        rhs = values[k + 1]
-        if problem.f is not None:
-            fv = np.asarray(problem.f(t, xs[:, None], None), dtype=float)
-            rhs = rhs + dt * np.broadcast_to(fv, xs.shape)
-        values[k] = _lcp_step(rhs, lower, diag, upper, psi_values, on_obstacle, mode, dgtsv)
-    return ObstaclePDEGrid(xs=xs, ts=ts, values=values, psi_values=psi_values, mode=mode)
+    return stacked_os_pde(problem, [psi], cfg, mode)[0]
 
 
 def aggregate_value(
@@ -218,12 +311,30 @@ def aggregate_value(
     sum of w * (v(t,x) i + psi(x) (1-i)). Raises when an atom falls outside
     the PDE domain.
     """
+    return _aggregate(m, lambda x: pde.value(t, x), psi)
+
+
+def aggregate_slice(
+    m: EmpiricalMeasure,
+    xs: np.ndarray,
+    row: np.ndarray,
+    psi: Callable[[np.ndarray], np.ndarray],
+) -> float:
+    """`aggregate_value` at t = 0 from the t = 0 slice alone.
+
+    `row` is one row of `stacked_initial_values`; the result is bit-identical
+    to `aggregate_value` on the full surface at t = 0.
+    """
+    return _aggregate(m, lambda x: _slice_value(xs, row, x), psi)
+
+
+def _aggregate(m: EmpiricalMeasure, surviving_value, psi) -> float:
     if m.d != 1:
         raise ValueError("aggregation is one-dimensional")
     total = 0.0
     xs_live, ws_live = m.survivors()
     if xs_live.shape[0]:
-        total += float(pde.value(t, xs_live[:, 0]) @ ws_live)
+        total += float(surviving_value(xs_live[:, 0]) @ ws_live)
     xs_stop, ws_stop = m.stopped()
     if xs_stop.shape[0]:
         total += float(np.asarray(psi(xs_stop[:, 0]), dtype=float) @ ws_stop)

@@ -7,7 +7,8 @@ the value is a sup over linear-payoff problems minus a conjugate penalty.
 Expected shortfall enters through its variational form: a scalar beta joins
 the payoff (x-beta)+ and the outer minimization over beta commutes with the
 inner stopping problem. Both reductions price their linear subproblems with
-the obstacle solver and the aggregation identity from `pde`.
+the obstacle solver and the aggregation identity from `pde`, and each scan
+over slopes or levels is one stacked backward sweep.
 
 The distortion functional needs no dynamics at all: on an atomic law the
 layer-cake integral collapses to an exact finite sum.
@@ -23,8 +24,13 @@ import numpy as np
 
 from .dynamics import Problem, TimeGrid
 from .measures import EmpiricalMeasure, StopMap
-from .pde import PdeConfig, aggregate_value, standard_os_pde
-from .util import parallel_map
+from .pde import (
+    PdeConfig,
+    aggregate_slice,
+    aggregate_value,
+    stacked_initial_values,
+    stacked_os_pde,
+)
 
 __all__ = [
     "expected_shortfall",
@@ -104,6 +110,34 @@ class EsResult:
         return iter((self.value, self.beta_star))
 
 
+def _linear_values(m, problem, psis, pde_cfg, mode) -> list:
+    """Value of m for each payoff: one stacked sweep, aggregated at t = 0."""
+    xs, rows = stacked_initial_values(problem, psis, pde_cfg, mode)
+    return [aggregate_slice(m, xs, row, psi) for row, psi in zip(rows, psis)]
+
+
+def _scan(cache: dict, points, objectives) -> list:
+    """Objective at each point; the points not yet in `cache` cost one sweep.
+
+    Points are keyed by their value rounded to 12 digits, and a key keeps
+    the value of the first point that reached it. `objectives` maps a list
+    of new points to their values.
+    """
+    new: dict = {}
+    for x in points:
+        key = round(x, 12)
+        if key not in cache and key not in new:
+            new[key] = x
+    if new:
+        cache.update(zip(new, objectives(list(new.values()))))
+    return [cache[round(x, 12)] for x in points]
+
+
+def _shortfall_payoff(beta: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The call payoff (x - beta)+ of level beta."""
+    return lambda x: np.maximum(np.asarray(x, dtype=float) - beta, 0.0)
+
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -141,9 +175,13 @@ def expected_shortfall_value(
     For each beta a minimization-form obstacle problem prices the payoff
     (x - beta)+, the aggregation identity lifts it to the measure m, and the
     scalar objective beta + V_beta/(1-alpha) is scanned for a bracket and
-    then polished by golden section. The objective grows at both ends of the
-    beta axis, so an interior bracket exists; failing to find one in the
-    configured range is an error.
+    then polished by golden section. The scan is one stacked backward sweep;
+    the golden section solves one beta at a time. The objective grows at
+    both ends of the beta axis, so an interior bracket exists; failing to
+    find one in the configured range is an error.
+
+    `threads` is accepted for compatibility and has no effect; it goes when
+    the thread pools are retired.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -157,19 +195,18 @@ def expected_shortfall_value(
         beta_lo = float(xs[:, 0].min()) - pad if beta_lo is None else beta_lo
         beta_hi = float(xs[:, 0].max()) + pad if beta_hi is None else beta_hi
 
+    def objectives(betas) -> list:
+        psis = [_shortfall_payoff(beta) for beta in betas]
+        values = _linear_values(m, problem, psis, pde_cfg, "inf")
+        return [beta + v_beta / (1.0 - alpha) for beta, v_beta in zip(betas, values)]
+
     cache: dict = {}
+    grid = np.linspace(beta_lo, beta_hi, scan_points)
+    vals = _scan(cache, grid, objectives)
 
     def objective(beta: float) -> float:
-        key = round(beta, 12)
-        if key not in cache:
-            psi = lambda x, beta=beta: np.maximum(np.asarray(x, dtype=float) - beta, 0.0)
-            pde = standard_os_pde(problem, psi, pde_cfg, mode="inf")
-            v_beta = aggregate_value(m, pde, psi)
-            cache[key] = beta + v_beta / (1.0 - alpha)
-        return cache[key]
+        return _scan(cache, [beta], objectives)[0]
 
-    grid = np.linspace(beta_lo, beta_hi, scan_points)
-    vals = parallel_map(objective, list(grid), threads)
     j = int(np.argmin(vals))
     if j == 0 or j == scan_points - 1:
         raise ValueError(
@@ -210,11 +247,6 @@ def _meanvar_payoff(a: float, lam: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: a * np.asarray(x, dtype=float) - 0.5 * lam * np.asarray(x, dtype=float) ** 2
 
 
-def _linear_value(m, problem, psi, pde_cfg) -> float:
-    pde = standard_os_pde(problem, psi, pde_cfg, mode="sup")
-    return aggregate_value(m, pde, psi)
-
-
 def mean_variance_dual(
     m: EmpiricalMeasure,
     problem: Problem,
@@ -233,14 +265,18 @@ def mean_variance_dual(
     problem with linear payoff a x - (lam/2) x^2 (the z2 slope is pinned at
     -lam/2, all other slopes have infinite conjugate). Each V_a is an
     obstacle solve plus aggregation; the outer sup runs on a grid with local
-    refinement and reports the maximizing slope a*.
+    refinement and reports the maximizing slope a*. The grid is one stacked
+    backward sweep, and so are the new slopes of each refinement round.
 
     lam = 0 degenerates to the plain mean problem and is evaluated directly.
+    `threads` is accepted for compatibility and has no effect; it goes when
+    the thread pools are retired.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:
-        value = _linear_value(m, problem, lambda x: np.asarray(x, dtype=float), pde_cfg)
+        identity = lambda x: np.asarray(x, dtype=float)
+        value = _linear_values(m, problem, [identity], pde_cfg, "sup")[0]
         return MeanVarianceResult(value=value, alpha_star=1.0)
 
     if alpha_bounds is None:
@@ -249,19 +285,14 @@ def mean_variance_dual(
     if not a_lo < a_hi:
         raise ValueError("alpha bounds must be increasing")
 
+    def dual_objectives(alphas) -> list:
+        psis = [_meanvar_payoff(a, lam) for a in alphas]
+        values = _linear_values(m, problem, psis, pde_cfg, "sup")
+        return [v_a - (a - 1.0) ** 2 / (2.0 * lam) for a, v_a in zip(alphas, values)]
+
     cache: dict = {}
-
-    def dual_objective(a: float) -> float:
-        key = round(a, 12)
-        if key not in cache:
-            psi = _meanvar_payoff(a, lam)
-            cache[key] = _linear_value(m, problem, psi, pde_cfg) - (a - 1.0) ** 2 / (
-                2.0 * lam
-            )
-        return cache[key]
-
     grid = np.linspace(a_lo, a_hi, grid_points)
-    vals = parallel_map(dual_objective, list(grid), threads)
+    vals = _scan(cache, grid, dual_objectives)
     j = int(np.argmax(vals))
     if j == 0 or j == grid_points - 1:
         raise ValueError(
@@ -271,7 +302,7 @@ def mean_variance_dual(
     best_a, best = float(grid[j]), float(vals[j])
     for _ in range(refine_rounds):
         local = np.linspace(lo, hi, 9)
-        lvals = parallel_map(dual_objective, list(local), threads)
+        lvals = _scan(cache, local, dual_objectives)
         i = int(np.argmax(lvals))
         if lvals[i] > best:
             best_a, best = float(local[i]), float(lvals[i])
@@ -355,7 +386,7 @@ def meanvar_alpha_star_path(
     if alpha_bounds is None:
         alpha_bounds = _meanvar_alpha_bounds(m, lam)
     alphas = np.linspace(alpha_bounds[0], alpha_bounds[1], grid_points)
-    pdes = [standard_os_pde(problem, _meanvar_payoff(a, lam), pde_cfg, mode="sup") for a in alphas]
+    pdes = stacked_os_pde(problem, [_meanvar_payoff(a, lam) for a in alphas], pde_cfg, mode="sup")
 
     def alpha_star_at(t: float, meas: EmpiricalMeasure) -> float:
         vals = [

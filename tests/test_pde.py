@@ -14,7 +14,10 @@ from mfstop.pde import (
     ObstaclePDEGrid,
     PdeConfig,
     _lcp_step,
+    aggregate_slice,
     aggregate_value,
+    stacked_initial_values,
+    stacked_os_pde,
     standard_os_pde,
 )
 
@@ -117,6 +120,20 @@ def brute_force_lcp(lower, diag, upper, rhs, psi, mode):
     raise AssertionError("no set of rows satisfies complementarity")
 
 
+def lcp_step(rhs, lower, diag, upper, psi, on_obstacle, mode):
+    """The step kernel on the blocks in the rows of rhs, psi and on_obstacle."""
+    rows = (lower, diag, upper, np.max(np.abs(lower) + diag + np.abs(upper)))
+    psi_max = np.max(np.abs(psi), axis=1)
+    return _lcp_step(rhs, rows, psi, psi_max, on_obstacle, mode, scipy.linalg.lapack.dgtsv)
+
+
+def random_m_matrix(rng, n):
+    lower = -rng.uniform(0.0, 2.0, n)
+    upper = -rng.uniform(0.0, 2.0, n)
+    diag = 1.0 + rng.uniform(0.0, 0.5, n) - lower - upper
+    return lower, diag, upper
+
+
 @pytest.mark.parametrize("mode", ["sup", "inf"])
 def test_lcp_step_matches_brute_force_enumeration(mode):
     rng = np.random.default_rng(7)
@@ -132,10 +149,36 @@ def test_lcp_step_matches_brute_force_enumeration(mode):
         rhs[rng.random(n) < 0.2] = 0.0
         start = rng.random(n) < 0.5
         start[[0, -1]] = True
-        v = _lcp_step(rhs, lower, diag, upper, psi, start, mode, scipy.linalg.lapack.dgtsv)
+        v = lcp_step(rhs[None], lower, diag, upper, psi[None], start[None], mode)[0]
         oracle = brute_force_lcp(lower, diag, upper, rhs, psi, mode)
         assert np.max(np.abs(v - oracle)) < 1e-12
         assert np.all(v >= psi) if mode == "sup" else np.all(v <= psi)
+
+
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+def test_stacked_lcp_step_matches_brute_force_and_single_blocks(mode):
+    # K blocks share one random M-matrix; each block has its own data and
+    # warm start, and must equal both the oracle and its own K = 1 solve
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        k = int(rng.integers(2, 6))
+        lower, diag, upper = random_m_matrix(rng, n)
+        rhs = rng.normal(size=(k, n))
+        psi = rng.normal(size=(k, n))
+        psi[rng.random((k, n)) < 0.2] = 0.0
+        rhs[rng.random((k, n)) < 0.2] = 0.0
+        start = rng.random((k, n)) < 0.5
+        start[:, [0, -1]] = True
+        singles = [
+            lcp_step(rhs[[j]], lower, diag, upper, psi[[j]], start[[j]], mode)[0]
+            for j in range(k)
+        ]
+        v = lcp_step(rhs, lower, diag, upper, psi, start.copy(), mode)
+        for j in range(k):
+            oracle = brute_force_lcp(lower, diag, upper, rhs[j], psi[j], mode)
+            assert np.max(np.abs(v[j] - oracle)) < 1e-12
+            assert v[j].tobytes() == singles[j].tobytes()
 
 
 def test_fine_grid_with_long_steps_matches_unconstrained_solve():
@@ -168,6 +211,12 @@ def test_obstacle_step_failures_raise(monkeypatch, info, solution, message):
     monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", fake_gtsv)
     with pytest.raises(RuntimeError, match=message):
         standard_os_pde(brownian_problem(0.0), put_psi, small_cfg(), mode="sup")
+    # the same failures with three stacked obstacles
+    psis = [put_psi, lambda x: np.maximum(x - K, 0.0), lambda x: 0.5 * put_psi(x)]
+    with pytest.raises(RuntimeError, match=message):
+        stacked_initial_values(brownian_problem(0.0), psis, small_cfg(), mode="sup")
+    with pytest.raises(RuntimeError, match=message):
+        stacked_os_pde(brownian_problem(0.0), psis, small_cfg(), mode="sup")
 
 
 def test_rows_are_rebuilt_only_when_the_coefficients_change(monkeypatch):
@@ -193,6 +242,34 @@ def test_rows_are_rebuilt_only_when_the_coefficients_change(monkeypatch):
     )
     standard_os_pde(moving, put_psi, cfg, mode="sup")
     assert len(builds) == cfg.nt
+
+
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+def test_stacked_sweep_equals_separate_solves(mode):
+    # a drift that moves with t rebuilds the rows every step, and the
+    # running reward enters every block's right-hand side
+    problem = Problem(
+        d=1,
+        b=lambda t, x, m: 0.8 - 1.6 * t,
+        sigma=lambda t, x, m: 0.7 + 0.1 * np.cos(x),
+        f=lambda t, x, m: 0.2 * np.sin(x[:, 0]) - 0.1 * t,
+        g=lambda p, w: 0.0,
+        horizon=1.0,
+    )
+    cfg = small_cfg(nt=80)
+    psis = [lambda x, s=s: np.maximum(s - x, 0.0) + 0.1 * s * x for s in (-0.5, 0.4, 1.0, 1.7)]
+    separate = [standard_os_pde(problem, psi, cfg, mode=mode) for psi in psis]
+    xs, initial = stacked_initial_values(problem, psis, cfg, mode=mode)
+    surfaces = stacked_os_pde(problem, psis, cfg, mode=mode)
+    m = make_empirical([(-0.3, 1), (0.9, 1), (1.4, 0)], [0.3, 0.5, 0.2])
+    assert np.array_equal(xs, separate[0].xs)
+    for one, row, surface, psi in zip(separate, initial, surfaces, psis):
+        assert np.array_equal(row, one.values[0])
+        assert np.array_equal(surface.values, one.values)
+        assert np.array_equal(surface.psi_values, one.psi_values)
+        assert aggregate_slice(m, xs, row, psi) == aggregate_value(m, one, psi)
+    with pytest.raises(ValueError, match="payoff"):
+        stacked_initial_values(problem, [], cfg)
 
 
 def test_interpolation_and_domain_guard():
@@ -232,3 +309,5 @@ def test_aggregation_rejects_atoms_off_domain():
     m = make_empirical([(K + 7.0, 1)])
     with pytest.raises(ValueError, match="domain"):
         aggregate_value(m, pde, put_psi)
+    with pytest.raises(ValueError, match="domain"):
+        aggregate_slice(m, pde.xs, pde.values[0], put_psi)

@@ -1,13 +1,16 @@
 """Risk reductions: shortfall forms, mean-variance duality, distortions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfstop.catalog import build_instance
 from mfstop.dynamics import Problem, TimeGrid
 from mfstop.measures import make_empirical, wasserstein
-from mfstop.pde import PdeConfig
+from mfstop.pde import PdeConfig, stacked_initial_values, standard_os_pde
 from mfstop.policy import Policy, evaluate_policy
 from mfstop.risk import (
     distortion_g,
@@ -222,6 +225,38 @@ def test_alpha_star_path_is_flat_when_stopping_now_is_optimal():
     assert len(path) == 3
     stars = {round(p["alpha_star"], 10) for p in path}
     assert len(stars) == 1
+
+
+def test_stacked_gbm_slopes_equal_separate_solves():
+    # the 21 coarse slopes of the shipped GBM dual, whose steps need several
+    # policy iterations, so blocks settle at different iterations
+    from mfstop.risk import _meanvar_alpha_bounds, _meanvar_payoff
+
+    inst = build_instance("mean_variance_gbm")
+    lam = inst.params["lam"]
+    alphas = np.linspace(*_meanvar_alpha_bounds(inst.m0, lam), 21)
+    psis = [_meanvar_payoff(a, lam) for a in alphas]
+    _, initial = stacked_initial_values(inst.problem, psis, inst.pde_cfg, mode="sup")
+    for row, psi in zip(initial, psis):
+        separate = standard_os_pde(inst.problem, psi, inst.pde_cfg, mode="sup")
+        assert np.array_equal(row, separate.values[0])
+
+
+def test_mean_variance_dual_makes_one_sweep_per_slope_grid():
+    # the coarse grid and the new slopes of each of the two refine rounds
+    # are one sweep each, and a sweep evaluates the drift once per step
+    inst = build_instance("mean_variance", lam=1.0)
+    calls = []
+    drift = inst.problem.b
+
+    def counted(t, x, m):
+        calls.append(t)
+        return drift(t, x, m)
+
+    problem = dataclasses.replace(inst.problem, b=counted)
+    res = mean_variance_dual(inst.m0, problem, 1.0, inst.pde_cfg, refine_rounds=2)
+    assert len(calls) == 3 * inst.pde_cfg.nt
+    assert (repr(res.value), repr(res.alpha_star)) == ("0.5648000000000001", "1.7599999999999998")
 
 
 def test_gbm_dual_dominates_monte_carlo_search():
