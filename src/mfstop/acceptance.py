@@ -6,7 +6,7 @@ network, no external data). The checks live here rather than in the test
 tree because the command line exposes them as a subcommand; the test suite
 calls the same functions.
 
-Conventions: every criterion function takes a thread count and returns
+Conventions: every criterion function takes no arguments and returns
 (passed, one line of detail). `run_all` prints one line per criterion and
 returns the structured results.
 """
@@ -114,13 +114,13 @@ def _pair_tol(a: float, b: float, stderr: float) -> float:
     return max(0.02 * max(abs(a), abs(b)), 3.0 * stderr)
 
 
-def _criterion_1(threads: int):
+def _criterion_1():
     """Aggregation identity on the put, plus the PDE against the Gaussian value."""
     inst = build_instance("standard_put")
     pde = standard_os_pde(inst.problem, inst.psi, inst.pde_cfg)
     oracle = aggregate_value(inst.m0, pde, inst.psi)
     grid = TimeGrid(8, inst.problem.horizon)
-    cfg = SearchConfig(paths_per_atom=400, threads=threads)
+    cfg = SearchConfig(paths_per_atom=400)
     est, _ = solve_value(inst.m0, inst.problem, grid, cfg, seed=11)
     gap = abs(est.value - oracle)
     tol = _pair_tol(est.value, oracle, est.mc_stderr)
@@ -141,10 +141,10 @@ def _criterion_1(threads: int):
     return ok, detail
 
 
-def _criterion_2(threads: int):
+def _criterion_2():
     """Two-stage consistency, Monte Carlo on the put and exact on a drift race."""
     inst = build_instance("standard_put")
-    cfg = SearchConfig(paths_per_atom=300, threads=threads)
+    cfg = SearchConfig(paths_per_atom=300)
     rep = verify_dpp(inst.m0, inst.problem, TimeGrid(8, 1.0), 4, cfg, seed=5)
     ok_mc = rep.residual <= 3.0 * rep.combined_stderr
 
@@ -168,10 +168,10 @@ def _criterion_2(threads: int):
     return ok, detail
 
 
-def _criterion_3(threads: int):
+def _criterion_3():
     """Stopping part of a measure never raises the value."""
     inst = build_instance("mean_variance")
-    cfg = SearchConfig(paths_per_atom=150, threads=threads)
+    cfg = SearchConfig(paths_per_atom=150)
     rep = monotonicity_check(
         inst.m0, inst.problem, TimeGrid(8, 1.0), trials=20, seed=3, solver_cfg=cfg
     )
@@ -183,13 +183,13 @@ def _criterion_3(threads: int):
     return ok, detail
 
 
-def _criterion_4(threads: int):
+def _criterion_4():
     """Martingale collapse of mean minus variance: three routes, one value."""
     inst = build_instance("mean_variance", lam=1.0)
     xs, ws = inst.m0.x_marginal()
     stop_now = float(inst.problem.g(xs, ws))
-    dual = mean_variance_dual(inst.m0, inst.problem, 1.0, inst.pde_cfg, threads=threads)
-    cfg = SearchConfig(paths_per_atom=400, threads=threads)
+    dual = mean_variance_dual(inst.m0, inst.problem, 1.0, inst.pde_cfg)
+    cfg = SearchConfig(paths_per_atom=400)
     est, _ = solve_value(inst.m0, inst.problem, TimeGrid(8, 1.0), cfg, seed=17)
 
     pairs = [
@@ -205,7 +205,7 @@ def _criterion_4(threads: int):
     return ok, detail
 
 
-def _criterion_5(threads: int):
+def _criterion_5():
     """Shortfall dual form against the quantile form, then the mean-field value."""
     vals = np.array([-1.3, -0.7, -0.2, 0.1, 0.4, 0.8, 1.1, 1.5, 2.0, 2.6])
     wts = np.array([0.06, 0.1, 0.14, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1])
@@ -216,7 +216,7 @@ def _criterion_5(threads: int):
     ok_forms = worst <= 1e-10
 
     inst = build_instance("shortfall", alpha=0.8)
-    res = expected_shortfall_value(inst.m0, inst.problem, 0.8, inst.pde_cfg, threads=threads)
+    res = expected_shortfall_value(inst.m0, inst.problem, 0.8, inst.pde_cfg)
     xs, ws = inst.m0.x_marginal()
     now = expected_shortfall(xs[:, 0], ws, 0.8)
     gap = abs(res.value - now)
@@ -230,7 +230,7 @@ def _criterion_5(threads: int):
     return ok, detail
 
 
-def _criterion_6(threads: int):
+def _criterion_6():
     """Distorted expectation: closed form vs quadrature, then the W1 bound."""
     rng = rng_for(101, "acceptance-distortion")
     phi_pow = lambda u: np.power(np.asarray(u, dtype=float), 0.7)
@@ -271,7 +271,7 @@ def _criterion_6(threads: int):
     return ok, detail
 
 
-def _criterion_7(threads: int):
+def _criterion_7():
     """Mollifier identities, shrinking sup gaps, and order preservation."""
     rng = np.random.default_rng(11)
     worst_mass = 0.0
@@ -326,7 +326,7 @@ def _criterion_7(threads: int):
     return ok, detail
 
 
-def _criterion_8(threads: int):
+def _criterion_8():
     """Derivative scaling on moment functionals and the flow identity."""
     m3 = make_empirical([(-0.4, 1), (0.5, 0), (1.1, 1)], [0.3, 0.3, 0.4])
     full_mean = lambda m: float(m.xs[:, 0] @ m.ws)
@@ -376,7 +376,7 @@ def _criterion_8(threads: int):
     return ok, detail
 
 
-def _criterion_9(threads: int):
+def _criterion_9():
     """Residual report separates continuation measures from exercise measures."""
     inst = build_instance("standard_put")
     pde = standard_os_pde(inst.problem, inst.psi, inst.pde_cfg)
@@ -395,9 +395,7 @@ def _criterion_9(threads: int):
         w = rng.uniform(0.2, 1.0, len(pts))
         m = make_empirical(pts, w / w.sum())
         t = float(rng.uniform(0.2, 0.6))
-        cfg = ResidualConfig(
-            n_stop_maps=6, seed=int(rng.integers(0, 2**31)), bumps=bumps, threads=threads
-        )
+        cfg = ResidualConfig(n_stop_maps=6, seed=int(rng.integers(0, 2**31)), bumps=bumps)
         rep = obstacle_residual(u, t, m, inst.problem, cfg)
         d_i = rep["d_I_min"]
         if exercise:
@@ -411,7 +409,7 @@ def _criterion_9(threads: int):
     return ok, detail
 
 
-def _criterion_10(threads: int):
+def _criterion_10():
     """Exactness layer: stop conservation, transport, terminal enumeration."""
     rng = rng_for(31, "exactness")
 
@@ -509,22 +507,22 @@ _CRITERIA = (
 )
 
 
-def run_criterion(index: int, threads: int = 1) -> CriterionResult:
+def run_criterion(index: int) -> CriterionResult:
     """Run one criterion by its 1-based index."""
     if not 1 <= index <= len(_CRITERIA):
         raise ValueError(f"criterion index must lie in 1..{len(_CRITERIA)}")
     name, fn = _CRITERIA[index - 1]
     t0 = time.perf_counter()
-    passed, detail = fn(threads)
+    passed, detail = fn()
     ms = int(round((time.perf_counter() - t0) * 1000.0))
     return CriterionResult(index=index, name=name, passed=bool(passed), detail=detail, runtime_ms=ms)
 
 
-def run_all(threads: int = 1, quiet: bool = False) -> list[CriterionResult]:
+def run_all(quiet: bool = False) -> list[CriterionResult]:
     """Run all criteria in order, printing one line each unless quiet."""
     results = []
     for index in range(1, len(_CRITERIA) + 1):
-        result = run_criterion(index, threads)
+        result = run_criterion(index)
         if not quiet:
             print(result.line, flush=True)
         results.append(result)

@@ -46,7 +46,7 @@ import numpy as np
 from .dynamics import Noise, Particles, Problem, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays
 from .solver import _random_stop_map
-from .util import parallel_map, rng_for
+from .util import rng_for
 
 __all__ = [
     "BumpSizes",
@@ -345,7 +345,6 @@ class ResidualConfig:
     jitter_samples: int = 4
     seed: int = 0
     bumps: BumpSizes = BumpSizes()
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_stop_maps < 0 or self.jitter_samples < 0:
@@ -400,12 +399,10 @@ def obstacle_residual(
 
     kept = [m2 for m2 in candidates if float(u(t, m2)) >= base - cfg.membership_tol]
 
-    def interior_at(m2) -> float:
-        flow = generator(u, t, m2, problem, cfg.bumps) + running_reward(problem, t, m2)
-        return -flow
-
-    interiors = parallel_map(interior_at, kept, cfg.threads)
-    interior_term = float(min(interiors))
+    interior_term = float(min(
+        -(generator(u, t, m2, problem, cfg.bumps) + running_reward(problem, t, m2))
+        for m2 in kept
+    ))
 
     xs_live, _ = m.survivors()
     if xs_live.shape[0] == 0:
@@ -419,16 +416,14 @@ def obstacle_residual(
             "empty_survivors": True,
         }
 
-    def d_i_min_at(meas) -> float:
-        est = estimate_derivatives(u, t, meas, cfg.bumps, horizon=problem.horizon)
-        return float(est.d_I.min())
-
     probes = [m]
     for _ in range(cfg.jitter_samples):
         shift = cfg.jitter * (1.0 + np.abs(m.xs)) * rng.standard_normal(m.xs.shape)
         probes.append(from_arrays(m.xs + shift, m.flags, m.ws))
-    d_i_vals = parallel_map(d_i_min_at, probes, cfg.threads)
-    d_i_min = float(min(d_i_vals))
+    d_i_min = min(
+        float(estimate_derivatives(u, t, meas, cfg.bumps, horizon=problem.horizon).d_I.min())
+        for meas in probes
+    )
 
     return {
         "value": base,

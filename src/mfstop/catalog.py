@@ -20,6 +20,7 @@ from .dynamics import Problem
 from .measures import EmpiricalMeasure, make_empirical
 from .pde import PdeConfig
 from .risk import distorted_expectation, expected_shortfall
+from .util import check_threads
 
 __all__ = [
     "coefficient_field",
@@ -28,7 +29,6 @@ __all__ = [
     "instance_names",
     "ExperimentConfig",
     "load_experiment_config",
-    "MAX_THREADS",
 ]
 
 
@@ -258,16 +258,13 @@ _CONFIG_FIELDS = {
 }
 
 
-# cap on worker threads, so that no config or flag asks for thousands of them
-MAX_THREADS = 64
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one run; every count is explicit.
 
     The seed is mandatory: no entry point falls back to entropy, so a rerun
     of the same config is a byte-identical artifact (timestamps aside).
+    `threads` must be 1; it is kept so that old configs keep loading.
     """
 
     problem: str
@@ -292,16 +289,18 @@ class ExperimentConfig:
         if self.seed >= 1 << 64:
             # the noise streams read the seed modulo 2^64
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        for name in ("grid_n", "paths_per_atom", "threads", "trials", "z_samples"):
+        for name in ("grid_n", "paths_per_atom", "trials", "z_samples"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.threads > MAX_THREADS:
-            raise ValueError(f"threads must be at most {MAX_THREADS}")
+        check_threads(self.threads)
         if not isinstance(self.mollifier_n, int) or self.mollifier_n < 2:
             raise ValueError("mollifier_n must be an integer >= 2")
-        if self.split_index is not None and not 0 < self.split_index <= self.grid_n:
-            raise ValueError("split_index must lie in 1..grid_n")
+        split = self.split_index
+        if split is not None and (
+            not isinstance(split, int) or isinstance(split, bool) or not 0 < split <= self.grid_n
+        ):
+            raise ValueError("split_index must be an integer in 1..grid_n")
         if not isinstance(self.problem_params, dict):
             raise ValueError("problem_params must be a table of parameter values")
 

@@ -14,9 +14,9 @@ are written atomically into the given directory, otherwise they go to
 stdout. Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 a
 tolerance failure inside `acceptance`, 4 the computation could not finish
 (the obstacle or transport solver failed, or memory ran out). Validation
-includes two caps checked before anything is allocated or started: at most
-`catalog.MAX_THREADS` worker threads, and at most
+includes a cap checked before anything is allocated: at most
 `dynamics.MAX_NOISE_DOUBLES` doubles of particle noise in one run or search.
+`threads` (config field or `--threads`) must be 1.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .calculus import BumpSizes, ResidualConfig, make_unstopped_functional, obstacle_residual
-from .catalog import MAX_THREADS, ExperimentConfig, build_instance, load_experiment_config
+from .catalog import ExperimentConfig, build_instance, load_experiment_config
 from .dynamics import TimeGrid
 from .measures import measure_from_csv, measure_to_csv
 from .mollifier import MollifierParams, mollify
@@ -48,7 +48,7 @@ from .risk import (
     meanvar_alpha_star_path,
 )
 from .solver import SearchConfig, solve_value, verify_dpp
-from .util import config_digest, dump_json_atomic, dump_text_atomic
+from .util import check_threads, config_digest, dump_json_atomic, dump_text_atomic
 
 __all__ = ["main"]
 
@@ -195,7 +195,7 @@ def _cmd_solve(args) -> int:
     cfg = _resolve_config(args)
     inst = cfg.instance()
     grid = TimeGrid(cfg.grid_n, inst.problem.horizon)
-    scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom, threads=cfg.threads)
+    scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom)
     result = solve_value(inst.m0, inst.problem, grid, scfg, seed=cfg.seed)
     body = {
         "problem": cfg.problem,
@@ -222,7 +222,7 @@ def _cmd_verify_dpp(args) -> int:
     inst = cfg.instance()
     grid = TimeGrid(cfg.grid_n, inst.problem.horizon)
     split = cfg.split_index if cfg.split_index is not None else max(1, cfg.grid_n // 2)
-    scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom, threads=cfg.threads)
+    scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom)
     report = verify_dpp(inst.m0, inst.problem, grid, split, scfg, seed=cfg.seed)
     body = {"problem": cfg.problem, **report.to_dict()}
     body["within_three_stderr"] = bool(
@@ -256,9 +256,7 @@ def _cmd_residual(args) -> int:
         bumps = BumpSizes()
         route = "simulated"
 
-    rcfg = ResidualConfig(
-        n_stop_maps=cfg.trials, seed=cfg.seed, bumps=bumps, threads=cfg.threads
-    )
+    rcfg = ResidualConfig(n_stop_maps=cfg.trials, seed=cfg.seed, bumps=bumps)
     report = obstacle_residual(u, t, m, problem, rcfg)
     body = {"problem": cfg.problem, "route": route, "t": t, "n_atoms": m.n_atoms, **report}
     _emit_json(args, "residual.json", _envelope("residual", cfg, t0, body))
@@ -273,7 +271,7 @@ def _cmd_mollify(args) -> int:
     g = inst.problem.g
     functional = lambda mm: float(g(*mm.x_marginal()))
     params = MollifierParams(n=cfg.mollifier_n, z_samples=cfg.z_samples)
-    result = mollify(functional, m, params, seed=cfg.seed, threads=cfg.threads)
+    result = mollify(functional, m, params, seed=cfg.seed)
     raw = functional(m)
     body = {
         "problem": cfg.problem,
@@ -303,7 +301,7 @@ def _example_standard(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for n in (4, 8):
         grid = TimeGrid(n, inst.problem.horizon)
-        scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom, threads=cfg.threads)
+        scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom)
         est, _ = solve_value(inst.m0, inst.problem, grid, scfg, seed=cfg.seed)
         rows.append(_row(f"grid_n={n}", est.value, oracle, est.mc_stderr))
     return rows
@@ -317,9 +315,7 @@ def _example_meanvar(cfg: ExperimentConfig, args) -> list[dict]:
         # martingale dynamics: waiting only spreads the law, so stopping at
         # once is optimal and the value collapses to the reward of m0
         oracle = float(inst.problem.g(xs, ws))
-        dual = mean_variance_dual(
-            inst.m0, inst.problem, lam, inst.pde_cfg, threads=cfg.threads
-        )
+        dual = mean_variance_dual(inst.m0, inst.problem, lam, inst.pde_cfg)
         rows.append(_row(f"lam={lam:g}", dual.value, oracle, 0.0))
 
     inst = build_instance("mean_variance", lam=1.0)
@@ -348,9 +344,7 @@ def _example_es(cfg: ExperimentConfig) -> list[dict]:
         # martingale dynamics again: (x - beta)+ is convex, waiting raises
         # every beta-objective, so the reachable minimum is the current ES
         oracle = expected_shortfall(xs[:, 0], ws, alpha)
-        res = expected_shortfall_value(
-            inst.m0, inst.problem, alpha, inst.pde_cfg, threads=cfg.threads
-        )
+        res = expected_shortfall_value(inst.m0, inst.problem, alpha, inst.pde_cfg)
         rows.append(_row(f"alpha={alpha:g}", res.value, oracle, 0.0))
     return rows
 
@@ -393,10 +387,9 @@ def _cmd_acceptance(args) -> int:
     from . import acceptance
 
     t0 = time.perf_counter()
-    threads = args.threads if args.threads is not None else 1
-    if not 1 <= threads <= MAX_THREADS:
-        raise ValueError(f"threads must lie in 1..{MAX_THREADS}")
-    results = acceptance.run_all(threads=threads, quiet=args.quiet)
+    if args.threads is not None:
+        check_threads(args.threads)
+    results = acceptance.run_all(quiet=args.quiet)
     body = {
         "n_criteria": len(results),
         "n_passed": sum(r.passed for r in results),
@@ -437,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="experiment config (JSON)")
     common.add_argument("--seed", type=_u64, metavar="U64", help="override the config seed")
     common.add_argument("--out", metavar="DIR", help="directory for artifacts (default: stdout)")
-    common.add_argument("--threads", type=int, metavar="K", help="worker threads")
+    common.add_argument("--threads", type=int, metavar="K", help="must be 1 (kept for old scripts)")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     parser = argparse.ArgumentParser(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .measures import EmpiricalMeasure, apply_stop, from_arrays, make_empirical
 from .solver import _random_stop_map
-from .util import parallel_map, rng_for
+from .util import rng_for
 
 __all__ = [
     "MollifierParams",
@@ -204,7 +204,6 @@ def mollify(
     m: EmpiricalMeasure,
     params: MollifierParams,
     seed: int,
-    threads: int = 1,
 ) -> MollifyResult:
     """Monte-Carlo average of U over projected perturbations of m.
 
@@ -220,7 +219,7 @@ def mollify(
             raise ValueError("U returned a non-finite value on a projected measure")
         return val
 
-    vals = np.array(parallel_map(one, list(range(params.z_samples)), threads))
+    vals = np.array([one(k) for k in range(params.z_samples)])
     stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     return MollifyResult(value=float(vals.mean()), stderr=stderr, n_samples=len(vals))
 

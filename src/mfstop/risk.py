@@ -31,6 +31,7 @@ from .pde import (
     stacked_initial_values,
     stacked_os_pde,
 )
+from .util import check_threads
 
 __all__ = [
     "expected_shortfall",
@@ -180,9 +181,9 @@ def expected_shortfall_value(
     both ends of the beta axis, so an interior bracket exists; failing to
     find one in the configured range is an error.
 
-    `threads` is accepted for compatibility and has no effect; it goes when
-    the thread pools are retired.
+    `threads` must be 1; it is kept so that existing callers keep working.
     """
+    check_threads(threads)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     xs, ws = m.x_marginal()
@@ -269,9 +270,9 @@ def mean_variance_dual(
     backward sweep, and so are the new slopes of each refinement round.
 
     lam = 0 degenerates to the plain mean problem and is evaluated directly.
-    `threads` is accepted for compatibility and has no effect; it goes when
-    the thread pools are retired.
+    `threads` must be 1; it is kept so that existing callers keep working.
     """
+    check_threads(threads)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:

@@ -33,7 +33,7 @@ import numpy as np
 from .dynamics import Particles, Problem, TimeGrid, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop
 from .policy import Policy, ValueEstimate, evaluate_policy, policy_noise, run_policy
-from .util import parallel_map, rng_for
+from .util import check_threads, rng_for
 
 __all__ = [
     "SearchConfig",
@@ -55,6 +55,7 @@ class SearchConfig:
     tol : absolute improvement below which a refinement round stops.
     enum_budget : cap on assignments for the deterministic enumeration;
         zero disables it.
+    threads : must be 1; kept so that existing callers keep working.
     """
 
     families: tuple = ("threshold", "constant")
@@ -66,6 +67,9 @@ class SearchConfig:
     enum_budget: int = 6561
     restart_paths: int = 8
     threads: int = 1
+
+    def __post_init__(self):
+        check_threads(self.threads)
 
 
 @dataclass(frozen=True)
@@ -221,13 +225,6 @@ def solve_value(
     enum_policy = _enumeration_candidate(m0, problem, grid, cfg, start_node)
     if enum_policy is not None:
         candidates.append(enum_policy)
-    if cfg.threads > 1:
-        # cache and noise writes are idempotent, so racing duplicates are harmless
-        parallel_map(searcher.value, candidates, cfg.threads)
-    else:
-        for pol in candidates:
-            searcher.value(pol)
-
     best = max(candidates, key=searcher.value)
     step = _initial_step(problem, m0, best)
     converged = False

@@ -1,4 +1,4 @@
-"""Small shared helpers: seeded generator derivation, parallel map, atomic IO."""
+"""Small shared helpers: seeded generator derivation, the `threads` check, atomic IO."""
 
 from __future__ import annotations
 
@@ -6,13 +6,8 @@ import json
 import os
 import tempfile
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 _MASK64 = (1 << 64) - 1
 
@@ -35,16 +30,10 @@ def rng_for(seed: int, *tags) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Map preserving input order; thread pool when threads > 1.
-
-    Results are collected in input order, so the reduction is deterministic
-    regardless of scheduling.
-    """
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def check_threads(threads) -> None:
+    """Refuse every `threads` but 1: the field is kept only so old configs load."""
+    if threads != 1 or type(threads) is not int:
+        raise ValueError("threads must be 1: the thread pools were removed")
 
 
 def dump_json_atomic(path: str, payload: dict) -> None:

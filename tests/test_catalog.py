@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mfstop.catalog import (
-    MAX_THREADS,
     ExperimentConfig,
     build_instance,
     coefficient_field,
@@ -89,15 +88,17 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(problem="shortfall", seed=1 << 64)
     assert ExperimentConfig(problem="shortfall", seed=(1 << 64) - 1).seed == (1 << 64) - 1
-    with pytest.raises(ValueError, match="split_index"):
-        ExperimentConfig(problem="shortfall", seed=0, grid_n=4, split_index=5)
+    for bad in (5, 0, 2.5, True):
+        with pytest.raises(ValueError, match="split_index"):
+            ExperimentConfig(problem="shortfall", seed=0, grid_n=4, split_index=bad)
     with pytest.raises(ValueError, match="mollifier_n"):
         ExperimentConfig(problem="shortfall", seed=0, mollifier_n=1)
     with pytest.raises(ValueError, match="problem_params"):
         ExperimentConfig(problem="shortfall", seed=0, problem_params=[1])
-    assert ExperimentConfig(problem="shortfall", seed=0, threads=MAX_THREADS).threads == MAX_THREADS
-    with pytest.raises(ValueError, match="threads"):
-        ExperimentConfig(problem="shortfall", seed=0, threads=MAX_THREADS + 1)
+    # the thread pools are gone; threads stays only so that old configs load
+    assert ExperimentConfig(problem="shortfall", seed=0, threads=1).threads == 1
+    with pytest.raises(ValueError, match="threads must be 1"):
+        ExperimentConfig(problem="shortfall", seed=0, threads=2)
 
     d = ExperimentConfig(problem="shortfall", seed=0, split_index=4).as_dict()
     assert d["problem"] == "shortfall" and d["split_index"] == 4

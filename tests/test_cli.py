@@ -11,7 +11,6 @@ from importlib.resources import files
 import pytest
 
 from mfstop import cli
-from mfstop.catalog import MAX_THREADS
 from mfstop.measures import measure_from_csv
 
 BUNDLED_PUT = str(files("mfstop").joinpath("configs", "standard_put.json"))
@@ -90,17 +89,26 @@ def test_config_seed_beyond_u64_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_thread_cap_exits_2_before_any_thread_starts(tmp_path, capsys, monkeypatch):
+def test_threads_other_than_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
     from mfstop import acceptance
 
     monkeypatch.setattr(cli, "solve_value", _raise(AssertionError("solver ran")))
     monkeypatch.setattr(acceptance, "run_all", _raise(AssertionError("acceptance ran")))
     path = _write_config(tmp_path)
-    cap = str(MAX_THREADS + 1)
-    assert cli.main(["solve", "--config", path, "--threads", cap]) == 2
-    assert "threads" in capsys.readouterr().err
-    assert cli.main(["acceptance", "--threads", cap, "--quiet"]) == 2
-    assert "threads" in capsys.readouterr().err
+    assert cli.main(["solve", "--config", path, "--threads", "2"]) == 2
+    assert "threads must be 1" in capsys.readouterr().err
+    assert cli.main(["solve", "--config", _write_config(tmp_path, "threads.json", threads=2)]) == 2
+    assert "threads must be 1" in capsys.readouterr().err
+    assert cli.main(["acceptance", "--threads", "2", "--quiet"]) == 2
+    assert "threads must be 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split_index", [2.5, True])
+def test_non_integer_split_index_exits_2(tmp_path, capsys, monkeypatch, split_index):
+    monkeypatch.setattr(cli, "verify_dpp", _raise(AssertionError("verify_dpp ran")))
+    path = _write_config(tmp_path, split_index=split_index)
+    assert cli.main(["verify-dpp", "--config", path]) == 2
+    assert "split_index" in capsys.readouterr().err
 
 
 def test_noise_cap_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
@@ -262,14 +270,16 @@ for path in sorted(files("mfstop").joinpath("configs").iterdir()):
 for name in instance_names():
     build_instance(name)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("concurrent.futures" in sys.modules)
 """
 
 
 def test_cli_import_and_catalog_builds_leave_scipy_unloaded():
     # scipy costs about half a second to import; only the transport LP and
-    # the obstacle solver need it, and they load it when they run
+    # the obstacle solver need it, and they load it when they run. No code
+    # path uses a thread pool, so concurrent.futures must not load either.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", STARTUP], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]

@@ -160,7 +160,7 @@ def test_mollify_same_seed_reproduces():
     m = make_empirical([(0.3, 1), (-0.2, 0)], [0.6, 0.4])
     u = lambda mm: float(mm.xs[:, 0] @ mm.ws)
     a = mollify(u, m, P2, seed=9)
-    b = mollify(u, m, P2, seed=9, threads=2)
+    b = mollify(u, m, P2, seed=9)
     assert a.value == b.value and a.stderr == b.stderr
     assert a.n_samples == P2.z_samples
 

@@ -156,6 +156,13 @@ def test_shortfall_bracket_failure_raises():
         )
 
 
+def test_shortfall_value_refuses_threads_other_than_one():
+    with pytest.raises(ValueError, match="threads must be 1"):
+        expected_shortfall_value(
+            THREE_ATOMS, brownian_problem(0.0), 0.5, es_pde_cfg(nx=81, nt=40), threads=2
+        )
+
+
 # ---------------------------------------------------------------------------
 # mean-variance duality
 # ---------------------------------------------------------------------------
@@ -194,6 +201,8 @@ def test_mean_variance_validation():
     m = make_empirical([(0.5, 1)])
     with pytest.raises(ValueError):
         mean_variance_dual(m, brownian_problem(0.0), -0.5, mv_pde_cfg())
+    with pytest.raises(ValueError, match="threads must be 1"):
+        mean_variance_dual(m, brownian_problem(0.0), 1.0, mv_pde_cfg(), threads=2)
     with pytest.raises(ValueError, match="alpha-grid"):
         mean_variance_dual(
             m,

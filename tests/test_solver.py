@@ -1,16 +1,15 @@
 """Policy search against exact enumeration, plus the two-stage DPP check."""
 
 import warnings
-from importlib.resources import files
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from mfstop.catalog import build_instance, load_experiment_config
+from mfstop.catalog import build_instance
 from mfstop.dynamics import MAX_NOISE_DOUBLES, Problem, TimeGrid
 from mfstop.measures import StopMap, apply_stop, make_empirical
-from mfstop.policy import Policy, evaluate_policy, policy_to_json
+from mfstop.policy import Policy, evaluate_policy
 from mfstop.solver import (
     SearchConfig,
     backward_enumeration,
@@ -236,18 +235,10 @@ def test_search_draws_each_node_noise_once(monkeypatch, start_node):
     assert sorted(calls) == list(range(start_node, grid.n))
 
 
-def test_search_with_two_threads_matches_one_thread():
-    cfg = load_experiment_config(str(files("mfstop").joinpath("configs", "attraction.json")))
-    inst = cfg.instance()
-    grid = TimeGrid(cfg.grid_n, inst.problem.horizon)
-    results = []
-    for threads in (1, 2):
-        scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom, threads=threads)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = solve_value(inst.m0, inst.problem, grid, scfg, seed=0)
-        results.append((res.estimate, policy_to_json(res.policy), res.converged, res.n_evaluations))
-    assert results[0] == results[1]
+def test_search_config_refuses_threads_other_than_one():
+    assert SearchConfig(threads=1).threads == 1
+    with pytest.raises(ValueError, match="threads must be 1"):
+        SearchConfig(threads=2)
 
 
 def test_oversized_noise_table_is_refused_before_any_run(monkeypatch):
