@@ -1,7 +1,8 @@
 """Golden values: exact numbers that no refactor or optimisation may move.
 
 The artifact digests cover `simulate`, `solve` and `verify-dpp` on the three
-shipped configs, and the `example meanvar` and `example es` outputs pin the
+shipped configs, `residual` on `standard_put` and `mollify` on all three, and
+the `example meanvar` and `example es` outputs pin the
 risk duals; `runtime_ms` is the only field left out. The floats are
 compared through `repr`, so a change in the last bit fails. A change that
 moves any of these on purpose records the old and new values and the reason
@@ -23,9 +24,9 @@ from mfstop import cli
 from mfstop.calculus import make_unstopped_functional
 from mfstop.catalog import build_instance, load_experiment_config
 from mfstop.dynamics import Problem, TimeGrid
-from mfstop.measures import StopMap, make_empirical
+from mfstop.measures import StopMap, make_empirical, wasserstein
 from mfstop.pde import aggregate_value, standard_os_pde
-from mfstop.policy import Policy, evaluate_policy, policy_to_json
+from mfstop.policy import Policy, evaluate_policy, policy_to_json, terminal_stop_sup
 from mfstop.risk import expected_shortfall_value, mean_variance_dual
 from mfstop.rng import _philox_rounds
 from mfstop.solver import SearchConfig, backward_enumeration, solve_value, verify_dpp
@@ -40,6 +41,10 @@ ARTIFACT_SHA256 = {
     ("attraction", "simulate"): "b866fe86c6c156495c2c2934ffd47cdce96cd77cfdfe7549b66f2551086823dc",
     ("attraction", "solve"): "c06b674753a2220afaf63753d5befece259fd34f393daaeb8dbc7235bf331b55",
     ("attraction", "verify-dpp"): "ebd655c218f18644a3c1c0d02039f3de88a07ed2f146768f3024fd54cf56d0a6",
+    ("standard_put", "residual"): "8169ed087e0a71330eeb92889a598e75e1263cc333c5dd17fe37122c7bef8b64",
+    ("standard_put", "mollify"): "8b04e700f56f06fe7868479a5c6ff915fdf3433ec9e6c2877805f804bb20ab1e",
+    ("mean_variance", "mollify"): "3802e4bf06cbd59912693ae5a166d70e6ef24a1e1bdfbc1fb9ff6e773416531d",
+    ("attraction", "mollify"): "d6e85089b326513bb47c9414aa2f74b00e3f0aea178b4cd7374d7bb778fbbd39",
 }
 
 TERMINAL_CSV_SHA256 = {
@@ -48,7 +53,13 @@ TERMINAL_CSV_SHA256 = {
     "attraction": "c18db86aa53e7356717a4d4abd82942a95417bd38e7f6de10df03d5b60bb59d6",
 }
 
-ARTIFACT_NAME = {"simulate": "simulate.json", "solve": "solve.json", "verify-dpp": "dpp.json"}
+ARTIFACT_NAME = {
+    "simulate": "simulate.json",
+    "solve": "solve.json",
+    "verify-dpp": "dpp.json",
+    "residual": "residual.json",
+    "mollify": "mollify.json",
+}
 
 
 def _artifact_digest(payload: dict) -> str:
@@ -102,6 +113,28 @@ def test_unstopped_functional_with_running_reward_and_frozen_atoms():
     m = make_empirical([(0.8, 1), (1.1, 1), (1.35, 0)], [0.4, 0.35, 0.25])
     assert repr(u(0.7, m)) == "0.8340411771604395"
     assert repr(u(0.0, m)) == "0.772871001054875"
+
+
+# ---------------------------------------------------------------------------
+# the transport distance and the terminal sup over stops
+# ---------------------------------------------------------------------------
+
+
+def test_wasserstein_lp_across_flags():
+    m1 = make_empirical([(0.1, 1), (0.9, 0), (1.7, 1)], [0.2, 0.5, 0.3])
+    m2 = make_empirical([(0.4, 0), (1.2, 1)], [0.6, 0.4])
+    assert repr(wasserstein(m1, m2, order=1)) == "0.6144030650891055"
+    assert repr(wasserstein(m1, m2, order=2)) == "0.6557438524302001"
+
+
+def test_terminal_stop_sup_with_survivor_mass_reward():
+    def functional(mm):
+        s = mm.surviving_mass()
+        return s * (1.0 - s) + float(np.sin(mm.xs[:, 0]) @ mm.ws)
+
+    m = make_empirical([(0.7, 1), (-0.3, 1), (1.1, 0)], [0.5, 0.3, 0.2])
+    value, _ = terminal_stop_sup(m, functional)
+    assert repr(value) == "0.6616942536327308"
 
 
 # ---------------------------------------------------------------------------
