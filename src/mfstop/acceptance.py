@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
-    BumpSizes,
     ResidualConfig,
     generator,
     linear_derivative,
@@ -381,7 +380,6 @@ def _criterion_9():
     inst = build_instance("standard_put")
     pde = standard_os_pde(inst.problem, inst.psi, inst.pde_cfg)
     u = lambda tt, mm: aggregate_value(mm, pde, inst.psi, t=tt)
-    bumps = BumpSizes(h=0.04)
     rng = rng_for(909, "classification")
 
     correct = 0
@@ -395,7 +393,7 @@ def _criterion_9():
         w = rng.uniform(0.2, 1.0, len(pts))
         m = make_empirical(pts, w / w.sum())
         t = float(rng.uniform(0.2, 0.6))
-        cfg = ResidualConfig(n_stop_maps=6, seed=int(rng.integers(0, 2**31)), bumps=bumps)
+        cfg = ResidualConfig(n_stop_maps=6, seed=int(rng.integers(0, 2**31)), h=0.04)
         rep = obstacle_residual(u, t, m, inst.problem, cfg)
         d_i = rep["d_I_min"]
         if exercise:
@@ -471,7 +469,7 @@ def _criterion_10():
         pts.append((float(rng.uniform(-1.0, 1.0)), 0))
         w = rng.uniform(0.1, 1.0, 5)
         m = make_empirical(pts, w / w.sum())
-        best, _ = terminal_stop_sup(m, reward, mode="exact")
+        best, _ = terminal_stop_sup(m, reward)
         live_idx = np.flatnonzero(m.flags == 1)
         oracle = -np.inf
         for bits in itertools.product((0, 1), repeat=live_idx.size):
@@ -481,7 +479,7 @@ def _criterion_10():
         worst_term = max(worst_term, abs(best - oracle))
 
         flat = lambda mm: float(mm.xs[:, 0] @ mm.ws)
-        val, _ = terminal_stop_sup(m, flat, mode="exact")
+        val, _ = terminal_stop_sup(m, flat)
         worst_term = max(worst_term, abs(val - flat(m)))
     ok_term = worst_term <= 1e-12
 

@@ -32,7 +32,7 @@ start position rather than by atom identity, so a measure and its probe
 bumps (reweighted atoms, or positions shifted by less than a bucket) see
 identical draws and finite differences stay usable despite Monte Carlo
 noise. Probes that cross a bucket edge fall back to independent noise; keep
-probe centers away from multiples of the bucket width.
+probe centers away from multiples of `NOISE_BUCKET`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .solver import _random_stop_map
 from .util import rng_for
 
 __all__ = [
-    "BumpSizes",
     "linear_derivative",
     "DerivativeEstimate",
     "estimate_derivatives",
@@ -61,26 +60,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BumpSizes:
-    """Probe step sizes.
-
-    eps is the weight of the bump atom; h scales the spatial probes as
-    h (1 + |x|); dt_frac scales the time probe by the problem horizon.
-    Richardson halving is on by default so that low-degree functionals are
-    differentiated exactly.
-    """
-
-    eps: float = 1e-2
-    h: float = 1e-3
-    dt_frac: float = 1e-3
-    richardson: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.eps <= 0.5:
-            raise ValueError("eps must lie in (0, 0.5]")
-        if self.h <= 0.0 or self.dt_frac <= 0.0:
-            raise ValueError("bump sizes must be positive")
+# Bump weight of `estimate_derivatives`; its quotients are always
+# Richardson-extrapolated over BUMP_EPS and BUMP_EPS/2.
+BUMP_EPS = 1e-2
+# Default spatial probe scale h: the probes sit at x +- h (1 + |x|).
+BUMP_H = 1e-3
+# Time probe step, as a fraction of the horizon.
+BUMP_DT_FRAC = 1e-3
+# Width of the start-position buckets that key the simulated functional's noise.
+NOISE_BUCKET = 0.25
+# `obstacle_residual`'s membership tolerance and its position jitter (see ResidualConfig).
+MEMBERSHIP_TOL = 1e-3
+JITTER = 1e-3
+JITTER_SAMPLES = 4
 
 
 def _with_atom(m: EmpiricalMeasure, x, flag: int, eps: float) -> EmpiricalMeasure:
@@ -93,11 +85,17 @@ def _with_atom(m: EmpiricalMeasure, x, flag: int, eps: float) -> EmpiricalMeasur
     return from_arrays(xs, flags, ws)
 
 
-def _quotient(u, t, m, x, flag, eps, base) -> float:
-    val = float(u(t, _with_atom(m, x, flag, eps)))
-    if not math.isfinite(val):
-        raise ValueError("functional returned a non-finite value at a bump probe")
-    return (val - base) / eps
+def _quotient(u, t, m, x, flag, eps, base, richardson=True) -> float:
+    """Bump quotient at (x, flag), Richardson-extrapolated over eps and eps/2."""
+
+    def single(e):
+        val = float(u(t, _with_atom(m, x, flag, e)))
+        if not math.isfinite(val):
+            raise ValueError("functional returned a non-finite value at a bump probe")
+        return (val - base) / e
+
+    q = single(eps)
+    return 2.0 * single(eps / 2.0) - q if richardson else q
 
 
 def linear_derivative(
@@ -105,7 +103,7 @@ def linear_derivative(
     t: float,
     m: EmpiricalMeasure,
     y: tuple,
-    eps: float = 1e-2,
+    eps: float = BUMP_EPS,
     richardson: bool = True,
 ) -> float:
     """Centered linear derivative of u at (t, m) in the point y = (x, flag).
@@ -123,10 +121,7 @@ def linear_derivative(
     base = float(u(t, m))
     if not math.isfinite(base):
         raise ValueError("functional is non-finite at the base measure")
-    q = _quotient(u, t, m, x, flag, eps, base)
-    if not richardson:
-        return q
-    return 2.0 * _quotient(u, t, m, x, flag, eps / 2.0, base) - q
+    return _quotient(u, t, m, x, flag, eps, base, richardson)
 
 
 @dataclass(frozen=True)
@@ -143,35 +138,34 @@ class DerivativeEstimate:
     dx_delta: np.ndarray
     dxx_delta: np.ndarray
     dt: float
-    bumps: BumpSizes
 
 
 def estimate_derivatives(
     u: Callable[[float, EmpiricalMeasure], float],
     t: float,
     m: EmpiricalMeasure,
-    bumps: BumpSizes = BumpSizes(),
+    h: float = BUMP_H,
     horizon: Optional[float] = None,
 ) -> DerivativeEstimate:
     """All derivative probes of u at (t, m) in one sweep; d = 1 only.
 
-    The spatial probes sit at x +- h (1+|x|) on the survivor side; the time
-    probe is central with step dt_frac * horizon, one-sided at the ends of
-    [0, horizon]. Raw bump quotients are recentered so the weighted sum of
-    delta_m vanishes exactly; d_I uses the raw difference, where the
-    centering constant cancels anyway.
+    Every bump has weight `BUMP_EPS` and is Richardson-extrapolated. The
+    spatial probes sit at x +- h (1+|x|) on the survivor side, with h > 0;
+    the time probe is central with step `BUMP_DT_FRAC` * horizon (horizon 1
+    when not given), one-sided at the ends of [0, horizon]. Raw bump
+    quotients are recentered so the weighted sum of delta_m vanishes
+    exactly; d_I uses the raw difference, where the centering constant
+    cancels anyway.
     """
     if m.d != 1:
         raise ValueError("derivative probes are one-dimensional")
+    if not h > 0.0:
+        raise ValueError("the spatial probe scale h must be positive")
     base = float(u(t, m))
     if not math.isfinite(base):
         raise ValueError("functional is non-finite at the base measure")
 
-    def quot(x, flag) -> float:
-        q = _quotient(u, t, m, x, flag, bumps.eps, base)
-        if not bumps.richardson:
-            return q
-        return 2.0 * _quotient(u, t, m, x, flag, bumps.eps / 2.0, base) - q
+    quot = lambda x, flag: _quotient(u, t, m, x, flag, BUMP_EPS, base)
 
     raw = np.array([quot(m.xs[k], int(m.flags[k])) for k in range(m.n_atoms)])
     delta_m = raw - float(m.ws @ raw)
@@ -182,25 +176,23 @@ def estimate_derivatives(
     dxx = np.empty(live.size)
     for out_k, k in enumerate(live):
         x = float(m.xs[k, 0])
-        h = bumps.h * (1.0 + abs(x))
+        hx = h * (1.0 + abs(x))
         q_mid = raw[k]
-        q_plus = quot(np.array([x + h]), 1)
-        q_minus = quot(np.array([x - h]), 1)
+        q_plus = quot(np.array([x + hx]), 1)
+        q_minus = quot(np.array([x - hx]), 1)
         d_i[out_k] = q_mid - quot(np.array([x]), 0)
-        dx[out_k] = (q_plus - q_minus) / (2.0 * h)
-        dxx[out_k] = (q_plus - 2.0 * q_mid + q_minus) / (h * h)
+        dx[out_k] = (q_plus - q_minus) / (2.0 * hx)
+        dxx[out_k] = (q_plus - 2.0 * q_mid + q_minus) / (hx * hx)
 
     scale = horizon if horizon is not None else 1.0
-    step = bumps.dt_frac * scale
+    step = BUMP_DT_FRAC * scale
     lo = max(t - step, 0.0)
     hi = t + step if horizon is None else min(t + step, horizon)
     if hi <= lo:
-        raise ValueError("time probe collapsed; horizon too small for dt_frac")
+        raise ValueError("time probe collapsed; horizon too small for BUMP_DT_FRAC")
     dt_val = (float(u(hi, m)) - float(u(lo, m))) / (hi - lo)
 
-    return DerivativeEstimate(
-        delta_m=delta_m, d_I=d_i, dx_delta=dx, dxx_delta=dxx, dt=dt_val, bumps=bumps
-    )
+    return DerivativeEstimate(delta_m=delta_m, d_I=d_i, dx_delta=dx, dxx_delta=dxx, dt=dt_val)
 
 
 def running_reward(problem: Problem, t: float, m: EmpiricalMeasure) -> float:
@@ -231,17 +223,18 @@ def generator(
     t: float,
     m: EmpiricalMeasure,
     problem: Problem,
-    bumps: BumpSizes = BumpSizes(),
+    h: float = BUMP_H,
 ) -> float:
     """Measure flow operator of the problem applied to u at (t, m).
 
     Time derivative of u plus the survivor-weighted sum of
-    b d_x delta_m u + (1/2) sigma^2 d_xx delta_m u at the atoms. The
-    additive gauge of delta_m drops out because only x-differences enter.
+    b d_x delta_m u + (1/2) sigma^2 d_xx delta_m u at the atoms, from the
+    probes of `estimate_derivatives` with spatial scale h. The additive
+    gauge of delta_m drops out because only x-differences enter.
     """
     if problem.d != 1 or m.d != 1:
         raise ValueError("the generator probe is one-dimensional")
-    est = estimate_derivatives(u, t, m, bumps, horizon=problem.horizon)
+    est = estimate_derivatives(u, t, m, h, horizon=problem.horizon)
     xs, ws = m.survivors()
     if xs.shape[0] == 0:
         return est.dt
@@ -261,7 +254,6 @@ def make_unstopped_functional(
     n_steps: int = 64,
     paths_per_atom: int = 2000,
     seed: int = 0,
-    bucket: float = 0.25,
 ) -> Callable[[float, EmpiricalMeasure], float]:
     """Simulated value of the never-stop flow from (t, m).
 
@@ -270,18 +262,18 @@ def make_unstopped_functional(
     steps). Stopped atoms stay frozen; every surviving atom is expanded
     into paths_per_atom equal-weight paths.
 
-    Noise keys are (floor(start / bucket), path index), so reweighted atoms
-    and probe positions within one bucket reuse the same draws; this common
-    randomness is what keeps finite differences of u stable. Distinct atoms
-    sharing a bucket share draws too, which correlates their paths but does
-    not bias per-path laws for measure-free coefficients.
+    Noise keys are (floor(start / NOISE_BUCKET), path index), with the
+    bucket width fixed at 0.25, so reweighted atoms and probe positions
+    within one bucket reuse the same draws; this common randomness is what
+    keeps finite differences of u stable. Distinct atoms sharing a bucket
+    share draws too, which correlates their paths but does not bias
+    per-path laws for measure-free coefficients. A probe that crosses a
+    bucket edge draws independent noise.
     """
     if problem.d != 1:
         raise ValueError("the simulated functional is one-dimensional")
     if n_steps < 1 or paths_per_atom < 1:
         raise ValueError("n_steps and paths_per_atom must be positive")
-    if not 0.0 < bucket:
-        raise ValueError("bucket width must be positive")
     if paths_per_atom >= (1 << 20):
         raise ValueError("paths_per_atom exceeds the noise address space")
 
@@ -301,7 +293,7 @@ def make_unstopped_functional(
 
         p = paths_per_atom
         particles = Particles.from_measure(m, p, freeze_stopped=True)
-        idx = np.floor(particles.x[:, 0] / bucket).astype(np.int64) + (1 << 31)
+        idx = np.floor(particles.x[:, 0] / NOISE_BUCKET).astype(np.int64) + (1 << 31)
         ids = (idx.astype(np.uint64) << np.uint64(20)) | np.tile(
             np.arange(p, dtype=np.uint64), n_live
         )
@@ -334,23 +326,21 @@ class ResidualConfig:
     """Sampling plan for the stationarity residual.
 
     n_stop_maps random stop maps plus the two extremes probe the set of
-    admissible stops of m whose value stays within membership_tol of u(t,m);
-    jitter_samples position-jittered copies of m approximate the lower
-    envelope of the stop sensitivity.
+    admissible stops of m whose value stays within `MEMBERSHIP_TOL` of
+    u(t, m); `JITTER_SAMPLES` position-jittered copies of m approximate the
+    lower envelope of the stop sensitivity, each position moved by
+    `JITTER` (1 + |x|) times a standard normal. seed drives both draws, and
+    h is the spatial probe scale handed to `generator` and
+    `estimate_derivatives`.
     """
 
     n_stop_maps: int = 64
-    membership_tol: float = 1e-3
-    jitter: float = 1e-3
-    jitter_samples: int = 4
     seed: int = 0
-    bumps: BumpSizes = BumpSizes()
+    h: float = BUMP_H
 
     def __post_init__(self):
-        if self.n_stop_maps < 0 or self.jitter_samples < 0:
-            raise ValueError("sample counts must be nonnegative")
-        if self.membership_tol < 0.0 or self.jitter < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        if self.n_stop_maps < 0:
+            raise ValueError("n_stop_maps must be nonnegative")
 
 
 def _measure_key(m: EmpiricalMeasure) -> bytes:
@@ -367,7 +357,7 @@ def obstacle_residual(
     """Stationarity report for a candidate value function at (t, m).
 
     interior_term: the smallest -(generator(u) + running reward) over the
-    sampled stops m' of m that keep u(t, m') within membership_tol of
+    sampled stops m' of m that keep u(t, m') within `MEMBERSHIP_TOL` of
     u(t, m) (m itself is always a member, through the identity stop map).
     d_I_min: the smallest stop sensitivity over the survivor support, also
     minimized over position-jittered copies of m as a stand-in for the
@@ -397,10 +387,10 @@ def obstacle_residual(
         seen.add(key)
         candidates.append(m2)
 
-    kept = [m2 for m2 in candidates if float(u(t, m2)) >= base - cfg.membership_tol]
+    kept = [m2 for m2 in candidates if float(u(t, m2)) >= base - MEMBERSHIP_TOL]
 
     interior_term = float(min(
-        -(generator(u, t, m2, problem, cfg.bumps) + running_reward(problem, t, m2))
+        -(generator(u, t, m2, problem, cfg.h) + running_reward(problem, t, m2))
         for m2 in kept
     ))
 
@@ -417,11 +407,11 @@ def obstacle_residual(
         }
 
     probes = [m]
-    for _ in range(cfg.jitter_samples):
-        shift = cfg.jitter * (1.0 + np.abs(m.xs)) * rng.standard_normal(m.xs.shape)
+    for _ in range(JITTER_SAMPLES):
+        shift = JITTER * (1.0 + np.abs(m.xs)) * rng.standard_normal(m.xs.shape)
         probes.append(from_arrays(m.xs + shift, m.flags, m.ws))
     d_i_min = min(
-        float(estimate_derivatives(u, t, meas, cfg.bumps, horizon=problem.horizon).d_I.min())
+        float(estimate_derivatives(u, t, meas, cfg.h, horizon=problem.horizon).d_I.min())
         for meas in probes
     )
 

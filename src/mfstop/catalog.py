@@ -11,6 +11,7 @@ measure argument.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -303,6 +304,16 @@ class ExperimentConfig:
             raise ValueError("split_index must be an integer in 1..grid_n")
         if not isinstance(self.problem_params, dict):
             raise ValueError("problem_params must be a table of parameter values")
+        for key, value in self.problem_params.items():
+            # every catalog parameter is a real number
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or (isinstance(value, float) and not math.isfinite(value))
+            ):
+                raise ValueError(
+                    f"problem_params '{key}' must be a finite number, got {value!r}"
+                )
 
     def as_dict(self) -> dict:
         return {

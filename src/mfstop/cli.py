@@ -33,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .calculus import BumpSizes, ResidualConfig, make_unstopped_functional, obstacle_residual
+from .calculus import BUMP_H, ResidualConfig, make_unstopped_functional, obstacle_residual
 from .catalog import ExperimentConfig, build_instance, load_experiment_config
 from .dynamics import TimeGrid
 from .measures import measure_from_csv, measure_to_csv
@@ -247,16 +247,16 @@ def _cmd_residual(args) -> int:
         pde = standard_os_pde(problem, inst.psi, inst.pde_cfg)
         u = lambda tt, mm: aggregate_value(mm, pde, inst.psi, t=tt)
         # the surface is piecewise linear in x, so probes must span a few cells
-        bumps = BumpSizes(h=0.04)
+        h = 0.04
         route = "aggregate"
     else:
         u = make_unstopped_functional(
             problem, paths_per_atom=cfg.paths_per_atom * 10, seed=cfg.seed
         )
-        bumps = BumpSizes()
+        h = BUMP_H
         route = "simulated"
 
-    rcfg = ResidualConfig(n_stop_maps=cfg.trials, seed=cfg.seed, bumps=bumps)
+    rcfg = ResidualConfig(n_stop_maps=cfg.trials, seed=cfg.seed, h=h)
     report = obstacle_residual(u, t, m, problem, rcfg)
     body = {"problem": cfg.problem, "route": route, "t": t, "n_atoms": m.n_atoms, **report}
     _emit_json(args, "residual.json", _envelope("residual", cfg, t0, body))

@@ -32,7 +32,6 @@ __all__ = [
     "apply_stop",
     "preceq_density",
     "wasserstein",
-    "surviving_mass",
     "measure_to_csv",
     "measure_from_csv",
 ]
@@ -216,11 +215,6 @@ def from_arrays(xs, flags, ws) -> EmpiricalMeasure:
     return _build(xs, flags, ws)
 
 
-def surviving_mass(m: EmpiricalMeasure) -> float:
-    """Total weight carried by flag-1 atoms; in [0, 1]."""
-    return m.surviving_mass()
-
-
 # ---------------------------------------------------------------------------
 # stop maps and the stopping order
 # ---------------------------------------------------------------------------
@@ -387,21 +381,17 @@ def preceq_density(
 # ---------------------------------------------------------------------------
 
 
-def _ground_cost(m1: EmpiricalMeasure, m2: EmpiricalMeasure, flag_weight: float) -> np.ndarray:
+def _ground_cost(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> np.ndarray:
     dx = m1.xs[:, None, :] - m2.xs[None, :, :]
     di = m1.flags[:, None].astype(float) - m2.flags[None, :].astype(float)
-    return np.sqrt((dx**2).sum(axis=2) + (flag_weight * di) ** 2)
+    return np.sqrt((dx**2).sum(axis=2) + di**2)
 
 
-def wasserstein(
-    m1: EmpiricalMeasure,
-    m2: EmpiricalMeasure,
-    order: int = 2,
-    flag_weight: float = 1.0,
-) -> float:
+def wasserstein(m1: EmpiricalMeasure, m2: EmpiricalMeasure, order: int = 2) -> float:
     """Exact transport distance between two atom measures.
 
-    Ground metric sqrt(|x-x'|^2 + flag_weight^2 |i-i'|^2); the returned value
+    Ground metric sqrt(|x-x'|^2 + |i-i'|^2), the module's metric on
+    R^d x {0,1}, so moving mass across flags costs 1; the returned value
     is (min plan cost)^(1/order) with order 1 or 2. Uses the classical
     sorted-pairing rule when both measures sit on one common flag class in
     d=1 with equal uniform weights, a dense LP (exact vertex solution)
@@ -434,7 +424,7 @@ def wasserstein(
         raise ValueError(
             f"transport problem too large for the exact solver ({n1} x {n2} atoms)"
         )
-    cost = _ground_cost(m1, m2, flag_weight) ** order
+    cost = _ground_cost(m1, m2) ** order
     from scipy.optimize import linprog
     from scipy.sparse import coo_matrix
 
@@ -478,12 +468,14 @@ def measure_to_csv(m: EmpiricalMeasure, path_or_buf) -> None:
 
 
 def measure_from_csv(path_or_buf) -> EmpiricalMeasure:
-    """Read a measure written by `measure_to_csv`."""
+    """Read a measure written by `measure_to_csv`; malformed files raise ValueError."""
     if isinstance(path_or_buf, (str, bytes)):
         with open(path_or_buf, "r", encoding="utf-8", newline="") as fh:
             return measure_from_csv(io.StringIO(fh.read()))
     reader = csv.reader(path_or_buf)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("measure CSV is empty")
     if len(header) < 3 or header[-2:] != ["i", "w"]:
         raise ValueError("measure CSV must end with columns i,w")
     d = len(header) - 2
@@ -493,7 +485,13 @@ def measure_from_csv(path_or_buf) -> EmpiricalMeasure:
     for row in reader:
         if not row:
             continue
+        if len(row) != d + 2:
+            raise ValueError(
+                f"measure CSV line {reader.line_num} has {len(row)} fields, expected {d + 2}"
+            )
         xs.append([float(v) for v in row[:d]])
         flags.append(int(row[d]))
         ws.append(float(row[d + 1]))
+    if not ws:
+        raise ValueError("measure CSV has no atoms")
     return _build(np.array(xs), np.array(flags), np.array(ws))

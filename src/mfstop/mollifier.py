@@ -38,6 +38,9 @@ __all__ = [
     "monotonicity_probe",
 ]
 
+# Sharpness of the bump exp(-BUMP_SHARPNESS / t(1-t)) whose integral is `smoothstep`.
+BUMP_SHARPNESS = 0.1
+
 
 @dataclass(frozen=True)
 class MollifierParams:
@@ -50,15 +53,12 @@ class MollifierParams:
 
     n: int
     z_samples: int = 256
-    bump_sharpness: float = 0.1
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("resolution n must be at least 2")
         if self.z_samples < 1:
             raise ValueError("z_samples must be positive")
-        if self.bump_sharpness <= 0:
-            raise ValueError("bump_sharpness must be positive")
 
     @property
     def j_max(self) -> int:
@@ -69,16 +69,16 @@ class MollifierParams:
         return 4 * self.n * self.n + 1
 
 
-@lru_cache(maxsize=8)
-def _smoothstep_table(beta: float) -> tuple:
-    # cumulative integral of the standard bump exp(-beta / t(1-t)); the top
-    # half is mirrored from the bottom so s(t) + s(1-t) = 1 holds exactly,
-    # which partition_weights relies on for its exact mass identity
+@lru_cache(maxsize=1)
+def _smoothstep_table() -> tuple:
+    # cumulative integral of the bump exp(-BUMP_SHARPNESS / t(1-t)); the
+    # top half is mirrored from the bottom so s(t) + s(1-t) = 1 holds
+    # exactly, which partition_weights relies on for its exact mass identity
     half = 2048
     ts = np.linspace(0.0, 1.0, 2 * half + 1)
     interior = ts[1:-1]
     rho = np.zeros_like(ts)
-    rho[1:-1] = np.exp(-beta / (interior * (1.0 - interior)))
+    rho[1:-1] = np.exp(-BUMP_SHARPNESS / (interior * (1.0 - interior)))
     cum = np.concatenate([[0.0], np.cumsum((rho[1:] + rho[:-1]) * 0.5 * (ts[1] - ts[0]))])
     s = cum / cum[-1]
     s[half + 1 :] = 1.0 - s[half - 1 :: -1]
@@ -86,9 +86,9 @@ def _smoothstep_table(beta: float) -> tuple:
     return ts, s
 
 
-def smoothstep(t, beta: float = 0.1):
+def smoothstep(t):
     """C-infinity ramp from 0 at t<=0 to 1 at t>=1 with vanishing end slopes."""
-    ts, s = _smoothstep_table(float(beta))
+    ts, s = _smoothstep_table()
     return np.interp(np.clip(t, 0.0, 1.0), ts, s)
 
 
@@ -100,7 +100,7 @@ def cutoff(x, params: MollifierParams):
     """
     a = np.abs(np.asarray(x, dtype=float))
     n = params.n
-    return 1.0 - smoothstep((a - n) / (n / 2.0), params.bump_sharpness)
+    return 1.0 - smoothstep((a - n) / (n / 2.0))
 
 
 def partition_weights(xs, ws, params: MollifierParams) -> np.ndarray:
@@ -125,7 +125,7 @@ def partition_weights(xs, ws, params: MollifierParams) -> np.ndarray:
         xi = xs[inside]
         j0 = np.floor(n * xi).astype(int)
         theta = n * xi - j0
-        s = smoothstep(theta, params.bump_sharpness)
+        s = smoothstep(theta)
         np.add.at(out, j0 + off, carried[inside] * (1.0 - s))
         np.add.at(out, j0 + 1 + off, carried[inside] * s)
     out[off] += float(ws @ (1.0 - h))

@@ -48,6 +48,9 @@ __all__ = [
 
 BOOTSTRAP_RESAMPLES = 200
 
+# `terminal_stop_sup` enumerates 2^k pure stops, so it refuses more survivors.
+MAX_EXACT_SURVIVORS = 16
+
 
 @dataclass(frozen=True)
 class ValueEstimate:
@@ -252,10 +255,6 @@ def evaluate_policy_detailed(
 # ---------------------------------------------------------------------------
 
 
-def _stop_map_for_sites(sites: np.ndarray, p: np.ndarray) -> StopMap:
-    return StopMap.site_lookup(sites, p, default=1.0)
-
-
 def _coordinate_refine(
     m: EmpiricalMeasure,
     functional: Callable[[EmpiricalMeasure], float],
@@ -266,7 +265,7 @@ def _coordinate_refine(
 ) -> tuple[float, np.ndarray]:
     """Per-site line searches of the survival fractions, a few sweeps."""
     p = p0.astype(float).copy()
-    best = functional(apply_stop(m, _stop_map_for_sites(sites, p)))
+    best = functional(apply_stop(m, StopMap.site_lookup(sites, p)))
     candidates = np.linspace(0.0, 1.0, grid_points)
     for _ in range(rounds):
         improved = False
@@ -275,7 +274,7 @@ def _coordinate_refine(
             vals = []
             for c in candidates:
                 trial[j] = c
-                vals.append(functional(apply_stop(m, _stop_map_for_sites(sites, trial))))
+                vals.append(functional(apply_stop(m, StopMap.site_lookup(sites, trial))))
             jbest = int(np.argmax(vals))
             if vals[jbest] > best + 1e-15:
                 best = vals[jbest]
@@ -289,17 +288,14 @@ def _coordinate_refine(
 def terminal_stop_sup(
     m: EmpiricalMeasure,
     functional: Callable[[EmpiricalMeasure], float],
-    mode: str = "exact",
-    max_exact: int = 16,
-    seed: int = 0,
 ) -> tuple[float, StopMap]:
     """Maximize functional(apply_stop(m, p)) over survival maps p.
 
-    mode='exact' enumerates every pure {0,1} assignment over the surviving
-    sites (at most `max_exact` of them) and then polishes the best corner
-    with fractional per-site line searches; mode='search' replaces the
-    enumeration with family sweeps (constant fractions, thresholds) before
-    the same polish. Returns (best value, best map).
+    Enumerates every pure {0,1} assignment over the surviving sites (at most
+    `MAX_EXACT_SURVIVORS` of them, else ValueError), then polishes the best
+    corner with fractional per-site line searches. Ties between corners go
+    to the one that stops least. Returns (best value, best map), the map a
+    `StopMap.site_lookup` over the surviving sites.
 
     For a functional that only reads the spatial marginal this is flat in p
     and returns the functional's current value with the identity map.
@@ -310,41 +306,20 @@ def terminal_stop_sup(
         return float(functional(m)), StopMap.constant(1.0)
 
     sites = xs_live
-    if mode == "exact":
-        if k > max_exact:
-            raise ValueError(f"exact mode supports at most {max_exact} survivors, got {k}")
-        best_val = -np.inf
-        best_p = np.ones(k)
-        for mask in range(1 << k):
-            p = np.array([(mask >> j) & 1 for j in range(k)], dtype=float)
-            val = functional(apply_stop(m, _stop_map_for_sites(sites, p)))
-            if val > best_val + 1e-15 or (
-                abs(val - best_val) <= 1e-15 and p.sum() > best_p.sum()
-            ):
-                best_val, best_p = val, p
-    elif mode == "search":
-        rng = rng_for(seed, "terminal-search")
-        candidates = [np.ones(k), np.zeros(k)]
-        for c in np.linspace(0.0, 1.0, 9):
-            candidates.append(np.full(k, c))
-        order = np.argsort(sites[:, 0])
-        for cut in range(k + 1):
-            p = np.ones(k)
-            p[order[:cut]] = 0.0  # stop the lowest `cut` sites
-            candidates.append(p)
-            candidates.append(1.0 - p)
-        for _ in range(16):
-            candidates.append(rng.uniform(0, 1, size=k))
-        vals = [
-            functional(apply_stop(m, _stop_map_for_sites(sites, p))) for p in candidates
-        ]
-        jbest = int(np.argmax(vals))
-        best_val, best_p = vals[jbest], candidates[jbest]
-    else:
-        raise ValueError("mode must be 'exact' or 'search'")
+    if k > MAX_EXACT_SURVIVORS:
+        raise ValueError(f"at most {MAX_EXACT_SURVIVORS} survivors are supported, got {k}")
+    best_val = -np.inf
+    best_p = np.ones(k)
+    for mask in range(1 << k):
+        p = np.array([(mask >> j) & 1 for j in range(k)], dtype=float)
+        val = functional(apply_stop(m, StopMap.site_lookup(sites, p)))
+        if val > best_val + 1e-15 or (
+            abs(val - best_val) <= 1e-15 and p.sum() > best_p.sum()
+        ):
+            best_val, best_p = val, p
 
     best_val, best_p = _coordinate_refine(m, functional, sites, best_p)
-    return float(best_val), _stop_map_for_sites(sites, best_p)
+    return float(best_val), StopMap.site_lookup(sites, best_p)
 
 
 # ---------------------------------------------------------------------------

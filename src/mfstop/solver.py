@@ -1,12 +1,13 @@
 """Value computation by forward policy search, with exact small-case oracles.
 
-`solve_value` maximizes the stopped objective over parametric policy
-families: a coarse sweep with one shared parameter across nodes, then
-per-node coordinate descent with shrinking brackets. All candidate
-evaluations, and the final bootstrap evaluation of the winner, share one
-noise object (`policy.policy_noise`): each node's noise is drawn once per
-solve, it is common across policies by construction, and comparisons are
-far less noisy than the individual values.
+`solve_value` maximizes the stopped objective over two parametric policy
+families, constant fractions and thresholds: a coarse sweep with one shared
+parameter across nodes, then per-node coordinate descent with shrinking
+brackets. All candidate evaluations, and the final bootstrap evaluation of
+the winner, share one noise object (`policy.policy_noise`): each node's
+noise is drawn once per solve, it is common across policies by
+construction, and comparisons are far less noisy than the individual
+values.
 
 The state of the dynamic program is a measure, so no backward recursion over
 a finite state space is available in general. For deterministic dynamics
@@ -46,25 +47,22 @@ __all__ = [
     "MonotonicityReport",
 ]
 
+# Cap on stop-time assignments for the deterministic enumeration.
+ENUM_BUDGET = 6561
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the policy search.
 
-    families : which parametric families the coarse sweep covers.
     tol : absolute improvement below which a refinement round stops.
-    enum_budget : cap on assignments for the deterministic enumeration;
-        zero disables it.
     threads : must be 1; kept so that existing callers keep working.
     """
 
-    families: tuple = ("threshold", "constant")
     paths_per_atom: int = 200
     coarse_points: int = 9
     refine_rounds: int = 3
     tol: float = 1e-3
-    resamples: int = 200
-    enum_budget: int = 6561
     restart_paths: int = 8
     threads: int = 1
 
@@ -158,11 +156,10 @@ def _coarse_candidates(problem, m0, grid, cfg, start_node) -> list:
     stop_first[start_node] = StopMap.constant(0.0)
     cands.append(Policy(tuple(stop_first), "constant"))
 
-    if "constant" in cfg.families:
-        for c in np.linspace(0.0, 1.0, 5)[1:-1]:
-            cands.append(Policy(tuple(fill(lambda k, c=c: StopMap.constant(c))), "constant"))
+    for c in np.linspace(0.0, 1.0, 5)[1:-1]:
+        cands.append(Policy(tuple(fill(lambda k, c=c: StopMap.constant(c))), "constant"))
 
-    if "threshold" in cfg.families and problem.d == 1:
+    if problem.d == 1:
         xs, _ = m0.survivors()
         if xs.shape[0]:
             scale = _sigma_scale(problem, m0) * np.sqrt(problem.horizon)
@@ -210,19 +207,20 @@ def solve_value(
     seed: int = 0,
     start_node: int = 0,
 ) -> SolveResult:
-    """Best objective over the configured policy families.
+    """Best objective over the constant and threshold policy families.
 
     The returned value is a sampled lower bound on the grid-time value (up
     to MC error): it is the max the search saw, and every evaluated policy's
     value is a true objective. Near-optimal ties go to the policy that stops
     least (largest average survivor mass). A final pass re-evaluates the
-    winner with bootstrap resamples to attach the standard error.
+    winner with `policy.BOOTSTRAP_RESAMPLES` bootstrap resamples to attach
+    the standard error.
     """
     cfg = search_cfg or SearchConfig()
     searcher = _Searcher(m0, problem, grid, cfg, seed, start_node)
 
     candidates = _coarse_candidates(problem, m0, grid, cfg, start_node)
-    enum_policy = _enumeration_candidate(m0, problem, grid, cfg, start_node)
+    enum_policy = _enumeration_candidate(m0, problem, grid, start_node)
     if enum_policy is not None:
         candidates.append(enum_policy)
     best = max(candidates, key=searcher.value)
@@ -264,7 +262,6 @@ def solve_value(
         cfg.paths_per_atom,
         seed,
         start_node=start_node,
-        resamples=cfg.resamples,
         noise=searcher.noise,
     )
     return SolveResult(
@@ -300,7 +297,7 @@ def backward_enumeration(
     problem: Problem,
     grid: TimeGrid,
     start_node: int = 0,
-    enum_budget: int = 6561,
+    enum_budget: int = ENUM_BUDGET,
 ) -> EnumerationResult:
     """Exact value for sigma == 0 by trying every per-atom stop assignment.
 
@@ -358,14 +355,11 @@ def _enumeration_candidate(
     m0: EmpiricalMeasure,
     problem: Problem,
     grid: TimeGrid,
-    cfg: SearchConfig,
     start_node: int,
 ) -> Optional[Policy]:
     """Exact-enumeration policy when the instance is tiny and deterministic."""
-    if cfg.enum_budget <= 0:
-        return None
     try:
-        result = backward_enumeration(m0, problem, grid, start_node, cfg.enum_budget)
+        result = backward_enumeration(m0, problem, grid, start_node)
     except ValueError:
         return None
     return _assignment_to_policy(result, grid, start_node)
@@ -453,7 +447,7 @@ def verify_dpp(
         raise ValueError("split index must satisfy 0 < s <= n")
 
     if mode == "exact":
-        return _verify_dpp_exact(m0, problem, grid, s, cfg)
+        return _verify_dpp_exact(m0, problem, grid, s)
     if mode != "search":
         raise ValueError("mode must be 'search' or 'exact'")
 
@@ -494,9 +488,9 @@ def verify_dpp(
     )
 
 
-def _verify_dpp_exact(m0, problem, grid, s, cfg) -> DppReport:
+def _verify_dpp_exact(m0, problem, grid, s) -> DppReport:
     """Enumerated two-sided check for deterministic dynamics."""
-    lhs = backward_enumeration(m0, problem, grid, 0, cfg.enum_budget).value
+    lhs = backward_enumeration(m0, problem, grid, 0).value
 
     k = m0.survivors()[1].shape[0]
     best_rhs = -np.inf
@@ -509,7 +503,7 @@ def _verify_dpp_exact(m0, problem, grid, s, cfg) -> DppReport:
             pts, wts = snapshot.x_marginal()
             cont = float(problem.g(pts, wts))
         else:
-            cont = backward_enumeration(snapshot, problem, grid, s, cfg.enum_budget).value
+            cont = backward_enumeration(snapshot, problem, grid, s).value
         best_rhs = max(best_rhs, reward + cont)
 
     return DppReport(

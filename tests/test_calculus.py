@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mfstop.calculus import (
-    BumpSizes,
     ResidualConfig,
     estimate_derivatives,
     generator,
@@ -211,14 +210,14 @@ def _put_setup():
 # the aggregate u interpolates a PDE surface with cell width 0.025, so the
 # spatial probes must straddle several cells for second differences to see
 # the surface rather than the interpolation
-PDE_BUMPS = BumpSizes(h=0.04)
+PDE_H = 0.04
 
 
 def test_residual_in_the_continuation_region():
     inst, u = _put_setup()
     m = make_empirical([(1.2, 1), (1.5, 1)], [0.5, 0.5])
     rep = obstacle_residual(
-        u, 0.5, m, inst.problem, ResidualConfig(seed=1, bumps=PDE_BUMPS)
+        u, 0.5, m, inst.problem, ResidualConfig(seed=1, h=PDE_H)
     )
     assert not rep["empty_survivors"]
     assert rep["d_I_min"] > 5e-2
@@ -230,7 +229,7 @@ def test_residual_flags_the_exercise_like_region():
     inst, u = _put_setup()
     m = make_empirical([(-2.0, 1)])
     rep = obstacle_residual(
-        u, 0.5, m, inst.problem, ResidualConfig(seed=2, bumps=PDE_BUMPS)
+        u, 0.5, m, inst.problem, ResidualConfig(seed=2, h=PDE_H)
     )
     assert rep["d_I_min"] <= 1e-3
     assert rep["residual"] <= rep["d_I_min"] + 1e-12
@@ -242,7 +241,7 @@ def test_residual_terminal_layer_has_no_stop_improvement():
     m = make_empirical([(0.6, 1), (1.3, 1), (0.9, 0)], [0.4, 0.4, 0.2])
     rep = obstacle_residual(
         u, inst.problem.horizon, m, inst.problem,
-        ResidualConfig(seed=3, bumps=PDE_BUMPS),
+        ResidualConfig(seed=3, h=PDE_H),
     )
     assert rep["d_I_min"] >= -1e-9
 
@@ -251,7 +250,7 @@ def test_residual_with_no_survivors_reports_interior_only():
     inst, u = _put_setup()
     m = make_empirical([(0.7, 0), (1.2, 0)], [0.5, 0.5])
     rep = obstacle_residual(
-        u, 0.5, m, inst.problem, ResidualConfig(seed=4, bumps=PDE_BUMPS)
+        u, 0.5, m, inst.problem, ResidualConfig(seed=4, h=PDE_H)
     )
     assert rep["empty_survivors"]
     assert rep["d_I_min"] is None
@@ -263,22 +262,18 @@ def test_residual_with_no_survivors_reports_interior_only():
 def test_residual_report_is_deterministic():
     inst, u = _put_setup()
     m = make_empirical([(0.9, 1), (1.4, 1)], [0.6, 0.4])
-    cfg = ResidualConfig(seed=7, bumps=PDE_BUMPS, n_stop_maps=16)
+    cfg = ResidualConfig(seed=7, h=PDE_H, n_stop_maps=16)
     assert obstacle_residual(u, 0.3, m, inst.problem, cfg) == obstacle_residual(
         u, 0.3, m, inst.problem, cfg
     )
 
 
 def test_bump_and_config_validation():
-    with pytest.raises(ValueError):
-        BumpSizes(eps=0.6)
-    with pytest.raises(ValueError):
-        BumpSizes(h=0.0)
+    u = lambda t, m: 0.0
+    with pytest.raises(ValueError, match="h must be positive"):
+        estimate_derivatives(u, 0.0, M3, h=0.0)
     with pytest.raises(ValueError):
         ResidualConfig(n_stop_maps=-1)
-    with pytest.raises(ValueError):
-        ResidualConfig(membership_tol=-0.1)
-    u = lambda t, m: 0.0
     with pytest.raises(ValueError, match="flag"):
         linear_derivative(u, 0.0, M3, (0.5, 2))
     with pytest.raises(ValueError, match="eps"):

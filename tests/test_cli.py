@@ -111,6 +111,23 @@ def test_non_integer_split_index_exits_2(tmp_path, capsys, monkeypatch, split_in
     assert "split_index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty"),
+        ("x0,i,w\n", "no atoms"),
+        ("x0,i,w\n0.5,1\n", "line 2 has 2 fields"),
+        ("x0,i,w\n0.5,1,1.0,7\n", "line 2 has 4 fields"),
+    ],
+    ids=["empty", "header-only", "short-row", "long-row"],
+)
+def test_malformed_measure_csv_exits_2(tmp_path, capsys, text, message):
+    measure = tmp_path / "m.csv"
+    measure.write_text(text)
+    assert cli.main(["mollify", "--config", _write_config(tmp_path), "--measure", str(measure)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_noise_cap_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
     import mfstop.rng
 

@@ -19,7 +19,6 @@ from mfstop.measures import (
     measure_from_csv,
     measure_to_csv,
     preceq_density,
-    surviving_mass,
     wasserstein,
 )
 
@@ -93,7 +92,7 @@ def test_apply_stop_full_stop_preserves_marginal():
     rng = np.random.default_rng(1)
     m = _random_measure(rng)
     m2 = apply_stop(m, StopMap.constant(0.0))
-    assert surviving_mass(m2) == 0.0
+    assert m2.surviving_mass() == 0.0
     x1, w1 = m.x_marginal()
     x2, w2 = m2.x_marginal()
     assert np.allclose(x1, x2)
@@ -135,8 +134,8 @@ def test_apply_stop_composition():
 def test_surviving_mass_halving():
     rng = np.random.default_rng(4)
     m = _random_measure(rng)
-    before = surviving_mass(m)
-    after = surviving_mass(apply_stop(m, StopMap.constant(0.5)))
+    before = m.surviving_mass()
+    after = apply_stop(m, StopMap.constant(0.5)).surviving_mass()
     assert after == pytest.approx(before / 2, abs=1e-14)
 
 
@@ -185,7 +184,7 @@ def test_preceq_antisymmetry_at_equal_survivor_mass():
     m = _random_measure(rng, n_atoms=5)
     rec = preceq_density(m, m)
     m_back = apply_stop(m, rec)
-    assert surviving_mass(m_back) == pytest.approx(surviving_mass(m), abs=1e-14)
+    assert m_back.surviving_mass() == pytest.approx(m.surviving_mass(), abs=1e-14)
     assert m_back.allclose(m)
 
 

@@ -204,7 +204,7 @@ def marginal_mean(m):
 
 def test_terminal_sup_is_flat_for_marginal_functionals():
     m = make_empirical([(0.0, 1), (1.0, 1), (2.0, 0)], [0.3, 0.3, 0.4])
-    val, smap = terminal_stop_sup(m, marginal_mean, mode="exact")
+    val, smap = terminal_stop_sup(m, marginal_mean)
     assert val == pytest.approx(marginal_mean(m), abs=1e-12)
 
 
@@ -227,9 +227,8 @@ def test_terminal_sup_linear_functional_matches_sitewise_closed_form():
         np.maximum(np.sin(3 * xa[:, 0]), np.cos(2 * xa[:, 0])) @ wa
         + np.cos(2 * xsp[:, 0]) @ wsp
     )
-    for mode in ("exact", "search"):
-        val, smap = terminal_stop_sup(m, G, mode=mode, seed=1)
-        assert val == pytest.approx(closed, abs=1e-12)
+    val, smap = terminal_stop_sup(m, G)
+    assert val == pytest.approx(closed, abs=1e-12)
 
 
 def test_terminal_sup_fractional_beats_every_corner():
@@ -239,7 +238,7 @@ def test_terminal_sup_fractional_beats_every_corner():
     def G(meas):
         return meas.surviving_mass() * (meas.total_mass() - meas.surviving_mass())
 
-    val, smap = terminal_stop_sup(m, G, mode="exact")
+    val, smap = terminal_stop_sup(m, G)
     assert val == pytest.approx(0.25, abs=1e-12)
     assert smap(np.array([[0.7]]))[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -247,12 +246,12 @@ def test_terminal_sup_fractional_beats_every_corner():
 def test_terminal_sup_rejects_oversized_enumeration():
     m = make_empirical([(float(k), 1) for k in range(17)])
     with pytest.raises(ValueError):
-        terminal_stop_sup(m, marginal_mean, mode="exact")
+        terminal_stop_sup(m, marginal_mean)
 
 
 def test_terminal_sup_on_fully_stopped_measure():
     m = make_empirical([(1.0, 0), (2.0, 0)], [0.5, 0.5])
-    val, smap = terminal_stop_sup(m, marginal_mean, mode="exact")
+    val, smap = terminal_stop_sup(m, marginal_mean)
     assert val == pytest.approx(1.5, abs=1e-15)
 
 
