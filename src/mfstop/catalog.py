@@ -11,7 +11,7 @@ measure argument.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -309,7 +309,8 @@ class ExperimentConfig:
             if (
                 not isinstance(value, (int, float))
                 or isinstance(value, bool)
-                or (isinstance(value, float) and not math.isfinite(value))
+                # also rejects nan, inf and ints too large for a float
+                or not abs(value) <= sys.float_info.max
             ):
                 raise ValueError(
                     f"problem_params '{key}' must be a finite number, got {value!r}"

@@ -492,6 +492,4 @@ def measure_from_csv(path_or_buf) -> EmpiricalMeasure:
         xs.append([float(v) for v in row[:d]])
         flags.append(int(row[d]))
         ws.append(float(row[d + 1]))
-    if not ws:
-        raise ValueError("measure CSV has no atoms")
     return _build(np.array(xs), np.array(flags), np.array(ws))

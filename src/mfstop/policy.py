@@ -216,7 +216,6 @@ def evaluate_policy(
     paths_per_atom: int,
     seed: int,
     start_node: int = 0,
-    resamples: int = BOOTSTRAP_RESAMPLES,
     noise: Optional[Noise] = None,
 ) -> ValueEstimate:
     """Estimate the objective of one policy.
@@ -227,7 +226,7 @@ def evaluate_policy(
     `run_policy`.
     """
     run = run_policy(m0, problem, grid, pol.maps, paths_per_atom, seed, start_node, noise=noise)
-    return run.estimate(seed, resamples)
+    return run.estimate(seed, BOOTSTRAP_RESAMPLES)
 
 
 def evaluate_policy_detailed(
@@ -238,7 +237,6 @@ def evaluate_policy_detailed(
     paths_per_atom: int,
     seed: int,
     start_node: int = 0,
-    resamples: int = BOOTSTRAP_RESAMPLES,
 ) -> tuple[ValueEstimate, dict]:
     """evaluate_policy plus search diagnostics (survivor-mass trace)."""
     run = run_policy(m0, problem, grid, pol.maps, paths_per_atom, seed, start_node)
@@ -247,7 +245,7 @@ def evaluate_policy_detailed(
         "terminal_snapshot": run.particles.snapshot(),
         "n_pool_atoms": sum(len(w) for w in run.particles.pool_w),
     }
-    return run.estimate(seed, resamples), diag
+    return run.estimate(seed, BOOTSTRAP_RESAMPLES), diag
 
 
 # ---------------------------------------------------------------------------

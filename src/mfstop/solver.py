@@ -297,7 +297,6 @@ def backward_enumeration(
     problem: Problem,
     grid: TimeGrid,
     start_node: int = 0,
-    enum_budget: int = ENUM_BUDGET,
 ) -> EnumerationResult:
     """Exact value for sigma == 0 by trying every per-atom stop assignment.
 
@@ -305,15 +304,15 @@ def backward_enumeration(
     'never'; the deterministic flow is replayed for every assignment (the
     coefficients may read the measure, so atoms are coupled and no
     factorization is attempted). Intended for tiny instances; raises when
-    the assignment count exceeds `enum_budget`.
+    the assignment count exceeds `ENUM_BUDGET`.
     """
     _require_deterministic(problem, m0)
     k = m0.survivors()[1].shape[0]
     n = grid.n
     choices = (n - start_node) + 1
-    if choices**k > enum_budget:
+    if choices**k > ENUM_BUDGET:
         raise ValueError(
-            f"enumeration over {choices}^{k} assignments exceeds the budget {enum_budget}"
+            f"enumeration over {choices}^{k} assignments exceeds the budget {ENUM_BUDGET}"
         )
     best: Optional[EnumerationResult] = None
     for raw in itertools.product(range(choices), repeat=k):

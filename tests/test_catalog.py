@@ -95,7 +95,7 @@ def test_experiment_config_validation():
         ExperimentConfig(problem="shortfall", seed=0, mollifier_n=1)
     with pytest.raises(ValueError, match="problem_params"):
         ExperimentConfig(problem="shortfall", seed=0, problem_params=[1])
-    for bad in ([1], "0.9", None, True, float("nan"), float("inf")):
+    for bad in ([1], "0.9", None, True, float("nan"), float("inf"), 10**400, -(10**400)):
         with pytest.raises(ValueError, match="problem_params 'alpha' must be a finite number"):
             ExperimentConfig(problem="shortfall", seed=0, problem_params={"alpha": bad})
     assert ExperimentConfig(problem="mean_variance", seed=0, problem_params={"lam": 2}).instance()

@@ -115,11 +115,10 @@ def test_non_integer_split_index_exits_2(tmp_path, capsys, monkeypatch, split_in
     "text,message",
     [
         ("", "empty"),
-        ("x0,i,w\n", "no atoms"),
         ("x0,i,w\n0.5,1\n", "line 2 has 2 fields"),
         ("x0,i,w\n0.5,1,1.0,7\n", "line 2 has 4 fields"),
     ],
-    ids=["empty", "header-only", "short-row", "long-row"],
+    ids=["empty", "short-row", "long-row"],
 )
 def test_malformed_measure_csv_exits_2(tmp_path, capsys, text, message):
     measure = tmp_path / "m.csv"

@@ -70,7 +70,7 @@ def test_enumeration_requires_zero_volatility():
 def test_enumeration_budget_guard():
     m = make_empirical([(float(k) / 10, 1) for k in range(9)])
     with pytest.raises(ValueError, match="budget"):
-        backward_enumeration(m, hump_problem(), TimeGrid(8, 1.0), enum_budget=100)
+        backward_enumeration(m, hump_problem(), TimeGrid(8, 1.0))
 
 
 def test_solver_reproduces_enumeration_on_deterministic_instance():
