@@ -14,7 +14,6 @@ from .measures import (
     StopMap,
     apply_stop,
     make_empirical,
-    preceq_density,
     wasserstein,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "StopMap",
     "apply_stop",
     "make_empirical",
-    "preceq_density",
     "wasserstein",
     "__version__",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -87,9 +87,8 @@ def coefficient_field(name: str, **params) -> tuple[Callable, bool]:
 class BenchmarkInstance:
     """One fully wired stopping problem with its reduction ingredients.
 
-    psi / phi / pde_cfg are None when the instance has no one-particle
-    payoff, no distortion, or no valid single-particle reduction (the
-    measure-dependent drift case).
+    psi / pde_cfg are None when the instance has no one-particle payoff or
+    no valid single-particle reduction (the measure-dependent drift case).
     """
 
     name: str
@@ -97,7 +96,6 @@ class BenchmarkInstance:
     m0: EmpiricalMeasure
     psi: Optional[Callable] = None
     pde_cfg: Optional[PdeConfig] = None
-    phi: Optional[Callable] = None
     params: dict = field(default_factory=dict)
 
 
@@ -198,8 +196,7 @@ def _distortion(exponent: float = 0.7) -> BenchmarkInstance:
     problem = Problem(d=1, b=b, sigma=s, f=None, g=g, horizon=2.0)
     m0 = make_empirical([(0.6, 1), (1.0, 1), (1.6, 1)], [0.4, 0.35, 0.25])
     return BenchmarkInstance(
-        name="distortion", problem=problem, m0=m0, psi=psi, phi=phi,
-        params={"exponent": exponent},
+        name="distortion", problem=problem, m0=m0, psi=psi, params={"exponent": exponent}
     )
 
 
@@ -245,20 +242,6 @@ def build_instance(name: str, **params) -> BenchmarkInstance:
 # experiment configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = {
-    "problem",
-    "seed",
-    "grid_n",
-    "paths_per_atom",
-    "threads",
-    "split_index",
-    "trials",
-    "mollifier_n",
-    "z_samples",
-    "problem_params",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one run; every count is explicit.
@@ -280,7 +263,7 @@ class ExperimentConfig:
     problem_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.problem not in _INSTANCES:
+        if not isinstance(self.problem, str) or self.problem not in _INSTANCES:
             raise ValueError(
                 f"unknown problem '{self.problem}'; known problems: "
                 f"{', '.join(instance_names())}"
@@ -317,21 +300,13 @@ class ExperimentConfig:
                 )
 
     def as_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "seed": self.seed,
-            "grid_n": self.grid_n,
-            "paths_per_atom": self.paths_per_atom,
-            "threads": self.threads,
-            "split_index": self.split_index,
-            "trials": self.trials,
-            "mollifier_n": self.mollifier_n,
-            "z_samples": self.z_samples,
-            "problem_params": dict(self.problem_params),
-        }
+        return asdict(self)
 
     def instance(self) -> BenchmarkInstance:
         return build_instance(self.problem, **self.problem_params)
+
+
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

@@ -28,7 +28,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -224,7 +224,7 @@ def _cmd_verify_dpp(args) -> int:
     split = cfg.split_index if cfg.split_index is not None else max(1, cfg.grid_n // 2)
     scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom)
     report = verify_dpp(inst.m0, inst.problem, grid, split, scfg, seed=cfg.seed)
-    body = {"problem": cfg.problem, **report.to_dict()}
+    body = {"problem": cfg.problem, **asdict(report)}
     body["within_three_stderr"] = bool(
         abs(report.residual) <= 3.0 * report.combined_stderr + 1e-12
     )
@@ -393,16 +393,7 @@ def _cmd_acceptance(args) -> int:
     body = {
         "n_criteria": len(results),
         "n_passed": sum(r.passed for r in results),
-        "criteria": [
-            {
-                "index": r.index,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "runtime_ms": r.runtime_ms,
-            }
-            for r in results
-        ],
+        "criteria": [asdict(r) for r in results],
     }
     if args.out is not None:
         cfg = ExperimentConfig(problem="standard_put", seed=0)

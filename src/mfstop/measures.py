@@ -5,8 +5,7 @@ flag, weight. Flag 1 means the particle is still running, flag 0 that it has
 been stopped and its position frozen. The key order-theoretic operation is
 `apply_stop`, which converts a fraction of surviving mass into stopped mass
 at the same positions; `m' = apply_stop(m, p)` is exactly the relation
-"m' arises from m by (possibly fractional) stopping", and `preceq_density`
-decides that relation and recovers the density p.
+"m' arises from m by (possibly fractional) stopping".
 
 Stopping is realized by deterministic weight splitting, never by Bernoulli
 sampling, so all order-theoretic identities here are exact up to float
@@ -30,7 +29,6 @@ __all__ = [
     "StopMap",
     "make_empirical",
     "apply_stop",
-    "preceq_density",
     "wasserstein",
     "measure_to_csv",
     "measure_from_csv",
@@ -76,9 +74,6 @@ class EmpiricalMeasure:
     def n_atoms(self) -> int:
         return self.xs.shape[0]
 
-    def total_mass(self) -> float:
-        return float(self.ws.sum())
-
     def surviving_mass(self) -> float:
         return float(self.ws[self.flags == 1].sum())
 
@@ -94,12 +89,7 @@ class EmpiricalMeasure:
     def x_marginal(self) -> tuple[np.ndarray, np.ndarray]:
         """Full spatial marginal (flags forgotten), merged at duplicate sites."""
         order = np.lexsort(tuple(self.xs[:, k] for k in reversed(range(self.d))))
-        xs = self.xs[order]
-        ws = self.ws[order]
-        keep, inv = _merge_groups(xs)
-        merged_w = np.zeros(len(keep))
-        np.add.at(merged_w, inv, ws)
-        return xs[keep], merged_w
+        return _merge_sorted(self.xs[order], self.ws[order])
 
     def allclose(self, other: "EmpiricalMeasure", tol: float = 1e-12) -> bool:
         """Equality as measures, up to `tol` on weights and atom positions."""
@@ -112,19 +102,15 @@ class EmpiricalMeasure:
         )
 
 
-def _merge_groups(xs_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group indices of sorted rows equal within MERGE_TOL.
+def _merge_sorted(keys: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge runs of sorted rows equal within MERGE_TOL.
 
-    Returns (keep, inv): `keep` indexes the first row of each group, `inv`
-    maps every row to its group id.
+    Returns the first row of each run and the run's weights summed in row order.
     """
-    n = xs_sorted.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    same = np.all(np.abs(np.diff(xs_sorted, axis=0)) <= MERGE_TOL, axis=1)
-    group = np.concatenate([[0], np.cumsum(~same)])
-    keep = np.concatenate([[0], np.nonzero(~same)[0] + 1])
-    return keep, group
+    # numpy reduces across a short row slowly, so reduce over a transposed copy
+    jumps = np.ascontiguousarray(np.abs(np.diff(keys, axis=0)).T) > MERGE_TOL
+    starts = np.concatenate([[True], jumps.any(axis=0)])
+    return np.compress(starts, keys, axis=0), np.bincount(np.cumsum(starts) - 1, weights=ws)
 
 
 def _build(xs: np.ndarray, flags: np.ndarray, ws: np.ndarray) -> EmpiricalMeasure:
@@ -150,21 +136,10 @@ def _build(xs: np.ndarray, flags: np.ndarray, ws: np.ndarray) -> EmpiricalMeasur
     order = np.lexsort(tuple(xs[:, k] for k in reversed(range(d))) + (flags,))
     xs, flags, ws = xs[order], flags[order], ws[order]
 
-    # merge within runs of equal flag
-    out_x, out_i, out_w = [], [], []
-    for flag_value in (0, 1):
-        sel = flags == flag_value
-        if not sel.any():
-            continue
-        keep, inv = _merge_groups(xs[sel])
-        merged_w = np.zeros(len(keep))
-        np.add.at(merged_w, inv, ws[sel])
-        out_x.append(xs[sel][keep])
-        out_i.append(np.full(len(keep), flag_value, dtype=np.uint8))
-        out_w.append(merged_w)
-    xs = np.vstack(out_x)
-    flags = np.concatenate(out_i)
-    ws = np.concatenate(out_w)
+    # the flag column breaks a run wherever the flag changes
+    keys, ws = _merge_sorted(np.column_stack([flags, xs]), ws)
+    xs = np.ascontiguousarray(keys[:, 1:])
+    flags = keys[:, 0].astype(np.uint8)
 
     total = ws.sum()
     if abs(total - 1.0) > 1e-9:
@@ -289,8 +264,8 @@ class StopMap:
     def site_lookup(sites: np.ndarray, values: np.ndarray, default: float = 1.0) -> "StopMap":
         """Exact-site table: p(site_k) = values[k], `default` elsewhere.
 
-        Sites are matched within 1e-9 per coordinate; used to hand back the
-        density recovered by `preceq_density` and for per-atom terminal maps.
+        Sites are matched within 1e-9 per coordinate; used for per-atom
+        terminal maps.
         """
         sites = np.atleast_2d(np.asarray(sites, dtype=float))
         values = np.asarray(values, dtype=float).ravel()
@@ -332,48 +307,6 @@ def apply_stop(m: EmpiricalMeasure, s: StopMap) -> EmpiricalMeasure:
     ]
     ws = [m.ws[~alive], w_live * p, w_live * (1.0 - p)]
     return _build(np.vstack(xs), np.concatenate(flags), np.concatenate(ws))
-
-
-def preceq_density(
-    m_prime: EmpiricalMeasure, m: EmpiricalMeasure, tol: float = 1e-9
-) -> Optional[StopMap]:
-    """Decide whether m' arises from m by stopping; recover the density.
-
-    Returns the StopMap p with apply_stop(m, p) == m' when m' precedes m
-    (equal spatial marginals within `tol`, survivor mass nowhere increased);
-    returns None otherwise.
-    """
-    if m_prime.d != m.d:
-        raise ValueError("dimension mismatch")
-
-    sites_a, marg_a = m_prime.x_marginal()
-    sites_b, marg_b = m.x_marginal()
-    if sites_a.shape[0] != sites_b.shape[0]:
-        return None
-    if not np.allclose(sites_a, sites_b, rtol=0.0, atol=1e-9):
-        return None
-    if not np.allclose(marg_a, marg_b, rtol=0.0, atol=tol):
-        return None
-
-    def survivor_table(meas: EmpiricalMeasure) -> dict:
-        xs, ws = meas.survivors()
-        return {tuple(np.round(x, 9)): w for x, w in zip(xs, ws)}
-
-    surv_prime = survivor_table(m_prime)
-    surv_base = survivor_table(m)
-    for key, w in surv_prime.items():
-        if key not in surv_base:
-            if w > tol:
-                return None
-        elif w > surv_base[key] + tol:
-            return None
-
-    sites, values = [], []
-    for key, w_base in surv_base.items():
-        w_new = surv_prime.get(key, 0.0)
-        sites.append(key)
-        values.append(min(1.0, w_new / w_base))
-    return StopMap.site_lookup(np.array(sites), np.array(values), default=1.0)
 
 
 # ---------------------------------------------------------------------------

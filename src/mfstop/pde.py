@@ -32,7 +32,7 @@ that zero product can only turn a -0.0 boundary payoff into +0.0.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 

@@ -76,28 +76,9 @@ class Policy:
         if len(self.maps) == 0:
             raise ValueError("policy needs at least one node")
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.maps)
-
-    # -- common constructions ------------------------------------------------
-
     @staticmethod
     def never_stop(n: int) -> "Policy":
         return Policy(tuple(StopMap.constant(1.0) for _ in range(n)), "constant")
-
-    @staticmethod
-    def stop_now(n: int) -> "Policy":
-        maps = [StopMap.constant(0.0)] + [StopMap.constant(1.0)] * (n - 1)
-        return Policy(tuple(maps), "constant")
-
-    @staticmethod
-    def constant(fractions: Sequence[float]) -> "Policy":
-        return Policy(tuple(StopMap.constant(c) for c in fractions), "constant")
-
-    @staticmethod
-    def threshold(thetas: Sequence[float], side: str = "below") -> "Policy":
-        return Policy(tuple(StopMap.threshold(t, side) for t in thetas), "threshold")
 
     def replace_node(self, k: int, new_map: StopMap) -> "Policy":
         maps = list(self.maps)
@@ -243,7 +224,6 @@ def evaluate_policy_detailed(
     diag = {
         "survivor_mass_mean": float(np.mean(run.survivor_mass)),
         "terminal_snapshot": run.particles.snapshot(),
-        "n_pool_atoms": sum(len(w) for w in run.particles.pool_w),
     }
     return run.estimate(seed, BOOTSTRAP_RESAMPLES), diag
 

@@ -107,9 +107,6 @@ class EsResult:
     value: float
     beta_star: float
 
-    def __iter__(self):
-        return iter((self.value, self.beta_star))
-
 
 def _linear_values(m, problem, psis, pde_cfg, mode) -> list:
     """Value of m for each payoff: one stacked sweep, aggregated at t = 0."""
@@ -229,9 +226,6 @@ def expected_shortfall_value(
 class MeanVarianceResult:
     value: float
     alpha_star: float
-
-    def __iter__(self):
-        return iter((self.value, self.alpha_star))
 
 
 def _meanvar_alpha_bounds(m: EmpiricalMeasure, lam: float) -> tuple:

@@ -398,16 +398,6 @@ class DppReport:
     split_index: int
     mode: str
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "combined_stderr": self.combined_stderr,
-            "split_index": self.split_index,
-            "mode": self.mode,
-        }
-
 
 def _prefix_run(m0, problem, grid, pol, paths, seed, s):
     """Replay a policy to node s; returns (reward, reward stderr, snapshot)."""
@@ -526,14 +516,6 @@ class MonotonicityReport:
     n_violations: int
     worst_gap: float  # most negative of V(m) - V(m') + 3 se; >= 0 means clean
     details: tuple = field(default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "n_violations": self.n_violations,
-            "worst_gap": self.worst_gap,
-            "details": list(self.details),
-        }
 
 
 def _random_stop_map(rng) -> StopMap:

@@ -14,7 +14,7 @@ from mfstop.calculus import (
 )
 from mfstop.catalog import build_instance
 from mfstop.dynamics import Problem
-from mfstop.measures import from_arrays, make_empirical
+from mfstop.measures import make_empirical
 from mfstop.pde import aggregate_value, standard_os_pde
 
 M3 = make_empirical([(-0.4, 1), (0.5, 0), (1.1, 1)], [0.3, 0.3, 0.4])

@@ -111,6 +111,13 @@ def test_non_integer_split_index_exits_2(tmp_path, capsys, monkeypatch, split_in
     assert "split_index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem", [["standard_put"], {"name": "standard_put"}],
+                         ids=["list", "object"])
+def test_non_string_problem_exits_2(tmp_path, capsys, problem):
+    assert cli.main(["mollify", "--config", _write_config(tmp_path, problem=problem)]) == 2
+    assert "unknown problem" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text,message",
     [

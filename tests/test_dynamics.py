@@ -10,7 +10,7 @@ import pytest
 
 from mfstop.calculus import make_unstopped_functional
 from mfstop.dynamics import Noise, Particles, Problem, TimeGrid, flow
-from mfstop.measures import make_empirical
+from mfstop.measures import StopMap, make_empirical
 from mfstop.policy import Policy, evaluate_policy
 
 
@@ -192,7 +192,7 @@ def test_snapshot_is_valid_measure():
         assert snap is None  # no coefficient reads the measure
         if k == 3:
             snap = particles.snapshot()
-            assert snap.total_mass() == pytest.approx(1.0, abs=1e-12)
+            assert snap.ws.sum() == pytest.approx(1.0, abs=1e-12)
             assert snap.surviving_mass() == pytest.approx(0.75, abs=1e-12)
 
 
@@ -206,7 +206,7 @@ def test_frozen_atoms_stay_outside_the_rows():
     for _ in flow(particles, prob, 0.0, 0.2, range(5), noise=Noise(8, ids, 1, range(5))):
         pass
     snap = particles.snapshot()
-    assert snap.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert snap.ws.sum() == pytest.approx(1.0, abs=1e-12)
     assert snap.surviving_mass() == pytest.approx(0.75, abs=1e-12)
     xs, ws = snap.stopped()
     assert xs[:, 0].tolist() == [1.0] and ws[0] == pytest.approx(0.25, abs=1e-15)
@@ -264,8 +264,9 @@ def test_truncation_guard_runs_on_the_production_paths():
     # stopping runs and runs over part of [0, T] stay quiet
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        evaluate_policy(m0, prob, grid, Policy.stop_now(grid.n), 20, seed=10)
-        evaluate_policy(m0, prob, grid, Policy.constant([0.5] * grid.n), 20, seed=10)
+        stop_at_once = (StopMap.constant(0.0),) + (StopMap.constant(1.0),) * (grid.n - 1)
+        evaluate_policy(m0, prob, grid, Policy(stop_at_once), 20, seed=10)
+        evaluate_policy(m0, prob, grid, Policy((StopMap.constant(0.5),) * grid.n), 20, seed=10)
         simulate(m0, prob, grid, 20, seed=10, nodes=range(4))
         simulate(m0, prob, grid, 20, seed=10, nodes=range(4, 8))
         u(0.5, m0)

@@ -7,18 +7,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mfstop.measures import (
-    EmpiricalMeasure,
     StopMap,
     apply_stop,
     from_arrays,
     make_empirical,
     measure_from_csv,
     measure_to_csv,
-    preceq_density,
     wasserstein,
 )
 
@@ -68,7 +64,10 @@ def test_make_empirical_rejects_bad_input():
 def test_duplicate_atoms_merge():
     m = make_empirical([(1.0, 1), (1.0 + 1e-13, 1), (2.0, 0)], [1, 1, 2])
     assert m.n_atoms == 2
-    assert m.total_mass() == pytest.approx(1.0, abs=1e-15)
+    assert m.ws.sum() == pytest.approx(1.0, abs=1e-15)
+    # a stopped and a running atom at one site stay apart
+    m = make_empirical([(1.0, 0), (1.0, 1)], [1, 3])
+    assert m.flags.tolist() == [0, 1] and m.ws.tolist() == [0.25, 0.75]
 
 
 def test_measure_is_immutable():
@@ -113,7 +112,7 @@ def test_apply_stop_mass_conservation_tight():
         m = _random_measure(rng, n_atoms=8)
         p = StopMap.logistic(rng.normal(), rng.normal())
         m2 = apply_stop(m, p)
-        assert abs(m2.total_mass() - m.total_mass()) <= 1e-12
+        assert abs(m2.ws.sum() - m.ws.sum()) <= 1e-12
         x1, w1 = m.x_marginal()
         x2, w2 = m2.x_marginal()
         assert np.allclose(x1, x2, atol=1e-12)
@@ -137,70 +136,6 @@ def test_surviving_mass_halving():
     before = m.surviving_mass()
     after = apply_stop(m, StopMap.constant(0.5)).surviving_mass()
     assert after == pytest.approx(before / 2, abs=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# preceq_density
-# ---------------------------------------------------------------------------
-
-
-def test_preceq_density_self():
-    rng = np.random.default_rng(5)
-    m = _random_measure(rng)
-    p = preceq_density(m, m)
-    assert p is not None
-    xs, _ = m.survivors()
-    assert np.allclose(p(xs), 1.0)
-
-
-def test_preceq_density_round_trip():
-    rng = np.random.default_rng(6)
-    for trial in range(25):
-        m = _random_measure(rng, n_atoms=7)
-        stop = StopMap.logistic(rng.normal(scale=2.0), rng.normal())
-        m2 = apply_stop(m, stop)
-        rec = preceq_density(m2, m)
-        assert rec is not None, f"trial {trial}: order relation not detected"
-        assert apply_stop(m, rec).allclose(m2, tol=1e-12)
-        xs, _ = m.survivors()
-        assert np.allclose(rec(xs), stop(xs), atol=1e-12)
-
-
-def test_preceq_density_rejects_more_survivors():
-    m_small = make_empirical([(0.0, 1), (1.0, 0)])
-    m_big = make_empirical([(0.0, 1), (1.0, 1)])
-    assert preceq_density(m_big, m_small) is None
-
-
-def test_preceq_density_rejects_different_marginal():
-    m1 = make_empirical([(0.0, 1), (1.0, 1)])
-    m2 = make_empirical([(0.0, 1), (2.0, 1)])
-    assert preceq_density(m1, m2) is None
-
-
-def test_preceq_antisymmetry_at_equal_survivor_mass():
-    # if m' precedes m and survivor masses agree, nothing was stopped
-    rng = np.random.default_rng(7)
-    m = _random_measure(rng, n_atoms=5)
-    rec = preceq_density(m, m)
-    m_back = apply_stop(m, rec)
-    assert m_back.surviving_mass() == pytest.approx(m.surviving_mass(), abs=1e-14)
-    assert m_back.allclose(m)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=6),
-    seed=st.integers(min_value=0, max_value=10_000),
-    c=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_preceq_round_trip_constant_maps(n, seed, c):
-    rng = np.random.default_rng(seed)
-    m = _random_measure(rng, n_atoms=n)
-    m2 = apply_stop(m, StopMap.constant(c))
-    rec = preceq_density(m2, m)
-    assert rec is not None
-    assert apply_stop(m, rec).allclose(m2, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

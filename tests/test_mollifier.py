@@ -120,7 +120,7 @@ def test_projection_preserves_per_flag_mass(seed):
     m = make_empirical(pts, rng.random(k) + 0.05)
     z = sample_simplex(P2, rng_for(seed, "pf"))
     proj = project_measure(m, z, P2)
-    assert abs(proj.total_mass() - 1.0) <= 1e-12
+    assert abs(proj.ws.sum() - 1.0) <= 1e-12
     assert abs(proj.surviving_mass() - m.surviving_mass()) <= 1e-12
     lattice = proj.xs[:, 0] * P2.n
     np.testing.assert_allclose(lattice, np.round(lattice), rtol=0.0, atol=1e-12)

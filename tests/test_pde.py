@@ -11,7 +11,6 @@ from mfstop import pde as pde_module
 from mfstop.dynamics import Problem
 from mfstop.measures import make_empirical
 from mfstop.pde import (
-    ObstaclePDEGrid,
     PdeConfig,
     _lcp_step,
     aggregate_slice,

@@ -95,9 +95,8 @@ def test_stop_now_returns_terminal_reward_of_initial_marginal():
     m0 = make_empirical(
         [(0.4, 1), (0.9, 1), (1.3, 0), (1.8, 1)], [0.2, 0.3, 0.25, 0.25]
     )
-    est = evaluate_policy(
-        m0, problem, grid, Policy.stop_now(grid.n), paths_per_atom=50, seed=3
-    )
+    stop_at_once = Policy((StopMap.constant(0.0),) + (StopMap.constant(1.0),) * (grid.n - 1))
+    est = evaluate_policy(m0, problem, grid, stop_at_once, paths_per_atom=50, seed=3)
     xs, ws = m0.x_marginal()
     assert est.value == pytest.approx(problem.g(xs, ws), abs=1e-12)
     assert est.mc_stderr < 1e-12  # all resamples see the same frozen atoms
@@ -125,8 +124,8 @@ def test_linear_terminal_reward_ignores_the_policy():
     target = -0.3 * 0.5 + 0.5 * 0.5
     policies = [
         Policy.never_stop(grid.n),
-        Policy.threshold([0.0] * grid.n),
-        Policy.constant([0.7] * grid.n),
+        Policy((StopMap.threshold(0.0),) * grid.n),
+        Policy((StopMap.constant(0.7),) * grid.n),
         Policy(tuple(StopMap.logistic(1.5, -0.2) for _ in range(grid.n))),
     ]
     for pol in policies:
@@ -140,23 +139,19 @@ def test_pure_threshold_policies_never_split_mass(theta, seed):
     problem = brownian(g=put_g(1.0))
     grid = TimeGrid(n=4, horizon=1.0)
     m0 = make_empirical([(0.0, 1), (1.0, 1)], [0.4, 0.6])
-    pol = Policy.threshold([theta] * grid.n)
-    _, diag = evaluate_policy_detailed(
-        m0, problem, grid, pol, paths_per_atom=30, seed=seed
-    )
-    assert diag["n_pool_atoms"] == 0
+    maps = (StopMap.threshold(theta),) * grid.n
+    run = run_policy(m0, problem, grid, maps, paths_per_atom=30, seed=seed)
+    assert run.particles.pool_w == []
 
 
 def test_fractional_policy_populates_the_pool():
     problem = brownian(g=put_g(1.0))
     grid = TimeGrid(n=4, horizon=1.0)
     m0 = make_empirical([(0.5, 1)])
-    pol = Policy.constant([0.5] * grid.n)
-    est, diag = evaluate_policy_detailed(
-        m0, problem, grid, pol, paths_per_atom=20, seed=5
-    )
-    assert diag["n_pool_atoms"] > 0
-    assert est.n_paths == 20
+    maps = (StopMap.constant(0.5),) * grid.n
+    run = run_policy(m0, problem, grid, maps, paths_per_atom=20, seed=5)
+    assert sum(len(w) for w in run.particles.pool_w) > 0
+    assert len(run.reward) == 20
 
 
 def test_evaluate_policy_from_interior_node():
@@ -180,7 +175,7 @@ def test_evaluate_policy_from_interior_node():
 def test_shared_noise_gives_the_same_value_and_must_match_the_run():
     problem, grid = brownian(g=put_g(1.0)), TimeGrid(n=4, horizon=1.0)
     m0 = make_empirical([(0.8, 1), (1.3, 1)])
-    pol = Policy.threshold([0.7] * grid.n)
+    pol = Policy((StopMap.threshold(0.7),) * grid.n)
     noise = policy_noise(m0, problem, 25, 8, range(1, grid.n))
     own = evaluate_policy(m0, problem, grid, pol, 25, seed=8, start_node=1)
     shared = evaluate_policy(m0, problem, grid, pol, 25, seed=8, start_node=1, noise=noise)
@@ -236,7 +231,7 @@ def test_terminal_sup_fractional_beats_every_corner():
     m = make_empirical([(0.7, 1)])
 
     def G(meas):
-        return meas.surviving_mass() * (meas.total_mass() - meas.surviving_mass())
+        return meas.surviving_mass() * (meas.ws.sum() - meas.surviving_mass())
 
     val, smap = terminal_stop_sup(m, G)
     assert val == pytest.approx(0.25, abs=1e-12)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mfstop.catalog import build_instance
 from mfstop.dynamics import Problem, TimeGrid
-from mfstop.measures import make_empirical, wasserstein
+from mfstop.measures import StopMap, make_empirical, wasserstein
 from mfstop.pde import PdeConfig, stacked_initial_values, standard_os_pde
 from mfstop.policy import Policy, evaluate_policy
 from mfstop.risk import (
@@ -115,7 +115,7 @@ def test_driftless_stop_now_attains_static_shortfall():
     # is monotone under that spreading, so stopping immediately is optimal
     # and the dynamic value equals the static shortfall of the start law
     static = expected_shortfall(np.array([-0.5, 0.3, 1.2]), [0.25, 0.35, 0.4], 0.5)
-    value, beta = expected_shortfall_value(
+    res = expected_shortfall_value(
         THREE_ATOMS,
         brownian_problem(0.0),
         0.5,
@@ -123,8 +123,8 @@ def test_driftless_stop_now_attains_static_shortfall():
         scan_points=13,
         xtol=1e-4,
     )
-    assert abs(value - static) <= 0.02
-    assert abs(beta - 0.3) <= 0.1
+    assert abs(res.value - static) <= 0.02
+    assert abs(res.beta_star - 0.3) <= 0.1
 
 
 def test_policy_sweep_never_beats_stopping_now():
@@ -132,13 +132,13 @@ def test_policy_sweep_never_beats_stopping_now():
     g_es = lambda p, w: -expected_shortfall(p[:, 0], w, alpha)
     problem = brownian_problem(0.0, g=g_es)
     grid = TimeGrid(2, problem.horizon)
-    stop_now = evaluate_policy(THREE_ATOMS, problem, grid, Policy.stop_now(2), 400, seed=7)
+    stop_now = evaluate_policy(THREE_ATOMS, problem, grid, Policy((StopMap.constant(0.0), StopMap.constant(1.0))), 400, seed=7)
     assert stop_now.value == pytest.approx(-1.02, abs=1e-12)
     assert stop_now.mc_stderr < 1e-12
     for c0 in (0.0, 0.5, 1.0):
         for c1 in (0.0, 0.5, 1.0):
             est = evaluate_policy(
-                THREE_ATOMS, problem, grid, Policy.constant([c0, c1]), 400, seed=7
+                THREE_ATOMS, problem, grid, Policy((StopMap.constant(c0), StopMap.constant(c1))), 400, seed=7
             )
             assert est.value <= stop_now.value + 3 * est.mc_stderr + 0.01
 
@@ -183,18 +183,18 @@ def test_martingale_collapse_recovers_static_objective():
     z1 = 0.2 * 0.5 + 1.0 * 0.3 + 1.8 * 0.2
     z2 = 0.04 * 0.5 + 1.0 * 0.3 + 3.24 * 0.2
     target = z1 + 0.5 * lam * z1 * z1 - 0.5 * lam * z2
-    value, a_star = mean_variance_dual(
+    res = mean_variance_dual(
         m, brownian_problem(0.0), lam, mv_pde_cfg(), grid_points=13, refine_rounds=3
     )
-    assert value == pytest.approx(target, abs=5e-3)
-    assert a_star == pytest.approx(1.0 + lam * z1, abs=0.05)
+    assert res.value == pytest.approx(target, abs=5e-3)
+    assert res.alpha_star == pytest.approx(1.0 + lam * z1, abs=0.05)
 
 
 def test_lambda_zero_reduces_to_plain_mean():
     m = make_empirical([(0.2, 1), (1.0, 1), (1.8, 1)], [0.5, 0.3, 0.2])
-    value, a_star = mean_variance_dual(m, brownian_problem(0.0), 0.0, mv_pde_cfg())
-    assert value == pytest.approx(0.76, abs=1e-6)
-    assert a_star == 1.0
+    res = mean_variance_dual(m, brownian_problem(0.0), 0.0, mv_pde_cfg())
+    assert res.value == pytest.approx(0.76, abs=1e-6)
+    assert res.alpha_star == 1.0
 
 
 def test_mean_variance_validation():
@@ -286,7 +286,7 @@ def test_gbm_dual_dominates_monte_carlo_search():
         horizon=2.0,
     )
     m0 = make_empirical([(0.8, 1), (1.1, 1), (1.5, 1)], [0.4, 0.35, 0.25])
-    dual, _ = mean_variance_dual(
+    dual = mean_variance_dual(
         m0,
         problem,
         lam,
@@ -301,7 +301,7 @@ def test_gbm_dual_dominates_monte_carlo_search():
         SearchConfig(paths_per_atom=250, coarse_points=7, refine_rounds=2),
         seed=11,
     )
-    assert dual >= est.value - 3.0 * est.mc_stderr - 0.01
+    assert dual.value >= est.value - 3.0 * est.mc_stderr - 0.01
 
 
 # ---------------------------------------------------------------------------
