@@ -32,7 +32,9 @@ start position rather than by atom identity, so a measure and its probe
 bumps (reweighted atoms, or positions shifted by less than a bucket) see
 identical draws and finite differences stay usable despite Monte Carlo
 noise. Probes that cross a bucket edge fall back to independent noise; keep
-probe centers away from multiples of `NOISE_BUCKET`.
+probe centers away from multiples of `NOISE_BUCKET`. Each functional draws
+the noise of a key once and shares it with every later call, so the 27
+evaluations of one `generator` call draw each of their few keys once.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import Noise, Particles, Problem, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays
 from .solver import _random_stop_map
@@ -249,6 +252,16 @@ def generator(
     return est.dt + float(ws @ integrand)
 
 
+class _Stacked:
+    """The noise of a run whose rows are the given tables' rows, one table after another."""
+
+    def __init__(self, tables: list):
+        self.tables = tables
+
+    def block(self, k: int) -> np.ndarray:
+        return np.concatenate([table.block(k) for table in self.tables])
+
+
 def make_unstopped_functional(
     problem: Problem,
     n_steps: int = 64,
@@ -269,6 +282,14 @@ def make_unstopped_functional(
     share draws too, which correlates their paths but does not bias
     per-path laws for measure-free coefficients. A probe that crosses a
     bucket edge draws independent noise.
+
+    The noise of each key is drawn once per node and kept by u, shared by
+    every later call of u; a call stacks its atoms' per-key blocks in row
+    order. The draws are a pure function of their address, so the values
+    equal those of a fresh functional per call. A call whose own rows need
+    more than `dynamics.MAX_NOISE_DOUBLES` doubles is refused before it
+    draws, and the kept noise never holds more: when a call's new keys
+    would overflow it, it is emptied first.
     """
     if problem.d != 1:
         raise ValueError("the simulated functional is one-dimensional")
@@ -276,6 +297,12 @@ def make_unstopped_functional(
         raise ValueError("n_steps and paths_per_atom must be positive")
     if paths_per_atom >= (1 << 20):
         raise ValueError("paths_per_atom exceeds the noise address space")
+
+    p = paths_per_atom
+    nodes = range(n_steps)
+    paths = np.arange(p, dtype=np.uint64)
+    # noise key -> the noise of that bucket's p paths over every node
+    noises: dict = {}
 
     def u(t: float, m: EmpiricalMeasure) -> float:
         if m.d != 1:
@@ -285,18 +312,28 @@ def make_unstopped_functional(
             raise ValueError("time outside [0, horizon]")
         t = min(max(t, 0.0), horizon)
 
-        n_live = int((m.flags == 1).sum())
+        xs_live, _ = m.survivors()
+        n_live = xs_live.shape[0]
         if n_live == 0 or t >= horizon:
             # nothing moves and survivors are absent or out of time, so the
             # running-reward integral vanishes
             return float(problem.g(m.xs, m.ws))
 
-        p = paths_per_atom
+        # the call's own rows must fit the cap, as if drawn as one table;
+        # this never draws
+        Noise(seed, n_live * p, problem.d, nodes)
+        buckets = np.floor(xs_live[:, 0] / NOISE_BUCKET).astype(np.int64) + (1 << 31)
+        keys = buckets.astype(np.uint64).tolist()
+        new = set(keys) - noises.keys()
+        if (len(noises) + len(new)) * p * n_steps * problem.d > dynamics.MAX_NOISE_DOUBLES:
+            # the draws are a pure function of their address: refilling moves no bit
+            noises.clear()
+            new = set(keys)
+        for key in new:
+            noises[key] = Noise(seed, (np.uint64(key) << np.uint64(20)) | paths, problem.d, nodes)
+        noise = _Stacked([noises[key] for key in keys])
+
         particles = Particles.from_measure(m, p, freeze_stopped=True)
-        idx = np.floor(particles.x[:, 0] / NOISE_BUCKET).astype(np.int64) + (1 << 31)
-        ids = (idx.astype(np.uint64) << np.uint64(20)) | np.tile(
-            np.arange(p, dtype=np.uint64), n_live
-        )
         dt = (horizon - t) / n_steps
 
         def reward_rate(tk, m_snap) -> float:
@@ -305,8 +342,6 @@ def make_unstopped_functional(
             return float(f_vals.reshape(-1) @ particles.w)
 
         f_series = []
-        nodes = range(n_steps)
-        noise = Noise(seed, ids, problem.d, nodes)
         for _, tk, m_snap in flow(particles, problem, t, dt, nodes, noise=noise):
             if problem.f is not None:
                 f_series.append(reward_rate(tk, m_snap))

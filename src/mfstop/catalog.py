@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import Problem
+from .dynamics import MAX_NOISE_DOUBLES, Problem
 from .measures import EmpiricalMeasure, make_empirical
 from .pde import PdeConfig
 from .risk import distorted_expectation, expected_shortfall
@@ -277,6 +277,13 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.grid_n * self.paths_per_atom > MAX_NOISE_DOUBLES:
+            # every particle subcommand draws at least this many doubles
+            raise ValueError(
+                f"grid_n x paths_per_atom is {self.grid_n * self.paths_per_atom}, more "
+                f"than the particle noise cap of {MAX_NOISE_DOUBLES} doubles; lower "
+                "paths_per_atom or grid_n"
+            )
         check_threads(self.threads)
         if not isinstance(self.mollifier_n, int) or self.mollifier_n < 2:
             raise ValueError("mollifier_n must be an integer >= 2")

@@ -200,6 +200,100 @@ def test_flow_identity_for_simulated_unstopped_functional():
     assert abs(resid) <= 5e-2
 
 
+# the shipped attraction law, whose atoms at -1, 0 and 1 sit on bucket edges,
+# and a law whose atoms and probes stay inside three buckets
+ATTRACTION = build_instance("attraction")
+THREE_BUCKETS = make_empirical([(-0.375, 1), (0.125, 1), (0.625, 1)], [0.3, 0.3, 0.4])
+
+
+def _count_normals(monkeypatch) -> list:
+    import mfstop.rng
+
+    calls = []
+    draw = mfstop.rng.normals
+
+    def counting(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(mfstop.rng, "normals", counting)
+    return calls
+
+
+def _recording(u, calls):
+    def recorded(t, m):
+        calls.append((t, m))
+        return u(t, m)
+
+    return recorded
+
+
+def _assert_shared_noise_is_invisible(problem, calls, **sim):
+    """Every call of one functional equals a fresh functional's value on that call alone."""
+    u = make_unstopped_functional(problem, **sim)
+    for t, m in calls:
+        assert u(t, m) == make_unstopped_functional(problem, **sim)(t, m)
+
+
+def test_shared_noise_is_bit_identical_to_fresh_functionals():
+    sim = dict(n_steps=8, paths_per_atom=20, seed=4)
+    problem = ATTRACTION.problem
+    # the generator's own probes: +-h and weight bumps, and both time probes
+    calls = []
+    u = _recording(make_unstopped_functional(problem, **sim), calls)
+    generator(u, 0.1, ATTRACTION.m0, problem)
+    assert len(calls) == 27 and {t for t, _ in calls} > {0.1}
+    stopped = make_empirical([(-1.0, 1), (0.0, 0), (1.0, 1)], [0.3, 0.3, 0.4])
+    calls += [(0.0, stopped), (0.3, THREE_BUCKETS), (0.0, ATTRACTION.m0)]
+    _assert_shared_noise_is_invisible(problem, calls, **sim)
+
+    # a running reward that reads the measure, next to a stopped atom
+    problem = Problem(
+        d=1,
+        b=lambda t, x, m: -0.3 * x,
+        sigma=lambda t, x, m: 0.45 * x,
+        f=lambda t, x, m: 0.1 * x[:, 0] + 0.01 * m.surviving_mass(),
+        g=lambda xs, ws: float(xs[:, 0] @ ws),
+        horizon=2.0,
+        f_uses_measure=True,
+    )
+    m = make_empirical([(0.8, 1), (1.1, 1), (1.35, 0)], [0.4, 0.35, 0.25])
+    calls = []
+    generator(_recording(make_unstopped_functional(problem, **sim), calls), 0.7, m, problem)
+    _assert_shared_noise_is_invisible(problem, calls + [(0.0, m), (0.7, M3)], **sim)
+
+
+@pytest.mark.parametrize(
+    "m,n_keys", [(THREE_BUCKETS, 3), (ATTRACTION.m0, 6)], ids=["three-buckets", "shipped"]
+)
+def test_each_noise_key_is_drawn_once_per_functional(monkeypatch, m, n_keys):
+    u = make_unstopped_functional(ATTRACTION.problem, n_steps=8, paths_per_atom=20, seed=4)
+    calls = _count_normals(monkeypatch)
+    generator(u, 0.0, m, ATTRACTION.problem)
+    # one draw per key and node; the generator's 27 evaluations of u share them
+    assert len(calls) == n_keys * 8
+    assert len({(ids[0], k) for _, ids, k, _ in calls}) == n_keys * 8
+
+
+def test_shared_noise_stays_under_the_cap(monkeypatch):
+    import mfstop.dynamics
+
+    sim = dict(n_steps=8, paths_per_atom=20, seed=4)
+    # two keys' noise fits, a third does not
+    monkeypatch.setattr(mfstop.dynamics, "MAX_NOISE_DOUBLES", 2 * 20 * 8)
+    low = make_empirical([(-0.375, 1), (0.125, 1)], [0.5, 0.5])
+    high = make_empirical([(0.625, 1), (1.125, 1)], [0.5, 0.5])
+    u = make_unstopped_functional(ATTRACTION.problem, **sim)
+    calls = _count_normals(monkeypatch)
+    for m in (low, high, low, high):
+        assert u(0.0, m) == make_unstopped_functional(ATTRACTION.problem, **sim)(0.0, m)
+    # each law's keys push the other's out, so every call of u draws again:
+    # 4 calls of u and 4 fresh functionals, 2 keys x 8 nodes each
+    assert len(calls) == 8 * 2 * 8
+    with pytest.raises(ValueError, match="the particle noise needs 480 doubles"):
+        u(0.0, THREE_BUCKETS)
+
+
 def _put_setup():
     inst = build_instance("standard_put")
     pde = standard_os_pde(inst.problem, inst.psi, inst.pde_cfg)

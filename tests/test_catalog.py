@@ -12,6 +12,7 @@ from mfstop.catalog import (
     instance_names,
     load_experiment_config,
 )
+from mfstop.dynamics import MAX_NOISE_DOUBLES
 from mfstop.measures import make_empirical
 
 
@@ -106,6 +107,16 @@ def test_experiment_config_validation():
 
     d = ExperimentConfig(problem="shortfall", seed=0, split_index=4).as_dict()
     assert d["problem"] == "shortfall" and d["split_index"] == 4
+
+
+def test_experiment_config_bounds_grid_n_by_the_noise_cap():
+    # every particle subcommand draws grid_n x paths_per_atom doubles at least
+    for grid_n, paths in ((10**21, 200), (1 << 20, 33), (2, (1 << 24) + 1)):
+        with pytest.raises(ValueError, match="grid_n x paths_per_atom") as err:
+            ExperimentConfig(problem="standard_put", seed=0, grid_n=grid_n, paths_per_atom=paths)
+        assert "lower paths_per_atom or grid_n" in str(err.value)
+    cfg = ExperimentConfig(problem="standard_put", seed=0, grid_n=1 << 20, paths_per_atom=32)
+    assert cfg.grid_n * cfg.paths_per_atom == MAX_NOISE_DOUBLES
 
 
 def test_load_experiment_config_errors(tmp_path):

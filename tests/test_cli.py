@@ -146,6 +146,18 @@ def test_noise_cap_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
         assert "paths_per_atom" in err and "grid_n" in err
 
 
+def test_grid_n_over_the_noise_cap_exits_2_at_once(tmp_path, capsys, monkeypatch):
+    import mfstop.rng
+
+    monkeypatch.setattr(mfstop.rng, "normals", _raise(AssertionError("noise drawn")))
+    # nor is the never-stop policy over grid_n nodes built
+    monkeypatch.setattr(cli.Policy, "never_stop", _raise(AssertionError("policy built")))
+    path = _write_config(tmp_path, grid_n=10**21)
+    assert cli.main(["simulate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "grid_n" in err and "paths_per_atom" in err
+
+
 def _raise(exc):
     def handler(*args, **kwargs):
         raise exc
