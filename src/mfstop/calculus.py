@@ -27,14 +27,17 @@ From the bump probes are assembled:
 
 ``make_unstopped_functional`` turns a problem into a simulated functional
 u(t, m) = terminal reward of the never-stop flow plus the accumulated
-running reward. Its noise is addressed by the spatial bucket of each path's
-start position rather than by atom identity, so a measure and its probe
-bumps (reweighted atoms, or positions shifted by less than a bucket) see
-identical draws and finite differences stay usable despite Monte Carlo
-noise. Probes that cross a bucket edge fall back to independent noise; keep
-probe centers away from multiples of `NOISE_BUCKET`. Each functional draws
-the noise of a key once and shares it with every later call, so the 27
-evaluations of one `generator` call draw each of their few keys once.
+running reward. Its noise is keyed by where each path starts rather than
+by atom identity, so a measure and its probe bumps (reweighted atoms, or
+positions shifted by a little) see identical draws and finite differences
+stay usable despite Monte Carlo noise. Given anchors (`mfstop residual`
+passes the atoms of m), the key is the nearest anchor, so every probe
+around an atom shares its draws. Without anchors the key is the bucket of
+width `NOISE_BUCKET`, and probes that cross a bucket edge draw independent
+noise: keep probe centers away from multiples of `NOISE_BUCKET` on that
+path. Each functional draws the noise of a key once and shares it with
+every later call, so the 27 evaluations of one `generator` call draw each
+of their few keys once.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dynamics
-from .dynamics import Noise, Particles, Problem, flow
+from .dynamics import LawView, Noise, Particles, Problem, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays
 from .solver import _random_stop_map
 from .util import rng_for
@@ -70,7 +73,7 @@ BUMP_EPS = 1e-2
 BUMP_H = 1e-3
 # Time probe step, as a fraction of the horizon.
 BUMP_DT_FRAC = 1e-3
-# Width of the start-position buckets that key the simulated functional's noise.
+# Width of the start buckets that key the simulated functional's noise without anchors.
 NOISE_BUCKET = 0.25
 # `obstacle_residual`'s membership tolerance and its position jitter (see ResidualConfig).
 MEMBERSHIP_TOL = 1e-3
@@ -267,6 +270,7 @@ def make_unstopped_functional(
     n_steps: int = 64,
     paths_per_atom: int = 2000,
     seed: int = 0,
+    anchors: Optional[np.ndarray] = None,
 ) -> Callable[[float, EmpiricalMeasure], float]:
     """Simulated value of the never-stop flow from (t, m).
 
@@ -275,13 +279,16 @@ def make_unstopped_functional(
     steps). Stopped atoms stay frozen; every surviving atom is expanded
     into paths_per_atom equal-weight paths.
 
-    Noise keys are (floor(start / NOISE_BUCKET), path index), with the
-    bucket width fixed at 0.25, so reweighted atoms and probe positions
-    within one bucket reuse the same draws; this common randomness is what
-    keeps finite differences of u stable. Distinct atoms sharing a bucket
-    share draws too, which correlates their paths but does not bias
-    per-path laws for measure-free coefficients. A probe that crosses a
-    bucket edge draws independent noise.
+    Noise keys are (key of the start, path index), so reweighted atoms and
+    probe positions with one key reuse the same draws; this common
+    randomness is what keeps finite differences of u stable. With
+    `anchors`, a 1-d array of positions (the atoms of the measure whose
+    derivatives are probed), the key of a start is the index of its
+    nearest anchor. With anchors None it is floor(start / NOISE_BUCKET),
+    with the bucket width fixed at 0.25, and a probe that crosses a bucket
+    edge draws independent noise. Distinct atoms sharing a key share draws
+    too, which correlates their paths but does not bias per-path laws for
+    measure-free coefficients.
 
     The noise of each key is drawn once per node and kept by u, shared by
     every later call of u; a call stacks its atoms' per-key blocks in row
@@ -300,8 +307,10 @@ def make_unstopped_functional(
 
     p = paths_per_atom
     nodes = range(n_steps)
+    if anchors is not None:
+        anchors = np.asarray(anchors, dtype=float)
     paths = np.arange(p, dtype=np.uint64)
-    # noise key -> the noise of that bucket's p paths over every node
+    # noise key -> the noise of that key's p paths over every node
     noises: dict = {}
 
     def u(t: float, m: EmpiricalMeasure) -> float:
@@ -322,8 +331,11 @@ def make_unstopped_functional(
         # the call's own rows must fit the cap, as if drawn as one table;
         # this never draws
         Noise(seed, n_live * p, problem.d, nodes)
-        buckets = np.floor(xs_live[:, 0] / NOISE_BUCKET).astype(np.int64) + (1 << 31)
-        keys = buckets.astype(np.uint64).tolist()
+        if anchors is None:
+            keys = np.floor(xs_live[:, 0] / NOISE_BUCKET).astype(np.int64) + (1 << 31)
+        else:
+            keys = np.abs(xs_live[:, 0, None] - anchors).argmin(axis=1)
+        keys = keys.astype(np.uint64).tolist()
         new = set(keys) - noises.keys()
         if (len(noises) + len(new)) * p * n_steps * problem.d > dynamics.MAX_NOISE_DOUBLES:
             # the draws are a pure function of their address: refilling moves no bit
@@ -336,20 +348,20 @@ def make_unstopped_functional(
         particles = Particles.from_measure(m, p, freeze_stopped=True)
         dt = (horizon - t) / n_steps
 
-        def reward_rate(tk, m_snap) -> float:
-            m_f = m_snap if problem.f_uses_measure else None
+        def reward_rate(tk, law) -> float:
+            m_f = law if problem.f_uses_measure else None
             f_vals = np.asarray(problem.f(tk, particles.x, m_f), dtype=float)
             return float(f_vals.reshape(-1) @ particles.w)
 
         f_series = []
-        for _, tk, m_snap in flow(particles, problem, t, dt, nodes, noise=noise):
+        for _, tk, law in flow(particles, problem, t, dt, nodes, noise=noise):
             if problem.f is not None:
-                f_series.append(reward_rate(tk, m_snap))
+                f_series.append(reward_rate(tk, law))
         value = float(problem.g(*particles.marginal()))
 
         if problem.f is not None:
-            m_snap = particles.snapshot() if problem.f_uses_measure else None
-            f_series.append(reward_rate(horizon, m_snap))
+            law = LawView(particles) if problem.f_uses_measure else None
+            f_series.append(reward_rate(horizon, law))
             value += float(np.trapezoid(f_series, dx=dt))
         return value
 

@@ -250,8 +250,9 @@ def _cmd_residual(args) -> int:
         h = 0.04
         route = "aggregate"
     else:
+        # key the noise by m's atoms, so every probe around an atom shares its draws
         u = make_unstopped_functional(
-            problem, paths_per_atom=cfg.paths_per_atom * 10, seed=cfg.seed
+            problem, paths_per_atom=cfg.paths_per_atom * 10, seed=cfg.seed, anchors=m.xs[:, 0]
         )
         h = BUMP_H
         route = "simulated"

@@ -2,15 +2,17 @@
 
 A `Problem` bundles the coefficients (b, sigma, f, g) and the horizon. The
 drift and volatility may read the current particle law; the simulation then
-feeds them the empirical snapshot of the whole system, lagged to the left
-endpoint of each step (weak order-1 mean-field scheme).
+feeds them a `LawView` of the whole system, lagged to the left endpoint of
+each step (weak order-1 mean-field scheme). The view copies and checks the
+live rows without sorting or merging them; the canonical snapshot,
+`Particles.snapshot()`, is built only where a law leaves the kernel.
 
 Every particle flow in the package runs through one kernel, `flow`. At each
-decision node it applies the node's stop rule, builds the snapshot of the
+decision node it applies the node's stop rule, builds the view of the
 post-stop law, hands both to the caller, then draws the node's noise and
 takes one Euler step. Callers accumulate their own running rewards from
 what the kernel hands them; only this module knows the step order, how the
-noise is addressed and how frozen mass enters the snapshot.
+noise is addressed and how frozen mass enters the law.
 
 Survival freezing: a particle whose flag is 0 never moves again. The flag
 factor multiplies both the drift and the noise, which is the discrete copy of
@@ -37,7 +39,7 @@ import numpy as np
 from . import rng as crng
 from .measures import EmpiricalMeasure, from_arrays
 
-__all__ = ["Problem", "TimeGrid", "Particles", "Noise", "flow", "MAX_NOISE_DOUBLES"]
+__all__ = ["Problem", "TimeGrid", "Particles", "LawView", "Noise", "flow", "MAX_NOISE_DOUBLES"]
 
 # cap on the doubles one Noise object may hold: 2^25 doubles, 256 MiB
 MAX_NOISE_DOUBLES = 1 << 25
@@ -51,21 +53,25 @@ class Problem:
     ----------
     d : spatial dimension.
     b : drift, (t, x, m) -> array broadcastable to (N, d). `x` is the (N, d)
-        block of surviving positions; `m` is the empirical snapshot or None
-        when `b_uses_measure` is False.
+        block of surviving positions; `m` is the law of the system (a
+        `LawView` inside `flow`, an `EmpiricalMeasure` in the probes of
+        `calculus`), or None when `b_uses_measure` is False. A coefficient
+        reads only `m.survivors()`, `m.surviving_mass()` and `m.d`, and must
+        not depend on the order of the survivors or on how their mass is
+        split among duplicate positions.
     sigma : volatility, (t, x, m) -> scalar, (N,), (N, d) diagonal, or
-        (N, d, d) full matrix. Must be nonnegative (componentwise for the
-        diagonal forms).
-    f : running reward density (t, x, m) -> (N,), or None for zero. Enters
-        the objective as the survivor-weighted sum, i.e. integrated against
-        m(dx, 1) only.
+        (N, d, d) full matrix, with `m` as for b. Must be nonnegative
+        (componentwise for the diagonal forms).
+    f : running reward density (t, x, m) -> (N,), with `m` as for b, or
+        None for zero. Enters the objective as the survivor-weighted sum,
+        i.e. integrated against m(dx, 1) only.
     g : terminal reward, (points (N, d), weights (N,)) -> float. Reads the
         full spatial marginal; it must not depend on atom order or on how
         mass is split among duplicate atoms.
     horizon : T > 0.
     b_uses_measure, sigma_uses_measure, f_uses_measure : set when the
         coefficient actually reads `m`; when all are False the simulation
-        skips building per-step snapshots.
+        skips building per-step views.
     truncated_horizon : marks a problem built by truncating an infinite
         horizon; a run over [0, T] that stops nothing warns if the
         surviving state has not decayed.
@@ -199,6 +205,46 @@ class Particles:
         self.stopped_any = self.stopped_any or bool(frac.any() or full.any())
 
 
+class LawView:
+    """The law of a particle system at one node, as coefficients read it.
+
+    Holds copies of the live rows' positions and weights, so a view kept
+    past its node does not move with the particles. `survivors()` returns
+    them in row order, unsorted and unmerged; the frozen atoms and the pool
+    enter only the checks. The checks are those of a canonical snapshot,
+    with the same messages, and none sorts: every position and weight is
+    finite, no weight is negative, and the total mass is 1 within 1e-9.
+    """
+
+    def __init__(self, particles: Particles):
+        # skip empty parts: on these sizes numpy's per-call cost outweighs the work
+        xs = [a for a in (particles.x, particles.frozen_x, *particles.pool_x) if a.size]
+        ws = [a for a in (particles.w, particles.frozen_w, *particles.pool_w) if a.size]
+        if not all(np.isfinite(a).all() for a in xs + ws):
+            raise ValueError("non-finite atom data")
+        if any(a.min() < 0 for a in ws):
+            raise ValueError("negative atom weight")
+        total = sum(float(a.sum()) for a in ws)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"total mass {total!r} is not 1")
+        live = np.flatnonzero(particles.alive)
+        self._x = particles.x.take(live, axis=0)
+        self._w = particles.w.take(live)
+        self._x.flags.writeable = False
+        self._w.flags.writeable = False
+
+    @property
+    def d(self) -> int:
+        return self._x.shape[1]
+
+    def survivors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and weights of the live rows, in row order."""
+        return self._x, self._w
+
+    def surviving_mass(self) -> float:
+        return float(self._w.sum())
+
+
 class Noise:
     """The particle noise at address (seed, ids, d) over the node indices `nodes`.
 
@@ -254,7 +300,7 @@ def advance_positions(
     t: float,
     dt: float,
     problem: Problem,
-    m: Optional[EmpiricalMeasure],
+    m: Optional[LawView],
     noise: Optional[np.ndarray],
 ) -> np.ndarray:
     """One Euler update x + 1_alive (b dt + sigma sqrt(dt) xi).
@@ -279,16 +325,17 @@ def flow(
     nodes: range,
     stop: Optional[Callable] = None,
     noise: Optional[Noise] = None,
-) -> Iterator[tuple[int, float, Optional[EmpiricalMeasure]]]:
+) -> Iterator[tuple[int, float, Optional[LawView]]]:
     """Advance `particles` in place over the node indices `nodes`.
 
     At node k, at time t0 + k dt: apply `stop` through `Particles.stop`
-    unless it is None or nothing survives; build the snapshot when
-    `problem.needs_snapshots()`; yield (k, t, snapshot), where the caller
-    reads the post-stop state; then take one Euler step with the noise
-    `noise.block(k)`, or with none when noise is None. The
-    drift and volatility see the snapshot only when the problem declares
-    that they read the measure.
+    unless it is None or nothing survives; build the `LawView` of the
+    post-stop law when `problem.needs_snapshots()`; yield (k, t, view),
+    where the caller reads the post-stop state; then take one Euler step
+    with the noise `noise.block(k)`, or with none when noise is None. The
+    drift and volatility see the view only when the problem declares that
+    they read the measure. A caller that needs the canonical snapshot
+    calls `particles.snapshot()`.
 
     A run over the whole horizon [0, T] of a truncated-horizon problem that
     stops nothing warns when the surviving state has not decayed to 5% of
@@ -306,10 +353,10 @@ def flow(
         t = t0 + k * dt
         if stop is not None:
             particles.stop(k, stop)
-        snap = particles.snapshot() if problem.needs_snapshots() else None
-        yield k, t, snap
+        law = LawView(particles) if problem.needs_snapshots() else None
+        yield k, t, law
         xi = None if noise is None else noise.block(k)
-        m = snap if problem.measure_dependent else None
+        m = law if problem.measure_dependent else None
         particles.x = advance_positions(particles.x, particles.alive, t, dt, problem, m, xi)
     if guard and not particles.stopped_any:
         size = np.abs(particles.x[particles.alive]).mean()

@@ -3,11 +3,11 @@
 A `Policy` attaches one survival map p_k to every decision node t_k,
 k = 0..n-1. Evaluation runs the maps through the forward kernel
 `dynamics.flow`, stop-then-diffuse: at each node the map splits
-surviving weight into a continuing part and a frozen part, the post-stop
-snapshot feeds the running reward and (when needed) the coefficients, then
-one Euler step advances the survivors. At the horizon everything is stopped
-by fiat; the terminal reward reads the spatial marginal, which that forced
-stop does not alter.
+surviving weight into a continuing part and a frozen part, the view of
+the post-stop law feeds the running reward and (when needed) the
+coefficients, then one Euler step advances the survivors. At the horizon
+everything is stopped by fiat; the terminal reward reads the spatial
+marginal, which that forced stop does not alter.
 
 Row i of a run from m0 with r paths per atom is particle id i, so the
 noise of every run is fixed by (m0, r, seed) alone. `policy_noise` builds

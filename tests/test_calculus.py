@@ -14,8 +14,10 @@ from mfstop.calculus import (
 )
 from mfstop.catalog import build_instance
 from mfstop.dynamics import Problem
-from mfstop.measures import make_empirical
+from mfstop.measures import StopMap, apply_stop, make_empirical
 from mfstop.pde import aggregate_value, standard_os_pde
+from mfstop.solver import _random_stop_map
+from mfstop.util import rng_for
 
 M3 = make_empirical([(-0.4, 1), (0.5, 0), (1.1, 1)], [0.3, 0.3, 0.4])
 
@@ -292,6 +294,35 @@ def test_shared_noise_stays_under_the_cap(monkeypatch):
     assert len(calls) == 8 * 2 * 8
     with pytest.raises(ValueError, match="the particle noise needs 480 doubles"):
         u(0.0, THREE_BUCKETS)
+
+
+def _bootstrap_mean_and_se(samples) -> tuple[float, float]:
+    samples = np.asarray(samples, dtype=float)
+    picks = np.random.default_rng(0).integers(0, samples.size, size=(2000, samples.size))
+    return float(samples.mean()), float(samples[picks].mean(axis=1).std(ddof=1))
+
+
+def test_anchored_noise_keys_give_the_shipped_attraction_law_a_zero_generator():
+    # The attraction value is the total mean, which neither the flow nor any
+    # stop changes: the never-stop generator is 0 and every stop of m keeps
+    # u. Keyed by m's atoms, the +-h probes share their atom's draws. The
+    # bucket keys put the shipped atoms at -1, 0 and 1 on bucket edges, the
+    # probes draw independent noise, and the generator reads hundreds.
+    problem, m = ATTRACTION.problem, ATTRACTION.m0
+    rng = rng_for(0, "residual")
+    stops = [StopMap.constant(0.0)] + [_random_stop_map(rng) for _ in range(5)]
+    generators, gaps = [], []
+    for seed in range(8):  # independent replicates of the simulated functional
+        u = make_unstopped_functional(problem, paths_per_atom=200, seed=seed, anchors=m.xs[:, 0])
+        generators.append(generator(u, 0.0, m, problem) + running_reward(problem, 0.0, m))
+        base = u(0.0, m)
+        gaps.append([u(0.0, apply_stop(m, stop)) - base for stop in stops])
+    mean, se = _bootstrap_mean_and_se(generators)
+    # 0.01 is the scale at which `mfstop residual` reads its interior term
+    assert se < 0.01 and abs(mean) <= 4 * se
+    for gap in np.transpose(gaps):
+        mean, se = _bootstrap_mean_and_se(gap)
+        assert abs(mean) <= 4 * se
 
 
 def _put_setup():

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import sys
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
+from test_golden import PULL_M0, noisy_pull_problem
 
-from mfstop.calculus import make_unstopped_functional
-from mfstop.dynamics import Noise, Particles, Problem, TimeGrid, flow
-from mfstop.measures import StopMap, make_empirical
-from mfstop.policy import Policy, evaluate_policy
+from mfstop.calculus import generator, make_unstopped_functional
+from mfstop.catalog import load_experiment_config
+from mfstop.dynamics import LawView, Noise, Particles, Problem, TimeGrid, flow
+from mfstop.measures import StopMap, _merge_sorted, make_empirical
+from mfstop.policy import Policy, evaluate_policy, policy_noise
 
 
 def _mean_g(points, weights):
@@ -181,6 +184,79 @@ def test_measure_dependent_drift_sees_snapshot():
     gap0 = abs(xs[0][0, 0] - xs[0][1, 0])
     gapT = abs(xs[-1][0, 0] - xs[-1][1, 0])
     assert gapT < gap0
+
+
+def test_law_view_equals_the_canonical_snapshot_at_every_node():
+    # fractional stops fill the pool; the drift reads the law through the view
+    problem = noisy_pull_problem()
+    maps = (
+        StopMap.constant(0.7),
+        StopMap.threshold(0.2, "below"),
+        StopMap.logistic(2.0, -1.0),
+        StopMap.constant(1.0),
+    )
+    nodes = range(4)
+    particles = Particles.from_measure(PULL_M0, 30)
+    noise = policy_noise(PULL_M0, problem, 30, 17, nodes)
+    stop = lambda k, x, rows: maps[k](x)
+    kept = []
+    for _, _, view in flow(particles, problem, 0.0, 0.25, nodes, stop, noise):
+        kept.append((view, particles.snapshot()))
+    assert particles.pool_w
+    # every view still equals its own node's law after the particles moved on
+    for view, snap in kept:
+        xs, ws = view.survivors()
+        order = np.argsort(xs[:, 0], kind="stable")
+        merged_xs, merged_ws = _merge_sorted(xs[order], ws[order])
+        snap_xs, snap_ws = snap.survivors()
+        assert view.d == 1 and merged_xs.shape == snap_xs.shape
+        assert np.allclose(merged_xs, snap_xs, rtol=0.0, atol=1e-12)
+        assert np.allclose(merged_ws, snap_ws, rtol=0.0, atol=1e-12)
+        assert abs(view.surviving_mass() - snap.surviving_mass()) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "x,w,frozen_x,frozen_w,message",
+    [
+        ([[np.nan], [0.0]], [0.5, 0.3], [[1.0]], [0.2], "non-finite atom data"),
+        ([[0.0], [1.0]], [0.5, 0.3], [[np.inf]], [0.2], "non-finite atom data"),
+        ([[0.0], [1.0]], [1.5, -0.7], [[2.0]], [0.2], "negative atom weight"),
+        ([[0.0], [1.0]], [0.5, 0.3], [[2.0]], [0.2 + 1e-6], "total mass .* is not 1"),
+    ],
+    ids=["row-position", "frozen-position", "negative-weight", "mass-off-by-1e-6"],
+)
+def test_law_view_raises_what_the_canonical_snapshot_raises(x, w, frozen_x, frozen_w, message):
+    particles = Particles(
+        np.array(x), np.ones(2, dtype=bool), np.array(w), np.array(frozen_x), np.array(frozen_w)
+    )
+    with pytest.raises(ValueError, match=message):
+        particles.snapshot()
+    with pytest.raises(ValueError, match=message):
+        LawView(particles)
+
+
+def test_flow_builds_no_canonical_measure(monkeypatch):
+    import mfstop.measures
+
+    builds = []
+    build = mfstop.measures._build
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    cfg = load_experiment_config(str(files("mfstop").joinpath("configs", "attraction.json")))
+    inst = cfg.instance()
+    grid = TimeGrid(cfg.grid_n, inst.problem.horizon)
+    pol = Policy((StopMap.constant(0.8),) * grid.n)
+    monkeypatch.setattr(mfstop.measures, "_build", counting)
+    evaluate_policy(inst.m0, inst.problem, grid, pol, cfg.paths_per_atom, cfg.seed)
+    assert builds == []
+    u = make_unstopped_functional(inst.problem, n_steps=8, paths_per_atom=20, seed=4)
+    generator(u, 0.0, inst.m0, inst.problem)
+    # only the bump probes, each at eps and eps/2: one per atom, then x + h,
+    # x - h and the stopped copy (x, 0) per survivor; 3 atoms, all alive
+    assert len(builds) == 2 * (3 + 3 * 3)
 
 
 def test_snapshot_is_valid_measure():

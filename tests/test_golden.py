@@ -38,9 +38,9 @@ ARTIFACT_SHA256 = {
     ("mean_variance", "simulate"): "ae10e8a40f1ee4be5fa7c8213d942c186d046406e4ca87d2b13866b5d82d880d",
     ("mean_variance", "solve"): "f04bff2588d27bc5f90d1a9307f0639fc8d8400c7fe373ec0349639b725474a1",
     ("mean_variance", "verify-dpp"): "e9701ff742bb9fce5f3f55f1caabde517823bd8ed9f34372aef945389cdf99c8",
-    ("attraction", "simulate"): "b866fe86c6c156495c2c2934ffd47cdce96cd77cfdfe7549b66f2551086823dc",
-    ("attraction", "solve"): "c06b674753a2220afaf63753d5befece259fd34f393daaeb8dbc7235bf331b55",
-    ("attraction", "verify-dpp"): "ebd655c218f18644a3c1c0d02039f3de88a07ed2f146768f3024fd54cf56d0a6",
+    ("attraction", "simulate"): "7b5ecd38ca777d44501b05572d83c37f562d3d0dce34054e3a261006590beb8b",
+    ("attraction", "solve"): "d1dc505fced210fd0bb854f399e38635092d37ddfdf92d9c311ce91f7d094680",
+    ("attraction", "verify-dpp"): "54bc60bbeba9c1da836661ce880dffe989dc78d6693ac124d4aa95f3568e40d6",
     ("standard_put", "residual"): "8169ed087e0a71330eeb92889a598e75e1263cc333c5dd17fe37122c7bef8b64",
     ("standard_put", "mollify"): "8b04e700f56f06fe7868479a5c6ff915fdf3433ec9e6c2877805f804bb20ab1e",
     ("mean_variance", "mollify"): "3802e4bf06cbd59912693ae5a166d70e6ef24a1e1bdfbc1fb9ff6e773416531d",
@@ -50,7 +50,7 @@ ARTIFACT_SHA256 = {
 TERMINAL_CSV_SHA256 = {
     "standard_put": "6d6342c7017c393489c2c486dbb4543c9465a801398c87b269adccabc60542ef",
     "mean_variance": "8001085ab8b73eb5c0b7ece5b4db78b4ef1edfd1fec2675d8e6ee5def2259d58",
-    "attraction": "c18db86aa53e7356717a4d4abd82942a95417bd38e7f6de10df03d5b60bb59d6",
+    "attraction": "9583c6ece85bb2d1018c6f281523ed7c060187687ba78776f525d8a1a82c0e13",
 }
 
 ARTIFACT_NAME = {
@@ -91,9 +91,9 @@ def test_unstopped_functional_on_attraction():
     inst = build_instance("attraction")
     u = make_unstopped_functional(inst.problem, paths_per_atom=50, seed=5)
     shifted = make_empirical([(x + 0.125, 1) for x in (-1.0, 0.0, 1.0)], [0.3, 0.3, 0.4])
-    assert repr(u(0.0, inst.m0)) == "0.10661441317738278"
+    assert repr(u(0.0, inst.m0)) == "0.1066144131773828"
     assert repr(u(0.5, inst.m0)) == "0.10467709641129697"
-    assert repr(u(0.0, shifted)) == "0.2316144131773828"
+    assert repr(u(0.0, shifted)) == "0.23161441317738277"
     assert repr(u(0.5, shifted)) == "0.22967709641129697"
 
 
@@ -218,8 +218,8 @@ def test_policy_value_with_fractional_stops_and_running_reward():
         )
     )
     est = evaluate_policy(PULL_M0, noisy_pull_problem(), TimeGrid(4, 1.0), pol, 30, seed=17)
-    assert repr(est.value) == "-0.6092659206071385"
-    assert repr(est.mc_stderr) == "0.023611146870461758"
+    assert repr(est.value) == "-0.6092659206071382"
+    assert repr(est.mc_stderr) == "0.023611146870461754"
 
 
 def test_dpp_search_with_prefix_bootstrap():
@@ -241,13 +241,13 @@ def test_dpp_search_with_prefix_bootstrap():
 UNCONVERGED_ATTRACTION = {
     # solver seed: value, stderr, evaluations, sha256 of the policy JSON
     1: (
-        "0.12107895678669901",
-        "0.00617029559217964",
+        "0.12107895678669904",
+        "0.0061702955921796405",
         200,
         "09d249b8fc9f5381997badc9422dc90eda7e343b285aad4f45f3a16bcf92c2e1",
     ),
     7: (
-        "0.11348557168369183",
+        "0.11348557168369185",
         "0.0037677359566737965",
         185,
         "ff4271ed5e28398d5ec821f9a030d78b41a74993e20f995b030d8494506a13a2",
