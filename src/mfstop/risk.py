@@ -7,8 +7,9 @@ the value is a sup over linear-payoff problems minus a conjugate penalty.
 Expected shortfall enters through its variational form: a scalar beta joins
 the payoff (x-beta)+ and the outer minimization over beta commutes with the
 inner stopping problem. Both reductions price their linear subproblems with
-the obstacle solver and the aggregation identity from `pde`, and each scan
-over slopes or levels is one stacked backward sweep.
+the obstacle solver and the aggregation identity from `pde`, and both find
+their best slope or level by one bracket search (a grid, then 9-point rounds
+that shrink the bracket by 4) whose every scan is one stacked backward sweep.
 
 The distortion functional needs no dynamics at all: on an atomic law the
 layer-cake integral collapses to an exact finite sum.
@@ -136,25 +137,27 @@ def _shortfall_payoff(beta: float) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.maximum(np.asarray(x, dtype=float) - beta, 0.0)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(fn, a: float, b: float, xtol: float, max_iter: int = 200):
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a <= xtol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc < fd else (d, fd)
+def _bracket_search(objectives, grid, rounds: int, edge_error: str) -> tuple:
+    """Maximiser and maximum: a scan of `grid`, then `rounds` rounds of 9
+    points around the best point seen, each shrinking the bracket by 4.
+    Raises ValueError(edge_error) when the grid maximiser is an edge.
+    """
+    cache: dict = {}
+    vals = _scan(cache, grid, objectives)
+    j = int(np.argmax(vals))
+    if j == 0 or j == len(grid) - 1:
+        raise ValueError(edge_error)
+    lo, hi = grid[j - 1], grid[j + 1]
+    best_x, best = float(grid[j]), float(vals[j])
+    for _ in range(rounds):
+        local = np.linspace(lo, hi, 9)
+        lvals = _scan(cache, local, objectives)
+        i = int(np.argmax(lvals))
+        if lvals[i] > best:
+            best_x, best = float(local[i]), float(lvals[i])
+        step = (hi - lo) / 8.0
+        lo, hi = best_x - step, best_x + step
+    return best_x, best
 
 
 def expected_shortfall_value(
@@ -172,11 +175,12 @@ def expected_shortfall_value(
 
     For each beta a minimization-form obstacle problem prices the payoff
     (x - beta)+, the aggregation identity lifts it to the measure m, and the
-    scalar objective beta + V_beta/(1-alpha) is scanned for a bracket and
-    then polished by golden section. The scan is one stacked backward sweep;
-    the golden section solves one beta at a time. The objective grows at
-    both ends of the beta axis, so an interior bracket exists; failing to
-    find one in the configured range is an error.
+    scalar objective beta + V_beta/(1-alpha) is minimized by the bracket
+    search of `mean_variance_dual`, with as many rounds as it takes to shrink
+    the bracket to `xtol`; each scan and round is one stacked sweep, and no
+    level is solved on its own. The objective grows at both ends of the beta
+    axis, so an interior bracket exists; failing to find one in the
+    configured range is an error.
 
     `threads` must be 1; it is kept so that existing callers keep working.
     """
@@ -193,28 +197,29 @@ def expected_shortfall_value(
         beta_lo = float(xs[:, 0].min()) - pad if beta_lo is None else beta_lo
         beta_hi = float(xs[:, 0].max()) + pad if beta_hi is None else beta_hi
 
-    def objectives(betas) -> list:
+    if not (math.isfinite(beta_lo) and math.isfinite(beta_hi) and beta_lo < beta_hi):
+        raise ValueError("beta bounds must be finite and increasing")
+    if scan_points < 3:
+        raise ValueError("scan_points must be at least 3")
+    if not (math.isfinite(xtol) and xtol > 0.0):
+        raise ValueError("xtol must be finite and positive")
+
+    def neg_objectives(betas) -> list:
         psis = [_shortfall_payoff(beta) for beta in betas]
         values = _linear_values(m, problem, psis, pde_cfg, "inf")
-        return [beta + v_beta / (1.0 - alpha) for beta, v_beta in zip(betas, values)]
+        return [-(beta + v_beta / (1.0 - alpha)) for beta, v_beta in zip(betas, values)]
 
-    cache: dict = {}
-    grid = np.linspace(beta_lo, beta_hi, scan_points)
-    vals = _scan(cache, grid, objectives)
-
-    def objective(beta: float) -> float:
-        return _scan(cache, [beta], objectives)[0]
-
-    j = int(np.argmin(vals))
-    if j == 0 or j == scan_points - 1:
-        raise ValueError(
-            "no interior bracket for beta in "
-            f"[{beta_lo:.6g}, {beta_hi:.6g}]; widen the scan range"
-        )
-    beta_star, best = _golden_min(objective, grid[j - 1], grid[j + 1], xtol)
-    if vals[j] < best:
-        beta_star, best = float(grid[j]), float(vals[j])
-    return EsResult(value=float(best), beta_star=float(beta_star))
+    # the bracket is two scan steps wide and each round shrinks it by 4
+    width, rounds = 2.0 * (beta_hi - beta_lo) / (scan_points - 1), 0
+    while width / 4**rounds > xtol:
+        rounds += 1
+    beta_star, neg_best = _bracket_search(
+        neg_objectives,
+        np.linspace(beta_lo, beta_hi, scan_points),
+        rounds,
+        f"no interior bracket for beta in [{beta_lo:.6g}, {beta_hi:.6g}]; widen the scan range",
+    )
+    return EsResult(value=-neg_best, beta_star=beta_star)
 
 
 # ---------------------------------------------------------------------------
@@ -285,24 +290,12 @@ def mean_variance_dual(
         values = _linear_values(m, problem, psis, pde_cfg, "sup")
         return [v_a - (a - 1.0) ** 2 / (2.0 * lam) for a, v_a in zip(alphas, values)]
 
-    cache: dict = {}
-    grid = np.linspace(a_lo, a_hi, grid_points)
-    vals = _scan(cache, grid, dual_objectives)
-    j = int(np.argmax(vals))
-    if j == 0 or j == grid_points - 1:
-        raise ValueError(
-            f"dual maximizer pinned to the alpha-grid edge [{a_lo:.6g}, {a_hi:.6g}]"
-        )
-    lo, hi = grid[j - 1], grid[j + 1]
-    best_a, best = float(grid[j]), float(vals[j])
-    for _ in range(refine_rounds):
-        local = np.linspace(lo, hi, 9)
-        lvals = _scan(cache, local, dual_objectives)
-        i = int(np.argmax(lvals))
-        if lvals[i] > best:
-            best_a, best = float(local[i]), float(lvals[i])
-        step = (hi - lo) / 8.0
-        lo, hi = best_a - step, best_a + step
+    best_a, best = _bracket_search(
+        dual_objectives,
+        np.linspace(a_lo, a_hi, grid_points),
+        refine_rounds,
+        f"dual maximizer pinned to the alpha-grid edge [{a_lo:.6g}, {a_hi:.6g}]",
+    )
     return MeanVarianceResult(value=best, alpha_star=best_a)
 
 

@@ -1,10 +1,12 @@
 """Static checks over the package and test sources."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "mfstop").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "mfstop").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +53,67 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def private_definitions(tree: ast.Module) -> dict:
+    """Top-level `_`-prefixed, non-dunder functions, classes and constants."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found[name] = node
+    return found
+
+
+def references(node: ast.AST):
+    """Every name that `node` reads, reaches as an attribute or imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def unreferenced_private_names(sources: dict) -> list[str]:
+    """Private top-level names that nothing outside their own definition names."""
+    trees = {label: ast.parse(source) for label, source in sources.items()}
+    total = Counter(name for tree in trees.values() for name in references(tree))
+    return sorted(
+        f"{label}: {name}"
+        for label, tree in trees.items()
+        for name, node in private_definitions(tree).items()
+        if total[name] == sum(ref == name for ref in references(node))
+    )
+
+
+def test_the_private_scan_flags_only_names_nobody_uses():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_UNUSED = 4\n"
+            "__version__ = '1'\n"
+            "def _loop(n):\n"
+            "    return _loop(n - 1) if n else 0\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "class _Kept:\n"
+            "    pass\n"
+        ),
+        "b": "from .a import _helper\nimport a\nx = a._Kept\n",
+    }
+    assert unreferenced_private_names(sources) == ["a: _UNUSED", "a: _loop"]
+
+
+def test_every_private_name_in_the_package_is_used():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unreferenced_private_names(sources) == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfstop import risk
 from mfstop.catalog import build_instance
 from mfstop.dynamics import Problem, TimeGrid
 from mfstop.measures import StopMap, make_empirical, wasserstein
@@ -156,6 +157,62 @@ def test_shortfall_bracket_failure_raises():
         )
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(xtol=0.0),
+        dict(xtol=-1.0),
+        dict(xtol=float("nan")),
+        dict(xtol=float("inf")),
+        dict(beta_lo=1.0, beta_hi=1.0),
+        dict(beta_lo=3.0, beta_hi=-3.0),
+        dict(beta_lo=float("-inf"), beta_hi=3.0),
+        dict(scan_points=2),
+    ],
+)
+def test_shortfall_value_rejects_bad_search_inputs(monkeypatch, kw):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a bad search input reached the obstacle solver")
+
+    monkeypatch.setattr(risk, "stacked_initial_values", no_sweep)
+    with pytest.raises(ValueError, match="xtol|beta bounds|scan_points"):
+        expected_shortfall_value(
+            THREE_ATOMS, brownian_problem(0.0), 0.5, es_pde_cfg(nx=81, nt=40), **kw
+        )
+
+
+def counted_sweeps(monkeypatch) -> list:
+    """Record the number of obstacles of every stacked sweep the duals make."""
+    sizes = []
+    sweep = risk.stacked_initial_values
+
+    def counted(problem, psis, *args, **kwargs):
+        sizes.append(len(psis))
+        return sweep(problem, psis, *args, **kwargs)
+
+    monkeypatch.setattr(risk, "stacked_initial_values", counted)
+    return sizes
+
+
+def test_shipped_shortfall_makes_one_sweep_per_scan(monkeypatch):
+    # the 17-level scan, then the 9 rounds that shrink its bracket to xtol
+    sizes = counted_sweeps(monkeypatch)
+    inst = build_instance("shortfall")
+    expected_shortfall_value(inst.m0, inst.problem, 0.8, inst.pde_cfg)
+    assert len(sizes) == 10
+    assert sizes[0] == 17 and max(sizes[1:]) <= 9
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.9, 0.95])
+def test_shipped_shortfall_reaches_static_shortfall_within_xtol(alpha):
+    # martingale dynamics, so stopping at once is optimal and the dual value
+    # is the static shortfall of m0, up to the default xtol of the level
+    inst = build_instance("shortfall", alpha=alpha)
+    xs, ws = inst.m0.x_marginal()
+    res = expected_shortfall_value(inst.m0, inst.problem, alpha, inst.pde_cfg)
+    assert abs(res.value - expected_shortfall(xs[:, 0], ws, alpha)) <= 1e-5
+
+
 def test_shortfall_value_refuses_threads_other_than_one():
     with pytest.raises(ValueError, match="threads must be 1"):
         expected_shortfall_value(
@@ -251,9 +308,10 @@ def test_stacked_gbm_slopes_equal_separate_solves():
         assert np.array_equal(row, separate.values[0])
 
 
-def test_mean_variance_dual_makes_one_sweep_per_slope_grid():
+def test_mean_variance_dual_makes_one_sweep_per_slope_grid(monkeypatch):
     # the coarse grid and the new slopes of each of the two refine rounds
     # are one sweep each, and a sweep evaluates the drift once per step
+    sizes = counted_sweeps(monkeypatch)
     inst = build_instance("mean_variance", lam=1.0)
     calls = []
     drift = inst.problem.b
@@ -264,6 +322,7 @@ def test_mean_variance_dual_makes_one_sweep_per_slope_grid():
 
     problem = dataclasses.replace(inst.problem, b=counted)
     res = mean_variance_dual(inst.m0, problem, 1.0, inst.pde_cfg, refine_rounds=2)
+    assert len(sizes) == 1 + 2 and sizes[0] == 21 and max(sizes[1:]) <= 9
     assert len(calls) == 3 * inst.pde_cfg.nt
     assert (repr(res.value), repr(res.alpha_star)) == ("0.5648000000000001", "1.7599999999999998")
 
