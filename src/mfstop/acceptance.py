@@ -186,7 +186,7 @@ def _criterion_4():
     """Martingale collapse of mean minus variance: three routes, one value."""
     inst = build_instance("mean_variance", lam=1.0)
     xs, ws = inst.m0.x_marginal()
-    stop_now = float(inst.problem.g(xs, ws))
+    stop_now = inst.problem.terminal(xs, ws)
     dual = mean_variance_dual(inst.m0, inst.problem, 1.0, inst.pde_cfg)
     cfg = SearchConfig(paths_per_atom=400)
     est, _ = solve_value(inst.m0, inst.problem, TimeGrid(8, 1.0), cfg, seed=17)

@@ -51,7 +51,6 @@ import numpy as np
 from . import dynamics
 from .dynamics import LawView, Noise, Particles, Problem, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays
-from .solver import _random_stop_map
 from .util import rng_for
 
 __all__ = [
@@ -203,25 +202,8 @@ def estimate_derivatives(
 
 def running_reward(problem: Problem, t: float, m: EmpiricalMeasure) -> float:
     """The instantaneous mean-field reward: f integrated over survivors."""
-    if problem.f is None:
-        return 0.0
     xs, ws = m.survivors()
-    if xs.shape[0] == 0:
-        return 0.0
-    vals = np.asarray(
-        problem.f(t, xs, m if problem.f_uses_measure else None), dtype=float
-    ).reshape(-1)
-    return float(vals @ ws)
-
-
-def _sigma_diag(problem: Problem, t: float, xs: np.ndarray, m) -> np.ndarray:
-    """Volatility evaluated on a survivor block, flattened to (N,) for d=1."""
-    sig = np.asarray(problem.sigma(t, xs, m), dtype=float)
-    if sig.ndim == 3:
-        return sig[:, 0, 0]
-    if sig.ndim == 2:
-        return np.broadcast_to(sig, xs.shape)[:, 0]
-    return np.broadcast_to(sig, (xs.shape[0],)).astype(float)
+    return float(problem.rate(t, xs, m) @ ws) if xs.shape[0] else 0.0
 
 
 def generator(
@@ -244,13 +226,8 @@ def generator(
     xs, ws = m.survivors()
     if xs.shape[0] == 0:
         return est.dt
-    b_vals = np.broadcast_to(
-        np.asarray(
-            problem.b(t, xs, m if problem.b_uses_measure else None), dtype=float
-        ),
-        xs.shape,
-    )[:, 0]
-    sig = _sigma_diag(problem, t, xs, m if problem.sigma_uses_measure else None)
+    b_vals = problem.drift(t, xs, m)[:, 0]
+    sig = np.broadcast_to(problem.vol(t, xs, m), xs.shape)[:, 0]
     integrand = b_vals * est.dx_delta + 0.5 * sig * sig * est.dxx_delta
     return est.dt + float(ws @ integrand)
 
@@ -326,7 +303,7 @@ def make_unstopped_functional(
         if n_live == 0 or t >= horizon:
             # nothing moves and survivors are absent or out of time, so the
             # running-reward integral vanishes
-            return float(problem.g(m.xs, m.ws))
+            return problem.terminal(m.xs, m.ws)
 
         # the call's own rows must fit the cap, as if drawn as one table;
         # this never draws
@@ -348,21 +325,16 @@ def make_unstopped_functional(
         particles = Particles.from_measure(m, p, freeze_stopped=True)
         dt = (horizon - t) / n_steps
 
-        def reward_rate(tk, law) -> float:
-            m_f = law if problem.f_uses_measure else None
-            f_vals = np.asarray(problem.f(tk, particles.x, m_f), dtype=float)
-            return float(f_vals.reshape(-1) @ particles.w)
-
-        f_series = []
+        rates = []
         for _, tk, law in flow(particles, problem, t, dt, nodes, noise=noise):
             if problem.f is not None:
-                f_series.append(reward_rate(tk, law))
-        value = float(problem.g(*particles.marginal()))
+                rates.append(problem.rate(tk, particles.x, law) @ particles.w)
+        value = problem.terminal(*particles.marginal())
 
         if problem.f is not None:
-            law = LawView(particles) if problem.f_uses_measure else None
-            f_series.append(reward_rate(horizon, law))
-            value += float(np.trapezoid(f_series, dx=dt))
+            law = LawView(particles) if problem.uses_measure else None
+            rates.append(problem.rate(horizon, particles.x, law) @ particles.w)
+            value += float(np.trapezoid(rates, dx=dt))
         return value
 
     return u
@@ -422,7 +394,7 @@ def obstacle_residual(
     rng = rng_for(cfg.seed, "residual")
 
     maps = [StopMap.constant(1.0), StopMap.constant(0.0)]
-    maps += [_random_stop_map(rng) for _ in range(cfg.n_stop_maps)]
+    maps += [StopMap.random(rng) for _ in range(cfg.n_stop_maps)]
 
     seen = set()
     candidates = []

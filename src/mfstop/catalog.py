@@ -204,9 +204,7 @@ def _attraction(kappa: float = 2.0, vol: float = 0.4) -> BenchmarkInstance:
     b, uses = coefficient_field("attraction", kappa=kappa)
     s, _ = coefficient_field("constant", value=vol)
     g = lambda p, w: float(p[:, 0] @ w)
-    problem = Problem(
-        d=1, b=b, sigma=s, f=None, g=g, horizon=1.0, b_uses_measure=uses
-    )
+    problem = Problem(d=1, b=b, sigma=s, f=None, g=g, horizon=1.0, uses_measure=uses)
     m0 = make_empirical([(-1.0, 1), (0.0, 1), (1.0, 1)], [0.3, 0.3, 0.4])
     return BenchmarkInstance(
         name="attraction", problem=problem, m0=m0, params={"kappa": kappa, "vol": vol}

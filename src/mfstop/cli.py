@@ -207,7 +207,7 @@ def _cmd_solve(args) -> int:
         "n_evaluations": result.n_evaluations,
         "policy": json.loads(policy_to_json(result.policy)),
     }
-    if inst.psi is not None and inst.pde_cfg is not None and not inst.problem.measure_dependent:
+    if inst.psi is not None and inst.pde_cfg is not None and not inst.problem.uses_measure:
         pde = standard_os_pde(inst.problem, inst.psi, inst.pde_cfg)
         oracle = aggregate_value(inst.m0, pde, inst.psi)
         body["aggregate_oracle"] = oracle
@@ -242,7 +242,7 @@ def _cmd_residual(args) -> int:
     if not 0.0 <= t <= problem.horizon:
         raise ValueError(f"--time must lie in [0, {problem.horizon}]")
 
-    if inst.psi is not None and inst.pde_cfg is not None and not problem.measure_dependent:
+    if inst.psi is not None and inst.pde_cfg is not None and not problem.uses_measure:
         # one-particle reduction available: interrogate the aggregated surface
         pde = standard_os_pde(problem, inst.psi, inst.pde_cfg)
         u = lambda tt, mm: aggregate_value(mm, pde, inst.psi, t=tt)
@@ -269,8 +269,7 @@ def _cmd_mollify(args) -> int:
     cfg = _resolve_config(args)
     inst = cfg.instance()
     m = _load_measure(args, inst)
-    g = inst.problem.g
-    functional = lambda mm: float(g(*mm.x_marginal()))
+    functional = lambda mm: inst.problem.terminal(*mm.x_marginal())
     params = MollifierParams(n=cfg.mollifier_n, z_samples=cfg.z_samples)
     result = mollify(functional, m, params, seed=cfg.seed)
     raw = functional(m)
@@ -315,7 +314,7 @@ def _example_meanvar(cfg: ExperimentConfig, args) -> list[dict]:
         xs, ws = inst.m0.x_marginal()
         # martingale dynamics: waiting only spreads the law, so stopping at
         # once is optimal and the value collapses to the reward of m0
-        oracle = float(inst.problem.g(xs, ws))
+        oracle = inst.problem.terminal(xs, ws)
         dual = mean_variance_dual(inst.m0, inst.problem, lam, inst.pde_cfg)
         rows.append(_row(f"lam={lam:g}", dual.value, oracle, 0.0))
 

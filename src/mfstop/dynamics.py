@@ -1,11 +1,12 @@
 """Euler-Maruyama simulation of stopped mean-field particle dynamics.
 
-A `Problem` bundles the coefficients (b, sigma, f, g) and the horizon. The
-drift and volatility may read the current particle law; the simulation then
-feeds them a `LawView` of the whole system, lagged to the left endpoint of
-each step (weak order-1 mean-field scheme). The view copies and checks the
-live rows without sorting or merging them; the canonical snapshot,
-`Particles.snapshot()`, is built only where a law leaves the kernel.
+A `Problem` bundles the coefficients (b, sigma, f, g) and the horizon, and
+is the one place that evaluates them. The coefficients may read the current
+particle law; the simulation then feeds them a `LawView` of the whole
+system, lagged to the left endpoint of each step (weak order-1 mean-field
+scheme). The view copies and checks the live rows without sorting or
+merging them; the canonical snapshot, `Particles.snapshot()`, is built only
+where a law leaves the kernel.
 
 Every particle flow in the package runs through one kernel, `flow`. At each
 decision node it applies the node's stop rule, builds the view of the
@@ -30,6 +31,7 @@ steps by the drift alone.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -52,16 +54,17 @@ class Problem:
     Parameters
     ----------
     d : spatial dimension.
-    b : drift, (t, x, m) -> array broadcastable to (N, d). `x` is the (N, d)
-        block of surviving positions; `m` is the law of the system (a
-        `LawView` inside `flow`, an `EmpiricalMeasure` in the probes of
-        `calculus`), or None when `b_uses_measure` is False. A coefficient
-        reads only `m.survivors()`, `m.surviving_mass()` and `m.d`, and must
-        not depend on the order of the survivors or on how their mass is
-        split among duplicate positions.
-    sigma : volatility, (t, x, m) -> scalar, (N,), (N, d) diagonal, or
-        (N, d, d) full matrix, with `m` as for b. Must be nonnegative
-        (componentwise for the diagonal forms).
+    b : drift, (t, x, m) -> array broadcastable to (N, d). `x` is an (N, d)
+        block of positions; `m` is the law of the system (a `LawView`
+        inside `flow`, an `EmpiricalMeasure` in the probes of `calculus`
+        and the solver's scale probes), or None when `uses_measure` is
+        False. A coefficient reads only `m.survivors()`,
+        `m.surviving_mass()` and `m.d`, and must not depend on the order of
+        the survivors or on how their mass is split among duplicate
+        positions.
+    sigma : diagonal volatility, (t, x, m) -> scalar, (N,) or (N, d), with
+        `m` as for b; nonnegative componentwise. Full (N, d, d) matrices
+        are not accepted.
     f : running reward density (t, x, m) -> (N,), with `m` as for b, or
         None for zero. Enters the objective as the survivor-weighted sum,
         i.e. integrated against m(dx, 1) only.
@@ -69,12 +72,15 @@ class Problem:
         full spatial marginal; it must not depend on atom order or on how
         mass is split among duplicate atoms.
     horizon : T > 0.
-    b_uses_measure, sigma_uses_measure, f_uses_measure : set when the
-        coefficient actually reads `m`; when all are False the simulation
-        skips building per-step views.
+    uses_measure : set when b, sigma or f reads `m`. When False they are
+        handed None on every route, and `flow` builds no per-step views.
     truncated_horizon : marks a problem built by truncating an infinite
         horizon; a run over [0, T] that stops nothing warns if the
         surviving state has not decayed.
+
+    Every route reaches the coefficients through `drift`, `vol`, `rate`
+    and `terminal`, which hand them m only when `uses_measure` is set, fix
+    the shapes of their values and refuse non-finite rewards.
     """
 
     d: int
@@ -83,9 +89,7 @@ class Problem:
     f: Optional[Callable]
     g: Callable[[np.ndarray, np.ndarray], float]
     horizon: float
-    b_uses_measure: bool = False
-    sigma_uses_measure: bool = False
-    f_uses_measure: bool = False
+    uses_measure: bool = False
     truncated_horizon: bool = False
 
     def __post_init__(self):
@@ -94,12 +98,39 @@ class Problem:
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
 
-    @property
-    def measure_dependent(self) -> bool:
-        return self.b_uses_measure or self.sigma_uses_measure
+    def drift(self, t: float, x: np.ndarray, m) -> np.ndarray:
+        """b at the rows of x, as an (N, d) array."""
+        b = self.b(t, x, m if self.uses_measure else None)
+        return np.broadcast_to(np.asarray(b, dtype=float), x.shape)
 
-    def needs_snapshots(self) -> bool:
-        return self.measure_dependent or self.f_uses_measure
+    def vol(self, t: float, x: np.ndarray, m) -> np.ndarray:
+        """sigma at the rows of x, broadcastable to (N, d): a scalar, (N, 1) or (N, d)."""
+        sig = np.asarray(self.sigma(t, x, m if self.uses_measure else None), dtype=float)
+        if sig.ndim == 1:
+            return sig.reshape(-1, 1)
+        if sig.ndim > 2:
+            raise ValueError(
+                f"sigma returned shape {sig.shape}; it must be a scalar, (N,) or "
+                "(N, d) diagonal"
+            )
+        return sig
+
+    def rate(self, t: float, x: np.ndarray, m) -> np.ndarray:
+        """f at the rows of x, as an (N,) array; zeros when f is None."""
+        if self.f is None:
+            return np.zeros(x.shape[0])
+        f = np.asarray(self.f(t, x, m if self.uses_measure else None), dtype=float)
+        f = np.broadcast_to(f.reshape(-1) if f.ndim > 1 else f, x.shape[:1])
+        if not np.all(np.isfinite(f)):
+            raise ValueError("non-finite running reward")
+        return f
+
+    def terminal(self, points: np.ndarray, weights: np.ndarray) -> float:
+        """g of the spatial marginal (points, weights)."""
+        value = float(self.g(points, weights))
+        if not math.isfinite(value):
+            raise ValueError("non-finite terminal reward")
+        return value
 
 
 @dataclass(frozen=True)
@@ -282,18 +313,6 @@ class Noise:
         return block
 
 
-def _sigma_times_noise(sig, xi: np.ndarray) -> np.ndarray:
-    """Apply sigma (scalar / diag / full) to the (N, d) noise block."""
-    sig = np.asarray(sig, dtype=float)
-    if sig.ndim <= 1:  # scalar or per-particle scalar
-        return (sig.T * xi.T).T if sig.ndim == 1 else sig * xi
-    if sig.ndim == 2:  # (N, d) diagonal
-        return sig * xi
-    if sig.ndim == 3:  # (N, d, d) full
-        return np.einsum("nij,nj->ni", sig, xi)
-    raise ValueError("sigma returned an array of unsupported rank")
-
-
 def advance_positions(
     x: np.ndarray,
     alive: np.ndarray,
@@ -308,10 +327,9 @@ def advance_positions(
     The step of `flow`. With noise None, sigma is not evaluated and the
     update is the drift alone, as in a sigma = 0 replay.
     """
-    drift = np.broadcast_to(np.asarray(problem.b(t, x, m), dtype=float), x.shape)
-    incr = drift * dt
+    incr = problem.drift(t, x, m) * dt
     if noise is not None:
-        incr = incr + _sigma_times_noise(problem.sigma(t, x, m), noise) * np.sqrt(dt)
+        incr = incr + problem.vol(t, x, m) * noise * np.sqrt(dt)
     if not np.all(np.isfinite(incr)):
         raise ValueError("non-finite coefficient evaluation during Euler step")
     return x + incr * alive[:, None]
@@ -330,12 +348,12 @@ def flow(
 
     At node k, at time t0 + k dt: apply `stop` through `Particles.stop`
     unless it is None or nothing survives; build the `LawView` of the
-    post-stop law when `problem.needs_snapshots()`; yield (k, t, view),
-    where the caller reads the post-stop state; then take one Euler step
-    with the noise `noise.block(k)`, or with none when noise is None. The
-    drift and volatility see the view only when the problem declares that
-    they read the measure. A caller that needs the canonical snapshot
-    calls `particles.snapshot()`.
+    post-stop law when `problem.uses_measure` (None otherwise); yield
+    (k, t, view), where the caller reads the post-stop state and hands the
+    view to `problem.rate`; then take one Euler step through
+    `problem.drift` and `problem.vol` with the noise `noise.block(k)`, or
+    with none when noise is None. A caller that needs the canonical
+    snapshot calls `particles.snapshot()`.
 
     A run over the whole horizon [0, T] of a truncated-horizon problem that
     stops nothing warns when the surviving state has not decayed to 5% of
@@ -353,11 +371,10 @@ def flow(
         t = t0 + k * dt
         if stop is not None:
             particles.stop(k, stop)
-        law = LawView(particles) if problem.needs_snapshots() else None
+        law = LawView(particles) if problem.uses_measure else None
         yield k, t, law
         xi = None if noise is None else noise.block(k)
-        m = law if problem.measure_dependent else None
-        particles.x = advance_positions(particles.x, particles.alive, t, dt, problem, m, xi)
+        particles.x = advance_positions(particles.x, particles.alive, t, dt, problem, law, xi)
     if guard and not particles.stopped_any:
         size = np.abs(particles.x[particles.alive]).mean()
         if size > 0.05 * size0 > 0:

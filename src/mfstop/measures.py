@@ -249,6 +249,17 @@ class StopMap:
         return StopMap(fn, "logistic", {"a": a_vec.tolist(), "c": float(c)})
 
     @staticmethod
+    def random(rng) -> "StopMap":
+        """A constant, threshold or logistic map with parameters drawn from `rng`; d=1."""
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            return StopMap.constant(float(rng.uniform(0.0, 1.0)))
+        if kind == 1:
+            side = "below" if rng.uniform() < 0.5 else "above"
+            return StopMap.threshold(float(rng.normal(0.0, 1.0)), side)
+        return StopMap.logistic(float(rng.normal(0.0, 2.0)), float(rng.normal(0.0, 1.0)))
+
+    @staticmethod
     def tabular(edges, values) -> "StopMap":
         """Bin lookup on x[0]: len(values) = len(edges) + 1, values in [0,1]."""
         edges = np.asarray(edges, dtype=float)

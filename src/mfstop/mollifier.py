@@ -21,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, apply_stop, from_arrays, make_empirical
-from .solver import _random_stop_map
+from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays, make_empirical
 from .util import rng_for
 
 __all__ = [
@@ -253,7 +252,7 @@ def monotonicity_probe(
                zip(rng.uniform(-3.0, 3.0, k), rng.integers(0, 2, k))]
         weights = rng.random(k) + 0.05
         base = make_empirical(pts, weights)
-        smaller = apply_stop(base, _random_stop_map(rng))
+        smaller = apply_stop(base, StopMap.random(rng))
         pair_seed = int(rng.integers(0, 2**31))
         hi = mollify(U, base, params, seed=pair_seed)
         lo = mollify(U, smaller, params, seed=pair_seed)

@@ -106,12 +106,8 @@ def _slice_value(xs: np.ndarray, row: np.ndarray, x) -> np.ndarray:
 
 def _coefficient_rows(problem: Problem, t: float, xs: np.ndarray):
     x_col = xs[:, None]
-    b = np.broadcast_to(np.asarray(problem.b(t, x_col, None), dtype=float), x_col.shape)[:, 0]
-    sig = np.asarray(problem.sigma(t, x_col, None), dtype=float)
-    if sig.ndim == 0:
-        sig = np.full(len(xs), float(sig))
-    else:
-        sig = np.broadcast_to(sig.reshape(len(xs), -1)[:, 0], (len(xs),))
+    b = problem.drift(t, x_col, None)[:, 0]
+    sig = np.broadcast_to(problem.vol(t, x_col, None), x_col.shape)[:, 0]
     return b, sig**2
 
 
@@ -204,7 +200,7 @@ def _sweep(problem: Problem, psis, cfg: PdeConfig, mode: str, keep_surfaces: boo
     """
     if problem.d != 1:
         raise ValueError("the obstacle solver is one-dimensional")
-    if problem.measure_dependent:
+    if problem.uses_measure:
         raise ValueError("the aggregation route needs measure-free coefficients")
     if mode not in ("sup", "inf"):
         raise ValueError("mode must be 'sup' or 'inf'")
@@ -242,8 +238,7 @@ def _sweep(problem: Problem, psis, cfg: PdeConfig, mode: str, keep_surfaces: boo
             rows = _tridiag(b, s2, dt, xs[1] - xs[0])
         rhs = current
         if problem.f is not None:
-            fv = np.asarray(problem.f(t, xs[:, None], None), dtype=float)
-            rhs = rhs + dt * np.broadcast_to(fv, xs.shape)
+            rhs = rhs + dt * problem.rate(t, xs[:, None], None)
         current = _lcp_step(rhs, rows, psi_values, psi_max, on_obstacle, mode, dgtsv)
         if keep_surfaces:
             values[k] = current

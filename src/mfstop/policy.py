@@ -118,15 +118,13 @@ class PolicyRun:
     def estimate(self, seed: int, resamples: int) -> ValueEstimate:
         """Objective on the realized paths plus a stratified bootstrap stderr."""
         points, weights = self.particles.marginal()
-        value = float(self.reward.sum() + self.problem.g(points, weights))
-        if not np.isfinite(value):
-            raise ValueError("non-finite terminal reward")
+        value = float(self.reward.sum() + self.problem.terminal(points, weights))
         stderr = 0.0
         if self.paths_per_atom >= 2 and resamples != 0:
             w, (_, pw, psrc) = self.particles.w, self.particles.pool_arrays()
             vals = [
                 (self.reward * mult).sum()
-                + self.problem.g(points, np.concatenate([w * mult, pw * mult[psrc]]))
+                + self.problem.terminal(points, np.concatenate([w * mult, pw * mult[psrc]]))
                 for mult in self.multiplicities(rng_for(seed, "bootstrap"), resamples)
             ]
             stderr = float(np.std(vals, ddof=1))
@@ -181,11 +179,7 @@ def run_policy(
         run.survivor_mass.append(float(w[alive].sum()))
         if problem.f is not None and alive.any():
             idx = np.nonzero(alive)[0]
-            fv = np.asarray(problem.f(t, particles.x[idx], m_k), dtype=float)
-            fv = np.broadcast_to(fv, (idx.shape[0],))
-            if not np.all(np.isfinite(fv)):
-                raise ValueError("non-finite running reward")
-            run.reward[idx] += fv * w[idx] * dt
+            run.reward[idx] += problem.rate(t, particles.x[idx], m_k) * w[idx] * dt
     return run
 
 

@@ -191,8 +191,7 @@ def expected_shortfall_value(
     if beta_lo is None or beta_hi is None:
         mean = float(xs[:, 0] @ ws)
         spread = math.sqrt(max(float((xs[:, 0] - mean) ** 2 @ ws), 0.0))
-        sig = np.asarray(problem.sigma(0.0, xs, None), dtype=float)
-        reach = float(np.max(np.abs(sig))) * math.sqrt(problem.horizon)
+        reach = float(np.max(np.abs(problem.vol(0.0, xs, m)))) * math.sqrt(problem.horizon)
         pad = 2.0 * (spread + reach) + 0.5
         beta_lo = float(xs[:, 0].min()) - pad if beta_lo is None else beta_lo
         beta_hi = float(xs[:, 0].max()) + pad if beta_hi is None else beta_hi

@@ -136,8 +136,7 @@ def _sigma_scale(problem: Problem, m0: EmpiricalMeasure) -> float:
     xs, _ = m0.survivors()
     if xs.shape[0] == 0:
         xs = m0.xs
-    sig = np.asarray(problem.sigma(0.0, xs, m0), dtype=float)
-    return float(np.median(np.abs(sig))) if sig.size else float(abs(sig))
+    return float(np.median(np.abs(problem.vol(0.0, xs, m0))))
 
 
 def _coarse_candidates(problem, m0, grid, cfg, start_node) -> list:
@@ -287,8 +286,7 @@ class EnumerationResult:
 def _require_deterministic(problem: Problem, m0: EmpiricalMeasure) -> None:
     xs, _ = m0.survivors()
     probe = xs if xs.shape[0] else m0.xs
-    sig = np.asarray(problem.sigma(0.0, probe, m0), dtype=float)
-    if np.any(np.abs(sig) > 1e-12):
+    if np.any(np.abs(problem.vol(0.0, probe, m0)) > 1e-12):
         raise ValueError("enumeration requires deterministic dynamics (sigma == 0)")
 
 
@@ -318,7 +316,7 @@ def backward_enumeration(
     for raw in itertools.product(range(choices), repeat=k):
         stop_at = [start_node + a if a < choices - 1 else None for a in raw]
         reward, particles, positions = _replay(m0, problem, grid, stop_at, start_node, n)
-        total = reward + float(problem.g(*particles.marginal()))
+        total = reward + problem.terminal(*particles.marginal())
         if best is None or total > best.value + 1e-15 or (
             abs(total - best.value) <= 1e-15
             and sum(s is None for s in stop_at) > sum(s is None for s in best.stop_nodes)
@@ -341,12 +339,11 @@ def _replay(m0, problem, grid, stop_at, first, last):
     w = particles.w
     reward = 0.0
     positions = []
-    for _, t, snap in flow(particles, problem, 0.0, grid.dt, range(first, last), stop):
+    for _, t, law in flow(particles, problem, 0.0, grid.dt, range(first, last), stop):
         positions.append(particles.x)
         alive = particles.alive
         if problem.f is not None and alive.any():
-            fv = np.asarray(problem.f(t, particles.x[alive], snap), dtype=float)
-            reward += grid.dt * float(np.broadcast_to(fv, (alive.sum(),)) @ w[alive])
+            reward += grid.dt * float(problem.rate(t, particles.x[alive], law) @ w[alive])
     return reward, particles, positions
 
 
@@ -449,7 +446,7 @@ def verify_dpp(
         # terminal layer: the restart value is the terminal-stop sup, which
         # is flat for marginal rewards, so no simulation is involved
         pts, wts = snapshot.x_marginal()
-        restart_value, restart_se = float(problem.g(pts, wts)), 0.0
+        restart_value, restart_se = problem.terminal(pts, wts), 0.0
     else:
         restart_cfg = replace(cfg, paths_per_atom=cfg.restart_paths)
         restart = solve_value(
@@ -490,7 +487,7 @@ def _verify_dpp_exact(m0, problem, grid, s) -> DppReport:
         snapshot = particles.snapshot()
         if s == grid.n:
             pts, wts = snapshot.x_marginal()
-            cont = float(problem.g(pts, wts))
+            cont = problem.terminal(pts, wts)
         else:
             cont = backward_enumeration(snapshot, problem, grid, s).value
         best_rhs = max(best_rhs, reward + cont)
@@ -516,16 +513,6 @@ class MonotonicityReport:
     n_violations: int
     worst_gap: float  # most negative of V(m) - V(m') + 3 se; >= 0 means clean
     details: tuple = field(default=())
-
-
-def _random_stop_map(rng) -> StopMap:
-    kind = rng.integers(0, 3)
-    if kind == 0:
-        return StopMap.constant(float(rng.uniform(0.0, 1.0)))
-    if kind == 1:
-        side = "below" if rng.uniform() < 0.5 else "above"
-        return StopMap.threshold(float(rng.normal(0.0, 1.0)), side)
-    return StopMap.logistic(float(rng.normal(0.0, 2.0)), float(rng.normal(0.0, 1.0)))
 
 
 def monotonicity_check(
@@ -554,7 +541,7 @@ def monotonicity_check(
     worst = np.inf
     rounding = 1e-12 * (1.0 + abs(base.estimate.value))
     for trial in range(trials):
-        p = _random_stop_map(rng)
+        p = StopMap.random(rng)
         m_prime = apply_stop(m, p)
         other = solve_value(m_prime, problem, grid, cfg, seed)
         combined = float(

@@ -16,7 +16,6 @@ from mfstop.catalog import build_instance
 from mfstop.dynamics import Problem
 from mfstop.measures import StopMap, apply_stop, make_empirical
 from mfstop.pde import aggregate_value, standard_os_pde
-from mfstop.solver import _random_stop_map
 from mfstop.util import rng_for
 
 M3 = make_empirical([(-0.4, 1), (0.5, 0), (1.1, 1)], [0.3, 0.3, 0.4])
@@ -257,7 +256,7 @@ def test_shared_noise_is_bit_identical_to_fresh_functionals():
         f=lambda t, x, m: 0.1 * x[:, 0] + 0.01 * m.surviving_mass(),
         g=lambda xs, ws: float(xs[:, 0] @ ws),
         horizon=2.0,
-        f_uses_measure=True,
+        uses_measure=True,
     )
     m = make_empirical([(0.8, 1), (1.1, 1), (1.35, 0)], [0.4, 0.35, 0.25])
     calls = []
@@ -310,7 +309,7 @@ def test_anchored_noise_keys_give_the_shipped_attraction_law_a_zero_generator():
     # probes draw independent noise, and the generator reads hundreds.
     problem, m = ATTRACTION.problem, ATTRACTION.m0
     rng = rng_for(0, "residual")
-    stops = [StopMap.constant(0.0)] + [_random_stop_map(rng) for _ in range(5)]
+    stops = [StopMap.constant(0.0)] + [StopMap.random(rng) for _ in range(5)]
     generators, gaps = [], []
     for seed in range(8):  # independent replicates of the simulated functional
         u = make_unstopped_functional(problem, paths_per_atom=200, seed=seed, anchors=m.xs[:, 0])

@@ -68,7 +68,7 @@ def test_attraction_drift_reads_the_measure():
     np.testing.assert_allclose(out, [2.0, -6.0])
 
     inst = build_instance("attraction")
-    assert inst.problem.b_uses_measure
+    assert inst.problem.uses_measure
 
 
 def test_experiment_config_validation():

@@ -174,7 +174,7 @@ def test_measure_dependent_drift_sees_snapshot():
 
     prob = Problem(
         d=1, b=b, sigma=lambda t, x, m: 0.0, f=None, g=_mean_g,
-        horizon=1.0, b_uses_measure=True,
+        horizon=1.0, uses_measure=True,
     )
     m0 = make_empirical([(0.0, 1), (2.0, 1)])
     _, xs = simulate(m0, prob, TimeGrid(4, 1.0), 1, seed=7)

@@ -107,7 +107,7 @@ def test_unstopped_functional_with_running_reward_and_frozen_atoms():
         f=lambda t, x, m: 0.1 * x[:, 0] + 0.01 * m.surviving_mass(),
         g=lambda xs, ws: float(xs[:, 0] @ ws),
         horizon=2.0,
-        f_uses_measure=True,
+        uses_measure=True,
     )
     u = make_unstopped_functional(problem, n_steps=12, paths_per_atom=40, seed=3)
     m = make_empirical([(0.8, 1), (1.1, 1), (1.35, 0)], [0.4, 0.35, 0.25])
@@ -173,7 +173,7 @@ def pull_problem(sigma=lambda t, x, m: 0.0):
         f=lambda t, x, m: np.cos(2.0 * x[:, 0]) - 0.3,
         g=lambda p, w: float(-((p[:, 0] - 0.6) ** 2) @ w),
         horizon=1.0,
-        b_uses_measure=True,
+        uses_measure=True,
     )
 
 

@@ -117,3 +117,35 @@ def test_the_private_scan_flags_only_names_nobody_uses():
 def test_every_private_name_in_the_package_is_used():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unreferenced_private_names(sources) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """`_`-prefixed, non-dunder names that `from ... import` brings in."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_the_import_scan_flags_only_private_names():
+    source = (
+        "from __future__ import annotations\n"
+        "from . import __version__\n"
+        "from .measures import StopMap, _merge_sorted\n"
+        "import numpy as _np\n"
+        "def f():\n"
+        "    from .solver import _helper as helper\n"
+    )
+    assert private_imports(source) == ["_merge_sorted (line 3)", "_helper (line 6)"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = {
+        path.name: names
+        for path in PACKAGE
+        if (names := private_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
