@@ -49,7 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dynamics
-from .dynamics import LawView, Noise, Particles, Problem, flow
+from .dynamics import LawView, Noise, Particles, Problem, check_coefficients, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays
 from .util import rng_for
 
@@ -228,6 +228,7 @@ def generator(
         return est.dt
     b_vals = problem.drift(t, xs, m)[:, 0]
     sig = np.broadcast_to(problem.vol(t, xs, m), xs.shape)[:, 0]
+    check_coefficients(b_vals, sig)
     integrand = b_vals * est.dx_delta + 0.5 * sig * sig * est.dxx_delta
     return est.dt + float(ws @ integrand)
 

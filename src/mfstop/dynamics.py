@@ -163,6 +163,9 @@ class Particles:
     start, then the mass shed by fractional stops (the pool), with the row
     that shed each pool atom in `pool_src`. Snapshots and marginals list the
     rows, then the frozen atoms, then the pool.
+
+    `stopped_any` and `guard_size0` are the state of `flow`'s
+    truncated-horizon guard, so a copy taken mid-run carries it on.
     """
 
     def __init__(self, x, alive, w, frozen_x=None, frozen_w=None):
@@ -175,6 +178,7 @@ class Particles:
         self.pool_w: list = []
         self.pool_src: list = []
         self.stopped_any = False
+        self.guard_size0: Optional[float] = None
 
     @classmethod
     def from_measure(
@@ -194,6 +198,17 @@ class Particles:
             xs, ws, alive, frozen = m.xs, m.ws, m.flags == 1, (None, None)
         rows = np.repeat(np.arange(ws.shape[0]), paths_per_atom)
         return cls(xs[rows], alive[rows], ws[rows] / paths_per_atom, *frozen)
+
+    def copy(self) -> "Particles":
+        """An independent copy. The frozen atoms and the pool's arrays are
+        shared: nothing writes them after they are made."""
+        other = Particles(
+            self.x.copy(), self.alive.copy(), self.w.copy(), self.frozen_x, self.frozen_w
+        )
+        other.pool_x, other.pool_w = list(self.pool_x), list(self.pool_w)
+        other.pool_src = list(self.pool_src)
+        other.stopped_any, other.guard_size0 = self.stopped_any, self.guard_size0
+        return other
 
     def marginal(self) -> tuple[np.ndarray, np.ndarray]:
         """Spatial marginal as raw (points, weights): rows, frozen, pool."""
@@ -313,6 +328,12 @@ class Noise:
         return block
 
 
+def check_coefficients(*values: np.ndarray) -> None:
+    """Refuse non-finite drift or volatility values, on every route that evaluates them."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("non-finite drift or volatility")
+
+
 def advance_positions(
     x: np.ndarray,
     alive: np.ndarray,
@@ -330,8 +351,7 @@ def advance_positions(
     incr = problem.drift(t, x, m) * dt
     if noise is not None:
         incr = incr + problem.vol(t, x, m) * noise * np.sqrt(dt)
-    if not np.all(np.isfinite(incr)):
-        raise ValueError("non-finite coefficient evaluation during Euler step")
+    check_coefficients(incr)
     return x + incr * alive[:, None]
 
 
@@ -343,39 +363,44 @@ def flow(
     nodes: range,
     stop: Optional[Callable] = None,
     noise: Optional[Noise] = None,
+    enter: Optional[Callable[[int, Particles], None]] = None,
 ) -> Iterator[tuple[int, float, Optional[LawView]]]:
     """Advance `particles` in place over the node indices `nodes`.
 
-    At node k, at time t0 + k dt: apply `stop` through `Particles.stop`
-    unless it is None or nothing survives; build the `LawView` of the
-    post-stop law when `problem.uses_measure` (None otherwise); yield
-    (k, t, view), where the caller reads the post-stop state and hands the
-    view to `problem.rate`; then take one Euler step through
-    `problem.drift` and `problem.vol` with the noise `noise.block(k)`, or
-    with none when noise is None. A caller that needs the canonical
-    snapshot calls `particles.snapshot()`.
+    At node k, at time t0 + k dt: call `enter(k, particles)` on the state
+    that enters the node, unless `enter` is None; apply `stop` through
+    `Particles.stop` unless it is None or nothing survives; build the
+    `LawView` of the post-stop law when `problem.uses_measure` (None
+    otherwise); yield (k, t, view), where the caller reads the post-stop
+    state and hands the view to `problem.rate`; then take one Euler step
+    through `problem.drift` and `problem.vol` with the noise
+    `noise.block(k)`, or with none when noise is None. A caller that needs
+    the canonical snapshot calls `particles.snapshot()`.
 
     A run over the whole horizon [0, T] of a truncated-horizon problem that
     stops nothing warns when the surviving state has not decayed to 5% of
     its size at time 0. Runs over a later window are not checked: their
-    decay says nothing about where the truncation cut.
+    decay says nothing about where the truncation cut. The size at time 0
+    is kept in `particles.guard_size0`, so a run that continues a copy of
+    such a run's particles to the horizon warns exactly when the whole run
+    would.
     """
-    guard = (
-        problem.truncated_horizon
-        and particles.alive.any()
-        and t0 + nodes.start * dt == 0.0
-        and t0 + nodes.stop * dt >= problem.horizon * (1 - 1e-9)
-    )
-    size0 = np.abs(particles.x[particles.alive]).mean() if guard else 0.0
+    reaches_horizon = t0 + nodes.stop * dt >= problem.horizon * (1 - 1e-9)
+    if t0 + nodes.start * dt == 0.0:
+        guard = problem.truncated_horizon and particles.alive.any() and reaches_horizon
+        particles.guard_size0 = np.abs(particles.x[particles.alive]).mean() if guard else None
     for k in nodes:
         t = t0 + k * dt
+        if enter is not None:
+            enter(k, particles)
         if stop is not None:
             particles.stop(k, stop)
         law = LawView(particles) if problem.uses_measure else None
         yield k, t, law
         xi = None if noise is None else noise.block(k)
         particles.x = advance_positions(particles.x, particles.alive, t, dt, problem, law, xi)
-    if guard and not particles.stopped_any:
+    size0 = particles.guard_size0
+    if reaches_horizon and size0 is not None and not particles.stopped_any:
         size = np.abs(particles.x[particles.alive]).mean()
         if size > 0.05 * size0 > 0:
             # one fixed message, so the default filter reports it once per

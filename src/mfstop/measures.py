@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -216,6 +217,12 @@ class StopMap:
         if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
             raise ValueError("stop map value outside [0,1]")
         return np.clip(p, 0.0, 1.0)
+
+    @cached_property
+    def key(self) -> tuple:
+        """(family, sorted parameter strings): maps of one family with equal
+        keys have equal parameters. Computed once per map."""
+        return (self.family, tuple(sorted(map(str, self.params.items()))))
 
     # -- constructors ------------------------------------------------------
 

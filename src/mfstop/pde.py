@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import Problem
+from .dynamics import Problem, check_coefficients
 from .measures import EmpiricalMeasure
 
 __all__ = [
@@ -234,6 +234,7 @@ def _sweep(problem: Problem, psis, cfg: PdeConfig, mode: str, keep_surfaces: boo
         if coefficients is None or not (
             np.array_equal(b, coefficients[0]) and np.array_equal(s2, coefficients[1])
         ):
+            check_coefficients(b, s2)
             coefficients = (b, s2)
             rows = _tridiag(b, s2, dt, xs[1] - xs[0])
         rhs = current

@@ -25,7 +25,7 @@ kernel run with no stop rule path for path under the same seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -107,6 +107,15 @@ class PolicyRun:
     n_atoms: int
     paths_per_atom: int
 
+    def copy(self) -> "PolicyRun":
+        """An independent copy, which a run may continue without touching this one."""
+        return replace(
+            self,
+            particles=self.particles.copy(),
+            reward=self.reward.copy(),
+            survivor_mass=list(self.survivor_mass),
+        )
+
     def multiplicities(self, rng, resamples: int):
         """Row multiplicities of a bootstrap stratified by source atom."""
         r = self.paths_per_atom
@@ -152,6 +161,9 @@ def run_policy(
     start_node: int = 0,
     end_node: Optional[int] = None,
     noise: Optional[Noise] = None,
+    *,
+    resume: Optional[PolicyRun] = None,
+    checkpoints: Optional[list] = None,
 ) -> PolicyRun:
     """Simulate nodes start_node..end_node with the given survival maps.
 
@@ -159,6 +171,14 @@ def run_policy(
     that node, leaving the state at t_end before any node-end_node stopping.
     `noise` is a `policy_noise` object shared with other runs, built from the
     same (m0, problem, paths_per_atom, seed); by default the run builds its own.
+
+    `checkpoints` and `resume` let a policy search skip replayed prefixes.
+    Given a list `checkpoints`, the run appends a copy of itself as it enters
+    each node, before that node's stop. Given `resume`, a checkpoint that an
+    earlier run from (m0, paths_per_atom, seed) and the same noise took
+    entering node start_node, the run continues a copy of it instead of
+    starting from m0. Its result is then bit for bit that of the run from m0
+    of any maps that stop as the earlier run's did before start_node.
     """
     if abs(grid.horizon - problem.horizon) > 1e-12:
         raise ValueError("grid horizon differs from problem horizon")
@@ -169,12 +189,17 @@ def run_policy(
         noise = policy_noise(m0, problem, paths_per_atom, seed, nodes)
     elif (noise.seed, len(noise.ids), noise.d) != (seed, m0.n_atoms * paths_per_atom, problem.d):
         raise ValueError("the shared noise belongs to another seed, path count or dimension")
-    particles = Particles.from_measure(m0, paths_per_atom)
-    n_rows = particles.w.shape[0]
-    run = PolicyRun(problem, particles, np.zeros(n_rows), [], m0.n_atoms, paths_per_atom)
+    if resume is None:
+        particles = Particles.from_measure(m0, paths_per_atom)
+        n_rows = particles.w.shape[0]
+        run = PolicyRun(problem, particles, np.zeros(n_rows), [], m0.n_atoms, paths_per_atom)
+    else:
+        run = resume.copy()
+    particles = run.particles
+    enter = None if checkpoints is None else lambda k, _: checkpoints.append(run.copy())
     dt = grid.dt
     stop = lambda k, x, rows: maps[k](x)
-    for k, t, m_k in flow(particles, problem, 0.0, dt, nodes, stop, noise):
+    for k, t, m_k in flow(particles, problem, 0.0, dt, nodes, stop, noise, enter):
         alive, w = particles.alive, particles.w
         run.survivor_mass.append(float(w[alive].sum()))
         if problem.f is not None and alive.any():

@@ -9,6 +9,14 @@ noise is drawn once per solve, it is common across policies by
 construction, and comparisons are far less noisy than the individual
 values.
 
+A refinement trial changes the incumbent at one node k, and the law
+entering node k depends only on the maps before k (the flow property behind
+the dynamic programming principle). The search therefore keeps the
+incumbent's run as per-node checkpoints and runs each trial from its
+checkpoint k; a trial whose new map stops the same rows with the same
+fractions is the incumbent's run bit for bit and takes its value without a
+run. Both leave every value exactly as a run from m0 gives it.
+
 The state of the dynamic program is a measure, so no backward recursion over
 a finite state space is available in general. For deterministic dynamics
 (sigma identically zero) with few atoms, `backward_enumeration` evaluates
@@ -89,7 +97,19 @@ class SolveResult:
 
 
 class _Searcher:
-    """Caches policy evaluations (no bootstrap) under one shared noise object."""
+    """Caches policy evaluations (no bootstrap) under one shared noise object.
+
+    It keeps the incumbent, the best policy evaluated so far, with its run's
+    checkpoints: the state entering each node, before that node's stop.
+    The state entering node k depends only on the maps before k, so a
+    policy whose maps stop as the incumbent's do before node k starts from
+    the incumbent's checkpoint k instead of from m0. Two maps at a node
+    stop alike when they give the same survival fractions on the
+    checkpoint's live rows, or when nothing is alive there. A policy that
+    stops as the incumbent does at every node has the incumbent's run bit
+    for bit, so it takes the incumbent's value without a run; it still
+    counts as an evaluation.
+    """
 
     def __init__(self, m0, problem, grid, cfg, seed, start_node):
         self.m0 = m0
@@ -102,34 +122,62 @@ class _Searcher:
         self.noise = policy_noise(m0, problem, cfg.paths_per_atom, seed, nodes)
         self.n_evaluations = 0
         self.seen: dict = {}  # policy key -> (value, survivor_mass_mean)
+        # the incumbent's maps, its seen entry and its run's checkpoints
+        self.incumbent: Optional[tuple] = None
+        self.incumbent_result: Optional[tuple] = None
+        self.checkpoints: list = []
 
     def _key(self, pol: Policy):
-        parts = []
-        for sm in pol.maps[self.start_node :]:
-            parts.append((sm.family, tuple(sorted(map(str, sm.params.items())))))
-        return tuple(parts)
+        return tuple(sm.key for sm in pol.maps[self.start_node :])
 
     def value(self, pol: Policy) -> float:
         key = self._key(pol)
         if key not in self.seen:
-            run = run_policy(
-                self.m0,
-                self.problem,
-                self.grid,
-                pol.maps,
-                self.cfg.paths_per_atom,
-                self.seed,
-                self.start_node,
-                noise=self.noise,
-            )
-            val = run.estimate(self.seed, 0).value
+            self.seen[key] = self._evaluate(pol)
             self.n_evaluations += 1
-            self.seen[key] = (val, float(np.mean(run.survivor_mass)))
         return self.seen[key][0]
 
     def survivor_mass(self, pol: Policy) -> float:
         self.value(pol)
         return self.seen[self._key(pol)][1]
+
+    def _first_change(self, pol: Policy) -> Optional[int]:
+        """The first node where pol stops otherwise than the incumbent, or None."""
+        for k in range(self.start_node, self.grid.n):
+            mine, theirs = pol.maps[k], self.incumbent[k]
+            if mine.key == theirs.key:
+                continue
+            particles = self.checkpoints[k - self.start_node].particles
+            x = particles.x[particles.alive]
+            if x.shape[0] and not np.array_equal(mine(x), theirs(x)):
+                return k
+        return None
+
+    def _evaluate(self, pol: Policy) -> tuple:
+        k, resume, checkpoints = self.start_node, None, []
+        if self.incumbent is not None:
+            k = self._first_change(pol)
+            if k is None:
+                return self.incumbent_result
+            resume = self.checkpoints[k - self.start_node]
+            checkpoints = self.checkpoints[: k - self.start_node]
+        run = run_policy(
+            self.m0,
+            self.problem,
+            self.grid,
+            pol.maps,
+            self.cfg.paths_per_atom,
+            self.seed,
+            k,
+            noise=self.noise,
+            resume=resume,
+            checkpoints=checkpoints,
+        )
+        result = (run.estimate(self.seed, 0).value, float(np.mean(run.survivor_mass)))
+        if self.incumbent is None or result[0] > self.incumbent_result[0]:
+            self.incumbent, self.incumbent_result = pol.maps, result
+            self.checkpoints = checkpoints
+        return result
 
 
 def _sigma_scale(problem: Problem, m0: EmpiricalMeasure) -> float:

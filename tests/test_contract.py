@@ -55,6 +55,31 @@ def test_a_non_finite_reward_raises_on_every_route(route, coefficient):
         ROUTES[route](problem)
 
 
+COEFFICIENT_ROUTES = {
+    "evaluate_policy": lambda p: evaluate_policy(M0, p, GRID, Policy.never_stop(GRID.n), 4, 0),
+    "standard_os_pde": lambda p: standard_os_pde(p, lambda x: np.maximum(x, 0.0), PDE),
+    "generator": lambda p: generator(lambda t, m: float(m.xs[:, 0] @ m.ws) + t, 0.0, M0, p),
+}
+
+
+@pytest.mark.parametrize("route", sorted(COEFFICIENT_ROUTES))
+@pytest.mark.parametrize("coefficient", ["b", "sigma"])
+def test_a_non_finite_drift_or_volatility_raises_on_every_route(route, coefficient):
+    # non-finite at the positive positions only, which every route visits
+    bad = lambda t, x, m: np.where(x > 0.0, np.nan, 0.5)
+    fine = lambda t, x, m: 0.5
+    problem = Problem(
+        d=1,
+        b=bad if coefficient == "b" else fine,
+        sigma=bad if coefficient == "sigma" else fine,
+        f=None,
+        g=_mean_g,
+        horizon=1.0,
+    )
+    with pytest.raises(ValueError, match="non-finite drift or volatility"):
+        COEFFICIENT_ROUTES[route](problem)
+
+
 def test_vol_names_the_accepted_forms_of_sigma():
     x = np.zeros((3, 1))
     problem = Problem(

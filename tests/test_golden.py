@@ -3,7 +3,8 @@
 The artifact digests cover `simulate`, `solve` and `verify-dpp` on the three
 shipped configs, `residual` on `standard_put` and `mollify` on all three, and
 the `example meanvar` and `example es` outputs pin the
-risk duals; `runtime_ms` is the only field left out. The floats are
+risk duals; `runtime_ms` is the only field left out. The 24 searches of the
+benchmark's `search` pool are pinned one by one. The floats are
 compared through `repr`, so a change in the last bit fails. A change that
 moves any of these on purpose records the old and new values and the reason
 in CHANGES.md.
@@ -268,6 +269,60 @@ def test_unconverged_search_on_attraction(seed):
     assert (repr(res.estimate.value), repr(res.estimate.mc_stderr)) == (value, stderr)
     assert res.n_evaluations == n_evaluations
     assert res.converged is False
+    assert hashlib.sha256(policy_to_json(res.policy).encode()).hexdigest() == policy_sha256
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's whole search pool
+# ---------------------------------------------------------------------------
+
+SEARCH_POOL = {
+    # (config, solver seed): value, stderr, evaluations, converged, sha256 of the policy JSON
+    ("standard_put", 0): ("0.39576067819941474", "0.014964687524258353", 161, True, "717fb770b0c1b206dbffc259803566b48b2157f3aa4a401b645cb3ee62fbbf71"),
+    ("standard_put", 1): ("0.3647766524142745", "0.011031667153760949", 161, True, "19511dc7c4636cab9f3fe454ca58ea8590a3b008b281e9574f61b5592b864b78"),
+    ("standard_put", 2): ("0.37014946146433053", "0.015686110946051678", 46, True, "1d16cf20020d12f4d0730f24aaf65beafc480ef39708d262a18b622a2537c1bc"),
+    ("standard_put", 3): ("0.3913533231005788", "0.014078399122029833", 71, True, "33f6bde6952697acbcecb7e0f40d5b8ce5c8ec131c6f874a2c9da3e56da00704"),
+    ("standard_put", 4): ("0.3899931510256428", "0.014828919747731593", 116, True, "32b397fe1198fa256682f2684da105b64b48634fc915dc30f240d071dc0850a2"),
+    ("standard_put", 5): ("0.3766533885606603", "0.015309015162062694", 46, True, "1d16cf20020d12f4d0730f24aaf65beafc480ef39708d262a18b622a2537c1bc"),
+    ("standard_put", 6): ("0.3648454211395475", "0.015270476834199156", 46, True, "1d16cf20020d12f4d0730f24aaf65beafc480ef39708d262a18b622a2537c1bc"),
+    ("standard_put", 7): ("0.3931524680574064", "0.015470691679317052", 46, True, "1d16cf20020d12f4d0730f24aaf65beafc480ef39708d262a18b622a2537c1bc"),
+    ("mean_variance", 0): ("0.5648", "8.799109010141379e-17", 46, True, "9bb533300e22681f1304d9185724fa5e0fc24b8e1fbd2e73ffd445a96cfdc175"),
+    ("mean_variance", 1): ("0.5648", "1.2567641446174236e-16", 46, True, "9bb533300e22681f1304d9185724fa5e0fc24b8e1fbd2e73ffd445a96cfdc175"),
+    ("mean_variance", 2): ("0.5648", "1.3332900557602546e-16", 46, True, "9bb533300e22681f1304d9185724fa5e0fc24b8e1fbd2e73ffd445a96cfdc175"),
+    ("mean_variance", 3): ("0.5648", "1.293199635958341e-16", 46, True, "9bb533300e22681f1304d9185724fa5e0fc24b8e1fbd2e73ffd445a96cfdc175"),
+    ("mean_variance", 4): ("0.5648", "1.1513054971008574e-16", 46, True, "9bb533300e22681f1304d9185724fa5e0fc24b8e1fbd2e73ffd445a96cfdc175"),
+    ("mean_variance", 5): ("0.5648", "1.0529559598635021e-16", 46, True, "9bb533300e22681f1304d9185724fa5e0fc24b8e1fbd2e73ffd445a96cfdc175"),
+    ("mean_variance", 6): ("0.5648", "1.209037282200177e-16", 46, True, "9bb533300e22681f1304d9185724fa5e0fc24b8e1fbd2e73ffd445a96cfdc175"),
+    ("mean_variance", 7): ("0.5648", "1.4723725555802219e-16", 46, True, "9bb533300e22681f1304d9185724fa5e0fc24b8e1fbd2e73ffd445a96cfdc175"),
+    ("attraction", 0): ("0.11046835202266843", "0.008569350478023919", 137, True, "37ec9c8dc24f91152cf132c088093698fc70f276df299eb98a2ba711e5668249"),
+    ("attraction", 1): ("0.12107895678669904", "0.0061702955921796405", 200, False, "09d249b8fc9f5381997badc9422dc90eda7e343b285aad4f45f3a16bcf92c2e1"),
+    ("attraction", 2): ("0.12271951943576494", "0.0061696887844511165", 197, True, "63899add463cb624ae8bd8d1b2e6fd18f9c6af1cec47ecb8f6b0ce4aea59059c"),
+    ("attraction", 3): ("0.11511680260221274", "0.005094316381342232", 134, True, "db4eaa5b75d562dbdc34c4b55406e386dc3dc31affa68cb9b40f6541ee2f2e4a"),
+    ("attraction", 4): ("0.09976639365534413", "0.005795324667810426", 52, True, "6102af41e4437d072f4cb286db6b0f4dfee17939f9dd01a3865ef10c14e482df"),
+    ("attraction", 5): ("0.10778532474962621", "0.004697193788000831", 104, True, "35131df6403a222d66d142917b45e1ead2f1604d4bcf8027b118f61d89ac9a8d"),
+    ("attraction", 6): ("0.11548622961969489", "0.0054103516752870996", 137, True, "318bc6cc48f4d5f970f769f3463f651e751bb2705095cdb7a7255cb5022f85bb"),
+    ("attraction", 7): ("0.11348557168369185", "0.0037677359566737965", 185, False, "ff4271ed5e28398d5ec821f9a030d78b41a74993e20f995b030d8494506a13a2"),
+}
+
+
+def _solve_config(config, seed):
+    # the SearchConfig that `mfstop solve` builds from the shipped config
+    cfg = load_experiment_config(str(files("mfstop").joinpath("configs", f"{config}.json")))
+    inst = cfg.instance()
+    grid = TimeGrid(cfg.grid_n, inst.problem.horizon)
+    scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom, threads=cfg.threads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return solve_value(inst.m0, inst.problem, grid, scfg, seed=seed)
+
+
+@pytest.mark.parametrize("config,seed", sorted(SEARCH_POOL))
+def test_search_pool(config, seed):
+    res = _solve_config(config, seed)
+    value, stderr, n_evaluations, converged, policy_sha256 = SEARCH_POOL[(config, seed)]
+    assert (repr(res.estimate.value), repr(res.estimate.mc_stderr)) == (value, stderr)
+    assert res.n_evaluations == n_evaluations
+    assert res.converged is converged
     assert hashlib.sha256(policy_to_json(res.policy).encode()).hexdigest() == policy_sha256
 
 

@@ -1,11 +1,16 @@
 """Policy evaluation: exact identities, an analytic oracle, terminal stop sup."""
 
+import warnings
+from importlib.resources import files
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
+from test_golden import PULL_M0, noisy_pull_problem
 
+from mfstop.catalog import load_experiment_config
 from mfstop.dynamics import Noise, Particles, Problem, TimeGrid, flow
 from mfstop.measures import StopMap, make_empirical
 from mfstop.policy import (
@@ -277,3 +282,106 @@ def test_policy_json_rejects_opaque_callables():
     pol = Policy((StopMap(lambda x: np.ones(x.shape[0])),))
     with pytest.raises(ValueError):
         policy_to_json(pol)
+
+
+# ---------------------------------------------------------------------------
+# checkpoints and resumed runs
+# ---------------------------------------------------------------------------
+
+
+def _resume_case(case):
+    """(m0, problem, grid, paths per atom, maps) with full and fractional stops."""
+    if case == "noisy_pull":
+        maps = (
+            StopMap.constant(0.7),
+            StopMap.threshold(0.2, "below"),
+            StopMap.logistic(2.0, -1.0),
+            StopMap.constant(1.0),
+        )
+        return PULL_M0, noisy_pull_problem(), TimeGrid(4, 1.0), 30, maps
+    cfg = load_experiment_config(str(files("mfstop").joinpath("configs", f"{case}.json")))
+    inst = cfg.instance()
+    theta = float(np.median(inst.m0.xs[:, 0]))
+    cycle = (
+        StopMap.constant(0.8),
+        StopMap.threshold(theta, "below"),
+        StopMap.logistic(-2.0, theta),
+        StopMap.constant(1.0),
+    )
+    maps = tuple(cycle[k % 4] for k in range(cfg.grid_n))
+    return inst.m0, inst.problem, TimeGrid(cfg.grid_n, inst.problem.horizon), 40, maps
+
+
+def _run_state(run):
+    """Everything a run's value is made of, as bytes."""
+    particles = run.particles
+    return (
+        repr(run.estimate(0, 0).value),
+        np.array(run.survivor_mass).tobytes(),
+        run.reward.tobytes(),
+        particles.x.tobytes(),
+        particles.alive.tobytes(),
+        particles.w.tobytes(),
+        *(a.tobytes() for a in particles.pool_arrays()),
+    )
+
+
+@pytest.mark.parametrize("case", ["standard_put", "mean_variance", "attraction", "noisy_pull"])
+def test_a_resumed_run_equals_the_full_run_bit_for_bit(case):
+    m0, problem, grid, paths, maps = _resume_case(case)
+    noise = policy_noise(m0, problem, paths, 3, range(grid.n))
+    full = _run_state(run_policy(m0, problem, grid, maps, paths, 3, noise=noise))
+    checkpoints = []
+    recorded = run_policy(m0, problem, grid, maps, paths, 3, noise=noise, checkpoints=checkpoints)
+    assert _run_state(recorded) == full
+    assert len(checkpoints) == grid.n
+    for k, checkpoint in enumerate(checkpoints):
+        resumed = run_policy(m0, problem, grid, maps, paths, 3, k, noise=noise, resume=checkpoint)
+        assert _run_state(resumed) == full
+    # a resumed run continues a copy: the checkpoints are as they were
+    resumed = run_policy(m0, problem, grid, maps, paths, 3, noise=noise, resume=checkpoints[0])
+    assert _run_state(resumed) == full
+
+
+def test_every_node_has_a_checkpoint_when_nothing_survives():
+    problem, grid = brownian(f=lambda t, x, m: np.cos(x[:, 0])), TimeGrid(n=5, horizon=1.0)
+    m0 = make_empirical([(0.2, 1), (0.9, 1)])
+    maps = (StopMap.constant(0.5), StopMap.constant(0.0)) + (StopMap.threshold(0.5),) * 3
+    checkpoints = []
+    full = run_policy(m0, problem, grid, maps, 10, 4, checkpoints=checkpoints)
+    assert len(checkpoints) == grid.n
+    assert not checkpoints[-1].particles.alive.any()
+    for k, checkpoint in enumerate(checkpoints):
+        resumed = run_policy(m0, problem, grid, maps, 10, 4, k, resume=checkpoint)
+        assert _run_state(resumed) == _run_state(full)
+
+
+def _warns(run) -> bool:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    return any("truncated infinite horizon" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("stop_node", [None, 0, 2, 4])
+def test_a_resumed_run_warns_on_truncation_exactly_when_the_full_run_does(stop_node):
+    # a contracting GBM whose horizon is too short for |X| to die out
+    problem = Problem(
+        d=1,
+        b=lambda t, x, m: -0.5 * x,
+        sigma=lambda t, x, m: 0.1 * np.abs(x[:, 0]),
+        f=None,
+        g=mean_g,
+        horizon=1.0,
+        truncated_horizon=True,
+    )
+    grid, m0 = TimeGrid(n=5, horizon=1.0), make_empirical([(1.0, 1)])
+    maps = [StopMap.constant(1.0)] * grid.n
+    if stop_node is not None:
+        maps[stop_node] = StopMap.constant(0.5)
+    checkpoints = []
+    full = _warns(lambda: run_policy(m0, problem, grid, maps, 50, 10, checkpoints=checkpoints))
+    assert full is (stop_node is None)
+    for k, checkpoint in enumerate(checkpoints):
+        resume = lambda: run_policy(m0, problem, grid, maps, 50, 10, k, resume=checkpoint)
+        assert _warns(resume) is full

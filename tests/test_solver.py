@@ -9,9 +9,10 @@ from scipy.stats import norm
 from mfstop.catalog import build_instance
 from mfstop.dynamics import MAX_NOISE_DOUBLES, Problem, TimeGrid
 from mfstop.measures import StopMap, apply_stop, make_empirical
-from mfstop.policy import Policy, evaluate_policy
+from mfstop.policy import Policy, evaluate_policy, run_policy
 from mfstop.solver import (
     SearchConfig,
+    _Searcher,
     backward_enumeration,
     monotonicity_check,
     solve_value,
@@ -252,3 +253,61 @@ def test_oversized_noise_table_is_refused_before_any_run(monkeypatch):
     big_grid = TimeGrid(MAX_NOISE_DOUBLES, inst.problem.horizon)
     with pytest.raises(ValueError, match="paths_per_atom or grid_n"):
         solve_value(inst.m0, inst.problem, big_grid, SearchConfig(paths_per_atom=1), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# trials resumed from the incumbent's checkpoints
+# ---------------------------------------------------------------------------
+
+
+def _counting_steps(monkeypatch):
+    from mfstop import dynamics
+
+    calls = []
+    step = dynamics.advance_positions
+
+    def counted(*args):
+        calls.append(args[2])
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "advance_positions", counted)
+    return calls
+
+
+def test_a_trial_that_stops_as_the_incumbent_reuses_its_value(monkeypatch):
+    inst = build_instance("standard_put")
+    grid = TimeGrid(6, inst.problem.horizon)
+    cfg = SearchConfig(paths_per_atom=30)
+    searcher = _Searcher(inst.m0, inst.problem, grid, cfg, 4, 0)
+    keep, stop = StopMap.constant(1.0), StopMap.constant(0.0)
+    incumbent = Policy((StopMap.threshold(0.8), keep, StopMap.threshold(0.8)) + (stop,) * 3)
+    searcher.value(incumbent)
+
+    def full_run(pol):
+        run = run_policy(inst.m0, inst.problem, grid, pol.maps, 30, 4, noise=searcher.noise)
+        return (run.estimate(4, 0).value, float(np.mean(run.survivor_mass)))
+
+    steps = _counting_steps(monkeypatch)
+    # the same fractions on node 1's live rows, from another family
+    same = incumbent.replace_node(1, StopMap.threshold(-50.0))
+    # nothing is alive at node 4
+    dead = incumbent.replace_node(4, StopMap.constant(0.5))
+    # other fractions at node 2: the trial runs nodes 2..5 only
+    other = incumbent.replace_node(2, StopMap.constant(0.5))
+    for trial, n_steps in ((same, 0), (dead, 0), (other, grid.n - 2)):
+        assert searcher._key(trial) != searcher._key(incumbent)
+        searcher.value(trial)
+        assert len(steps) == n_steps
+        assert searcher.seen[searcher._key(trial)] == full_run(trial)
+        steps.clear()
+    assert searcher.n_evaluations == 4
+
+
+def test_search_steps_only_past_the_incumbents_checkpoints(monkeypatch):
+    # 1 296 Euler steps when every trial replayed its run from m0
+    steps = _counting_steps(monkeypatch)
+    inst = build_instance("standard_put")
+    grid = TimeGrid(8, inst.problem.horizon)
+    res = solve_value(inst.m0, inst.problem, grid, SearchConfig(paths_per_atom=400), seed=1)
+    assert res.n_evaluations == 161
+    assert len(steps) == 653
