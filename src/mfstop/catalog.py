@@ -131,6 +131,9 @@ def _standard_put() -> BenchmarkInstance:
 
 
 def _mv_reward(lam: float) -> Callable:
+    if not abs(lam) <= sys.float_info.max:
+        raise ValueError(f"lam must be finite, got {lam!r}")
+
     def g(p, w):
         z1 = float(p[:, 0] @ w)
         z2 = float(p[:, 0] ** 2 @ w)

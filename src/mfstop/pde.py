@@ -27,6 +27,20 @@ neighbouring blocks are exactly 0. At each block boundary the elimination
 multiplier is then 0 and partial pivoting never swaps rows across it, so
 every block goes through the separate solve's arithmetic. (Subtracting
 that zero product can only turn a -0.0 boundary payoff into +0.0.)
+
+A step is a pure function of its rows, its right-hand side and the warm
+start it begins from (`psi`, its row maxima and the mode are fixed within a
+sweep), so the sweep keeps the last step it solved and does not solve a
+step whose inputs repeat it: the rows are the same object, and the
+right-hand side and the warm start are equal bit for bit (by their bits,
+not by ==, which takes -0.0 for +0.0). The last output, which the sweep
+still holds, is then exactly what the solve would return, and the solve
+would leave the warm start as it found it: the current warm start is what
+the last solve left, and equals what it began from. Steps repeat wherever
+stopping at once is optimal and every slice is the obstacle itself, as for
+the payoffs both risk duals scan on their shipped instances. The step after
+one that moved the warm start begins from another warm start and is
+solved; a failing step stores nothing. The memo lives for one sweep.
 """
 
 from __future__ import annotations
@@ -226,6 +240,7 @@ def _sweep(problem: Problem, psis, cfg: PdeConfig, mode: str, keep_surfaces: boo
         values[-1] = current
     on_obstacle = np.ones(psi_values.shape, dtype=bool)
     coefficients = None
+    last = None  # (rows, rhs, warm start) of the last step solved
     for k in range(cfg.nt - 1, -1, -1):
         t = ts[k]
         b, s2 = _coefficient_rows(problem, t, xs)
@@ -240,7 +255,16 @@ def _sweep(problem: Problem, psis, cfg: PdeConfig, mode: str, keep_surfaces: boo
         rhs = current
         if problem.f is not None:
             rhs = rhs + dt * problem.rate(t, xs[:, None], None)
-        current = _lcp_step(rhs, rows, psi_values, psi_max, on_obstacle, mode, dgtsv)
+        repeat = (
+            last is not None
+            and last[0] is rows
+            and np.array_equal(rhs.view(np.uint64), last[1].view(np.uint64))
+            and np.array_equal(on_obstacle, last[2])
+        )
+        if not repeat:  # a repeated step keeps the output `current` already is
+            start = on_obstacle.copy()
+            current = _lcp_step(rhs, rows, psi_values, psi_max, on_obstacle, mode, dgtsv)
+            last = (rows, rhs, start)
         if keep_surfaces:
             values[k] = current
     return xs, ts, psi_values, values if keep_surfaces else current

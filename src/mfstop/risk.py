@@ -271,8 +271,12 @@ def mean_variance_dual(
     `threads` must be 1; it is kept so that existing callers keep working.
     """
     check_threads(threads)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError("lam must be finite and nonnegative")
+    if grid_points < 3:
+        raise ValueError("grid_points must be at least 3")
+    if refine_rounds < 0:
+        raise ValueError("refine_rounds must be nonnegative")
     if lam == 0.0:
         identity = lambda x: np.asarray(x, dtype=float)
         value = _linear_values(m, problem, [identity], pde_cfg, "sup")[0]
@@ -281,8 +285,8 @@ def mean_variance_dual(
     if alpha_bounds is None:
         alpha_bounds = _meanvar_alpha_bounds(m, lam)
     a_lo, a_hi = alpha_bounds
-    if not a_lo < a_hi:
-        raise ValueError("alpha bounds must be increasing")
+    if not (math.isfinite(a_lo) and math.isfinite(a_hi) and a_lo < a_hi):
+        raise ValueError("alpha bounds must be finite and increasing")
 
     def dual_objectives(alphas) -> list:
         psis = [_meanvar_payoff(a, lam) for a in alphas]
@@ -368,8 +372,8 @@ def meanvar_alpha_star_path(
     """
     from .policy import run_policy
 
-    if lam <= 0:
-        raise ValueError("slope tracking needs lam > 0")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError("slope tracking needs a finite lam > 0")
     if alpha_bounds is None:
         alpha_bounds = _meanvar_alpha_bounds(m, lam)
     alphas = np.linspace(alpha_bounds[0], alpha_bounds[1], grid_points)

@@ -40,6 +40,13 @@ def test_unknown_instance_and_bad_params_raise():
         build_instance("distortion", exponent=0.0)
 
 
+@pytest.mark.parametrize("name", ["mean_variance", "mean_variance_gbm"])
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_mean_variance_instances_refuse_a_non_finite_lam(name, lam):
+    with pytest.raises(ValueError, match="lam must be finite"):
+        build_instance(name, lam=lam)
+
+
 def test_coefficient_field_families():
     const, uses_m = coefficient_field("constant", value=0.7)
     assert not uses_m

@@ -89,6 +89,13 @@ def test_config_seed_beyond_u64_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_config_with_a_nan_lam_exits_2_on_load(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_value", _raise(AssertionError("solver ran")))
+    path = _write_config(tmp_path, problem="mean_variance", problem_params={"lam": float("nan")})
+    assert cli.main(["solve", "--config", path]) == 2
+    assert "lam" in capsys.readouterr().err
+
+
 def test_threads_other_than_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
     from mfstop import acceptance
 

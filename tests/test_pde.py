@@ -8,11 +8,15 @@ import scipy.linalg.lapack
 from scipy.stats import norm
 
 from mfstop import pde as pde_module
+from mfstop import risk
+from mfstop.catalog import build_instance
 from mfstop.dynamics import Problem
 from mfstop.measures import make_empirical
 from mfstop.pde import (
     PdeConfig,
+    _coefficient_rows,
     _lcp_step,
+    _tridiag,
     aggregate_slice,
     aggregate_value,
     stacked_initial_values,
@@ -218,6 +222,17 @@ def test_obstacle_step_failures_raise(monkeypatch, info, solution, message):
         stacked_os_pde(brownian_problem(0.0), psis, small_cfg(), mode="sup")
 
 
+def moving_drift_problem():
+    return Problem(
+        d=1,
+        b=lambda t, x, m: 0.3 + 0.5 * t,
+        sigma=lambda t, x, m: 1.0,
+        f=None,
+        g=lambda p, w: 0.0,
+        horizon=1.0,
+    )
+
+
 def test_rows_are_rebuilt_only_when_the_coefficients_change(monkeypatch):
     builds = []
     build = pde_module._tridiag
@@ -231,44 +246,131 @@ def test_rows_are_rebuilt_only_when_the_coefficients_change(monkeypatch):
     standard_os_pde(brownian_problem(0.3), put_psi, cfg, mode="sup")
     assert len(builds) == 1
     builds.clear()
-    moving = Problem(
-        d=1,
-        b=lambda t, x, m: 0.3 + 0.5 * t,
-        sigma=lambda t, x, m: 1.0,
-        f=None,
-        g=lambda p, w: 0.0,
-        horizon=1.0,
-    )
-    standard_os_pde(moving, put_psi, cfg, mode="sup")
+    standard_os_pde(moving_drift_problem(), put_psi, cfg, mode="sup")
     assert len(builds) == cfg.nt
 
 
-@pytest.mark.parametrize("mode", ["sup", "inf"])
-def test_stacked_sweep_equals_separate_solves(mode):
-    # a drift that moves with t rebuilds the rows every step, and the
-    # running reward enters every block's right-hand side
-    problem = Problem(
-        d=1,
-        b=lambda t, x, m: 0.8 - 1.6 * t,
-        sigma=lambda t, x, m: 0.7 + 0.1 * np.cos(x),
-        f=lambda t, x, m: 0.2 * np.sin(x[:, 0]) - 0.1 * t,
-        g=lambda p, w: 0.0,
-        horizon=1.0,
-    )
-    cfg = small_cfg(nt=80)
-    psis = [lambda x, s=s: np.maximum(s - x, 0.0) + 0.1 * s * x for s in (-0.5, 0.4, 1.0, 1.7)]
-    separate = [standard_os_pde(problem, psi, cfg, mode=mode) for psi in psis]
+def reference_sweep(problem, psis, cfg, mode):
+    """The backward sweep written out step by step, with nothing reused:
+    coefficient rows, `_tridiag` and `_lcp_step` at every step. Returns the
+    surfaces, shape (nt+1, K, nx)."""
+    xs = np.linspace(cfg.x_lo, cfg.x_hi, cfg.nx)
+    ts = np.linspace(0.0, problem.horizon, cfg.nt + 1)
+    dt = ts[1] - ts[0]
+    psi_values = np.array([np.asarray(psi(xs), dtype=float) for psi in psis])
+    psi_max = np.max(np.abs(psi_values), axis=1)
+    on_obstacle = np.ones(psi_values.shape, dtype=bool)
+    values = np.empty((cfg.nt + 1,) + psi_values.shape)
+    values[-1] = psi_values
+    for k in range(cfg.nt - 1, -1, -1):
+        b, s2 = _coefficient_rows(problem, ts[k], xs)
+        rows = _tridiag(b, s2, dt, xs[1] - xs[0])
+        rhs = values[k + 1]
+        if problem.f is not None:
+            rhs = rhs + dt * problem.rate(ts[k], xs[:, None], None)
+        values[k] = _lcp_step(
+            rhs, rows, psi_values, psi_max, on_obstacle, mode, scipy.linalg.lapack.dgtsv
+        )
+    return values
+
+
+def sweep_case(name):
+    """(problem, payoffs, grid, mode) of one backward sweep to check."""
+    if name in ("sup", "inf"):
+        # a drift that moves with t rebuilds the rows every step, and the
+        # running reward enters every block's right-hand side
+        problem = Problem(
+            d=1,
+            b=lambda t, x, m: 0.8 - 1.6 * t,
+            sigma=lambda t, x, m: 0.7 + 0.1 * np.cos(x),
+            f=lambda t, x, m: 0.2 * np.sin(x[:, 0]) - 0.1 * t,
+            g=lambda p, w: 0.0,
+            horizon=1.0,
+        )
+        psis = [
+            lambda x, s=s: np.maximum(s - x, 0.0) + 0.1 * s * x for s in (-0.5, 0.4, 1.0, 1.7)
+        ]
+        return problem, psis, small_cfg(nt=80), name
+    if name == "switch":
+        # driftless for t >= 1/2, where stopping at once is optimal and every
+        # step repeats the last; the drift that starts below t = 1/2 makes
+        # waiting pay, though the right-hand side and warm start still repeat
+        problem = Problem(
+            d=1,
+            b=lambda t, x, m: 0.0 if t >= 0.5 else 1.0,
+            sigma=lambda t, x, m: 1.0,
+            f=None,
+            g=lambda p, w: 0.0,
+            horizon=1.0,
+        )
+        return problem, [lambda x: np.minimum(x, K)], small_cfg(nt=80), "sup"
+    if name == "shortfall":
+        inst = build_instance("shortfall")
+        psis = [risk._shortfall_payoff(beta) for beta in np.linspace(-5.0, 7.0, 17)]
+        return inst.problem, psis, inst.pde_cfg, "inf"
+    if name == "put":
+        inst = build_instance("standard_put")
+        return inst.problem, [inst.psi], inst.pde_cfg, "sup"
+    # the coarse slope grids of the mean-variance duals; the GBM steps need
+    # several policy iterations, so blocks settle at different iterations
+    # and the warm starts change from step to step
+    inst = build_instance(name)
+    lam = inst.params["lam"]
+    alphas = np.linspace(*risk._meanvar_alpha_bounds(inst.m0, lam), 21)
+    return inst.problem, [risk._meanvar_payoff(a, lam) for a in alphas], inst.pde_cfg, "sup"
+
+
+@pytest.mark.parametrize(
+    "case", ["sup", "inf", "switch", "shortfall", "mean_variance", "mean_variance_gbm", "put"]
+)
+def test_stacked_sweep_equals_separate_solves(case):
+    # both stacked entry points and the separate solves are the plain
+    # step-by-step sweep, byte for byte
+    problem, psis, cfg, mode = sweep_case(case)
+    reference = reference_sweep(problem, psis, cfg, mode)
     xs, initial = stacked_initial_values(problem, psis, cfg, mode=mode)
     surfaces = stacked_os_pde(problem, psis, cfg, mode=mode)
-    m = make_empirical([(-0.3, 1), (0.9, 1), (1.4, 0)], [0.3, 0.5, 0.2])
-    assert np.array_equal(xs, separate[0].xs)
-    for one, row, surface, psi in zip(separate, initial, surfaces, psis):
-        assert np.array_equal(row, one.values[0])
-        assert np.array_equal(surface.values, one.values)
-        assert np.array_equal(surface.psi_values, one.psi_values)
-        assert aggregate_slice(m, xs, row, psi) == aggregate_value(m, one, psi)
+    assert initial.tobytes() == reference[0].tobytes()
+    for j, surface in enumerate(surfaces):
+        assert surface.values.tobytes() == reference[:, j].tobytes()
+        assert np.array_equal(surface.psi_values, reference[-1, j])
+    m = make_empirical([(0.3, 1), (0.9, 1), (1.4, 0)], [0.3, 0.5, 0.2])
+    for j, psi in enumerate(psis):
+        one = standard_os_pde(problem, psi, cfg, mode=mode)
+        assert np.array_equal(xs, one.xs)
+        assert one.values.tobytes() == reference[:, j].tobytes()
+        assert aggregate_slice(m, xs, initial[j], psi) == aggregate_value(m, one, psi)
     with pytest.raises(ValueError, match="payoff"):
         stacked_initial_values(problem, [], cfg)
+
+
+def test_a_step_that_repeats_the_last_one_is_not_solved_again(monkeypatch):
+    # stopping at once is optimal for both shipped duals, so every step of a
+    # sweep after its first repeats the rows, right-hand side and warm start
+    # of the step before; a put step or a moving drift never does
+    calls = []
+    step = pde_module._lcp_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(pde_module, "_lcp_step", counted)
+    es = build_instance("shortfall")
+    risk.expected_shortfall_value(es.m0, es.problem, 0.8, es.pde_cfg)
+    assert len(calls) == 10  # one step per sweep: the scan and 9 rounds
+    calls.clear()
+    mv = build_instance("mean_variance", lam=1.0)
+    risk.mean_variance_dual(mv.m0, mv.problem, 1.0, mv.pde_cfg)
+    assert len(calls) == 3  # the slope grid and 2 refine rounds
+    calls.clear()
+    put = build_instance("standard_put")
+    standard_os_pde(put.problem, put.psi, put.pde_cfg)
+    assert len(calls) == put.pde_cfg.nt
+    calls.clear()
+    cfg = small_cfg(nt=40)
+    standard_os_pde(moving_drift_problem(), put_psi, cfg, mode="sup")
+    assert len(calls) == cfg.nt
 
 
 def test_interpolation_and_domain_guard():

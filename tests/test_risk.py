@@ -1,6 +1,7 @@
 """Risk reductions: shortfall forms, mean-variance duality, distortions."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from mfstop import risk
 from mfstop.catalog import build_instance
 from mfstop.dynamics import Problem, TimeGrid
 from mfstop.measures import StopMap, make_empirical, wasserstein
-from mfstop.pde import PdeConfig, stacked_initial_values, standard_os_pde
+from mfstop.pde import PdeConfig
 from mfstop.policy import Policy, evaluate_policy
 from mfstop.risk import (
     distortion_g,
@@ -19,6 +20,7 @@ from mfstop.risk import (
     expected_shortfall,
     expected_shortfall_value,
     mean_variance_dual,
+    meanvar_alpha_star_path,
 )
 from mfstop.solver import SearchConfig, solve_value
 
@@ -271,11 +273,45 @@ def test_mean_variance_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "kw,message",
+    [
+        (dict(lam=float("nan")), "lam must be finite"),
+        (dict(lam=float("inf")), "lam must be finite"),
+        (dict(grid_points=2), "grid_points"),
+        (dict(refine_rounds=-1), "refine_rounds"),
+        (dict(alpha_bounds=(float("nan"), 3.0)), "alpha bounds must be finite"),
+        (dict(alpha_bounds=(0.0, float("inf"))), "alpha bounds must be finite"),
+    ],
+)
+def test_mean_variance_dual_rejects_bad_search_inputs(monkeypatch, kw, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a bad search input reached the obstacle solver")
+
+    monkeypatch.setattr(risk, "stacked_initial_values", no_sweep)
+    kw = {"lam": 1.0, **kw}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            mean_variance_dual(
+                make_empirical([(0.5, 1)]), brownian_problem(0.0), pde_cfg=mv_pde_cfg(), **kw
+            )
+
+
+def test_alpha_star_path_refuses_a_non_finite_lam():
+    with pytest.raises(ValueError, match="finite lam"):
+        meanvar_alpha_star_path(
+            make_empirical([(0.5, 1)]),
+            brownian_problem(0.0),
+            float("nan"),
+            mv_pde_cfg(),
+            TimeGrid(4, 1.0),
+        )
+
+
 def test_alpha_star_path_is_flat_when_stopping_now_is_optimal():
     # with driftless dynamics the time-0 rule stops everything at once, so
     # the visited law never changes and the re-solved slope cannot move
-    from mfstop.risk import meanvar_alpha_star_path
-
     m = make_empirical([(0.2, 1), (1.0, 1), (1.8, 1)], [0.5, 0.3, 0.2])
     path = meanvar_alpha_star_path(
         m,
@@ -291,21 +327,6 @@ def test_alpha_star_path_is_flat_when_stopping_now_is_optimal():
     assert len(path) == 3
     stars = {round(p["alpha_star"], 10) for p in path}
     assert len(stars) == 1
-
-
-def test_stacked_gbm_slopes_equal_separate_solves():
-    # the 21 coarse slopes of the shipped GBM dual, whose steps need several
-    # policy iterations, so blocks settle at different iterations
-    from mfstop.risk import _meanvar_alpha_bounds, _meanvar_payoff
-
-    inst = build_instance("mean_variance_gbm")
-    lam = inst.params["lam"]
-    alphas = np.linspace(*_meanvar_alpha_bounds(inst.m0, lam), 21)
-    psis = [_meanvar_payoff(a, lam) for a in alphas]
-    _, initial = stacked_initial_values(inst.problem, psis, inst.pde_cfg, mode="sup")
-    for row, psi in zip(initial, psis):
-        separate = standard_os_pde(inst.problem, psi, inst.pde_cfg, mode="sup")
-        assert np.array_equal(row, separate.values[0])
 
 
 def test_mean_variance_dual_makes_one_sweep_per_slope_grid(monkeypatch):
