@@ -4,9 +4,9 @@ A `Problem` bundles the coefficients (b, sigma, f, g) and the horizon, and
 is the one place that evaluates them. The coefficients may read the current
 particle law; the simulation then feeds them a `LawView` of the whole
 system, lagged to the left endpoint of each step (weak order-1 mean-field
-scheme). The view copies and checks the live rows without sorting or
-merging them; the canonical snapshot, `Particles.snapshot()`, is built only
-where a law leaves the kernel.
+scheme). The view holds the live rows without copying, sorting or merging
+them; the canonical snapshot, `Particles.snapshot()`, is built only where a
+law leaves the kernel.
 
 Every particle flow in the package runs through one kernel, `flow`. At each
 decision node it applies the node's stop rule, builds the view of the
@@ -100,8 +100,8 @@ class Problem:
 
     def drift(self, t: float, x: np.ndarray, m) -> np.ndarray:
         """b at the rows of x, as an (N, d) array."""
-        b = self.b(t, x, m if self.uses_measure else None)
-        return np.broadcast_to(np.asarray(b, dtype=float), x.shape)
+        b = np.asarray(self.b(t, x, m if self.uses_measure else None), dtype=float)
+        return b if b.shape == x.shape else np.broadcast_to(b, x.shape)
 
     def vol(self, t: float, x: np.ndarray, m) -> np.ndarray:
         """sigma at the rows of x, broadcastable to (N, d): a scalar, (N, 1) or (N, d)."""
@@ -164,6 +164,9 @@ class Particles:
     that shed each pool atom in `pool_src`. Snapshots and marginals list the
     rows, then the frozen atoms, then the pool.
 
+    The raw arrays are checked once, when built, as a canonical snapshot
+    checks them; `stop` and `advance_positions` keep the checks true.
+
     `stopped_any` and `guard_size0` are the state of `flow`'s
     truncated-horizon guard, so a copy taken mid-run carries it on.
     """
@@ -179,6 +182,13 @@ class Particles:
         self.pool_src: list = []
         self.stopped_any = False
         self.guard_size0: Optional[float] = None
+        if not all(np.isfinite(a).all() for a in (x, w, self.frozen_x, self.frozen_w)):
+            raise ValueError("non-finite atom data")
+        if (w < 0).any() or (self.frozen_w < 0).any():
+            raise ValueError("negative atom weight")
+        total = float(w.sum()) + float(self.frozen_w.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"total mass {total!r} is not 1")
 
     @classmethod
     def from_measure(
@@ -200,14 +210,13 @@ class Particles:
         return cls(xs[rows], alive[rows], ws[rows] / paths_per_atom, *frozen)
 
     def copy(self) -> "Particles":
-        """An independent copy. The frozen atoms and the pool's arrays are
-        shared: nothing writes them after they are made."""
-        other = Particles(
-            self.x.copy(), self.alive.copy(), self.w.copy(), self.frozen_x, self.frozen_w
-        )
+        """An independent copy, not checked again. The frozen atoms and the
+        pool's arrays are shared: nothing writes them after they are made."""
+        other = object.__new__(Particles)  # skips __init__ and its checks
+        other.__dict__.update(self.__dict__)
+        other.x, other.alive, other.w = self.x.copy(), self.alive.copy(), self.w.copy()
         other.pool_x, other.pool_w = list(self.pool_x), list(self.pool_w)
         other.pool_src = list(self.pool_src)
-        other.stopped_any, other.guard_size0 = self.stopped_any, self.guard_size0
         return other
 
     def marginal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -245,6 +254,7 @@ class Particles:
             self.pool_x.append(self.x[sub].copy())
             self.pool_w.append(self.w[sub] * (1.0 - p[frac]))
             self.pool_src.append(sub)
+            self.w = self.w.copy()  # never written in place: a `LawView` may hold it
             self.w[sub] = self.w[sub] * p[frac]
         if full.any():
             self.alive[idx[full]] = False
@@ -254,30 +264,19 @@ class Particles:
 class LawView:
     """The law of a particle system at one node, as coefficients read it.
 
-    Holds copies of the live rows' positions and weights, so a view kept
-    past its node does not move with the particles. `survivors()` returns
-    them in row order, unsorted and unmerged; the frozen atoms and the pool
-    enter only the checks. The checks are those of a canonical snapshot,
-    with the same messages, and none sorts: every position and weight is
-    finite, no weight is negative, and the total mass is 1 within 1e-9.
+    Holds the live rows' positions and weights, read-only and uncopied when
+    every row is alive. `Particles` replaces `x` and `w` instead of writing
+    them, so a view kept past its node does not move with the particles.
+    `survivors()` returns the rows in row order, unsorted and unmerged.
     """
 
     def __init__(self, particles: Particles):
-        # skip empty parts: on these sizes numpy's per-call cost outweighs the work
-        xs = [a for a in (particles.x, particles.frozen_x, *particles.pool_x) if a.size]
-        ws = [a for a in (particles.w, particles.frozen_w, *particles.pool_w) if a.size]
-        if not all(np.isfinite(a).all() for a in xs + ws):
-            raise ValueError("non-finite atom data")
-        if any(a.min() < 0 for a in ws):
-            raise ValueError("negative atom weight")
-        total = sum(float(a.sum()) for a in ws)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"total mass {total!r} is not 1")
-        live = np.flatnonzero(particles.alive)
-        self._x = particles.x.take(live, axis=0)
-        self._w = particles.w.take(live)
-        self._x.flags.writeable = False
-        self._w.flags.writeable = False
+        if particles.alive.all():
+            self._x, self._w = particles.x.view(), particles.w.view()
+        else:
+            live = np.flatnonzero(particles.alive)
+            self._x, self._w = particles.x.take(live, axis=0), particles.w.take(live)
+        self._x.flags.writeable = self._w.flags.writeable = False
 
     @property
     def d(self) -> int:
@@ -346,13 +345,15 @@ def advance_positions(
     """One Euler update x + 1_alive (b dt + sigma sqrt(dt) xi).
 
     The step of `flow`. With noise None, sigma is not evaluated and the
-    update is the drift alone, as in a sigma = 0 replay.
+    update is the drift alone, as in a sigma = 0 replay. Refuses non-finite
+    stepped rows: a non-finite coefficient, or a position that overflows.
     """
     incr = problem.drift(t, x, m) * dt
     if noise is not None:
         incr = incr + problem.vol(t, x, m) * noise * np.sqrt(dt)
-    check_coefficients(incr)
-    return x + incr * alive[:, None]
+    x = x + incr * alive[:, None]
+    check_coefficients(x)
+    return x
 
 
 def flow(

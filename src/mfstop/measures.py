@@ -214,7 +214,7 @@ class StopMap:
         p = np.asarray(self.fn(x), dtype=float).ravel()
         if p.shape[0] != x.shape[0]:
             raise ValueError("stop map returned wrong shape")
-        if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
+        if not ((p >= -1e-9) & (p <= 1 + 1e-9)).all():
             raise ValueError("stop map value outside [0,1]")
         return np.clip(p, 0.0, 1.0)
 

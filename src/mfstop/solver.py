@@ -384,14 +384,13 @@ def _replay(m0, problem, grid, stop_at, first, last):
     particles = Particles.from_measure(m0, freeze_stopped=True)
     codes = np.array([-1 if s is None else s for s in stop_at], dtype=np.int64)
     stop = lambda j, x, rows: (codes[rows] != j).astype(float)
-    w = particles.w
     reward = 0.0
     positions = []
     for _, t, law in flow(particles, problem, 0.0, grid.dt, range(first, last), stop):
         positions.append(particles.x)
         alive = particles.alive
         if problem.f is not None and alive.any():
-            reward += grid.dt * float(problem.rate(t, particles.x[alive], law) @ w[alive])
+            reward += grid.dt * float(problem.rate(t, particles.x[alive], law) @ particles.w[alive])
     return reward, particles, positions
 
 

@@ -226,13 +226,47 @@ def test_law_view_equals_the_canonical_snapshot_at_every_node():
     ids=["row-position", "frozen-position", "negative-weight", "mass-off-by-1e-6"],
 )
 def test_law_view_raises_what_the_canonical_snapshot_raises(x, w, frozen_x, frozen_w, message):
-    particles = Particles(
+    # the view checks nothing: a system is checked where it is built, so no
+    # view of bad rows can exist
+    arrays = (
         np.array(x), np.ones(2, dtype=bool), np.array(w), np.array(frozen_x), np.array(frozen_w)
     )
     with pytest.raises(ValueError, match=message):
-        particles.snapshot()
+        Particles(*arrays)
+    particles = Particles(np.zeros((2, 1)), np.ones(2, dtype=bool), np.array([0.5, 0.5]))
+    particles.x, particles.alive, particles.w, particles.frozen_x, particles.frozen_w = arrays
     with pytest.raises(ValueError, match=message):
-        LawView(particles)
+        particles.snapshot()
+
+
+def test_law_view_shares_the_rows_while_every_row_is_alive():
+    particles = Particles.from_measure(make_empirical([(0.0, 1), (1.0, 1)]), 3)
+    xs, ws = LawView(particles).survivors()
+    assert np.shares_memory(xs, particles.x) and np.shares_memory(ws, particles.w)
+    assert not xs.flags.writeable and not ws.flags.writeable
+    particles.stop(0, lambda k, x, rows: (rows > 0).astype(float))
+    xs, ws = LawView(particles).survivors()
+    assert xs.shape == (5, 1) and not np.shares_memory(xs, particles.x)
+
+
+def test_law_view_kept_across_a_fractional_stop_keeps_its_weights():
+    particles = Particles.from_measure(make_empirical([(0.0, 1), (1.0, 1)]), 2)
+    view = LawView(particles)
+    particles.stop(0, lambda k, x, rows: np.where(rows < 2, 0.25, 1.0))
+    assert np.array_equal(view.survivors()[1], np.full(4, 0.25))
+    assert view.surviving_mass() == 1.0
+    assert np.array_equal(particles.w, [0.0625, 0.0625, 0.25, 0.25])
+
+
+def test_a_position_that_overflows_is_refused():
+    # the drift is finite at every step; the second step overflows the position
+    prob = Problem(
+        d=1, b=lambda t, x, m: 1.5e308, sigma=lambda t, x, m: 0.0, f=None, g=_mean_g,
+        horizon=2.0,
+    )
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite drift or volatility"):
+            simulate(make_empirical([(0.0, 1)]), prob, TimeGrid(2, 2.0), 1, seed=None)
 
 
 def test_flow_builds_no_canonical_measure(monkeypatch):

@@ -12,7 +12,7 @@ from test_golden import PULL_M0, noisy_pull_problem
 
 from mfstop.catalog import load_experiment_config
 from mfstop.dynamics import Noise, Particles, Problem, TimeGrid, flow
-from mfstop.measures import StopMap, make_empirical
+from mfstop.measures import StopMap, apply_stop, make_empirical
 from mfstop.policy import (
     Policy,
     evaluate_policy,
@@ -253,6 +253,20 @@ def test_terminal_sup_on_fully_stopped_measure():
     m = make_empirical([(1.0, 0), (2.0, 0)], [0.5, 0.5])
     val, smap = terminal_stop_sup(m, marginal_mean)
     assert val == pytest.approx(1.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("route", ["evaluate_policy", "apply_stop"])
+def test_a_nan_stop_map_raises_on_every_route(route):
+    cfg = load_experiment_config(str(files("mfstop").joinpath("configs", "standard_put.json")))
+    inst = cfg.instance()
+    grid = TimeGrid(cfg.grid_n, inst.problem.horizon)
+    nan_map = StopMap(lambda x: np.full(x.shape[0], np.nan))
+    with pytest.raises(ValueError, match=r"stop map value outside \[0,1\]"):
+        if route == "apply_stop":
+            apply_stop(inst.m0, nan_map)
+        else:
+            pol = Policy((nan_map,) * grid.n)
+            evaluate_policy(inst.m0, inst.problem, grid, pol, cfg.paths_per_atom, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
