@@ -48,7 +48,7 @@ from .risk import (
     meanvar_alpha_star_path,
 )
 from .solver import SearchConfig, solve_value, verify_dpp
-from .util import check_threads, config_digest, dump_json_atomic, dump_text_atomic
+from .util import check_threads, config_digest, dump_text_atomic
 
 __all__ = ["main"]
 
@@ -95,14 +95,7 @@ def _envelope(subcommand: str, cfg: ExperimentConfig, t0: float, body: dict) -> 
 
 
 def _emit_json(args, name: str, payload: dict) -> None:
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, name)
-        dump_json_atomic(path, payload)
-        if not args.quiet:
-            print(f"wrote {path}")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit_text(args, name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_text(args, name: str, text: str) -> None:

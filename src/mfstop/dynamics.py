@@ -167,6 +167,11 @@ class Particles:
     The raw arrays are checked once, when built, as a canonical snapshot
     checks them; `stop` and `advance_positions` keep the checks true.
 
+    No array or list that a `Particles` holds is written after it is made:
+    `stop` and `flow` replace `x`, `alive`, `w` and the pool lists instead.
+    A copy therefore shares all of them, and a copy or a `LawView` kept
+    past its node does not move with the particles.
+
     `stopped_any` and `guard_size0` are the state of `flow`'s
     truncated-horizon guard, so a copy taken mid-run carries it on.
     """
@@ -210,13 +215,10 @@ class Particles:
         return cls(xs[rows], alive[rows], ws[rows] / paths_per_atom, *frozen)
 
     def copy(self) -> "Particles":
-        """An independent copy, not checked again. The frozen atoms and the
-        pool's arrays are shared: nothing writes them after they are made."""
+        """A copy that shares every array and list, not checked again; a run
+        may continue either without touching the other."""
         other = object.__new__(Particles)  # skips __init__ and its checks
         other.__dict__.update(self.__dict__)
-        other.x, other.alive, other.w = self.x.copy(), self.alive.copy(), self.w.copy()
-        other.pool_x, other.pool_w = list(self.pool_x), list(self.pool_w)
-        other.pool_src = list(self.pool_src)
         return other
 
     def marginal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -251,12 +253,13 @@ class Particles:
         frac = (p > 0.0) & (p < 1.0)
         if frac.any():
             sub = idx[frac]
-            self.pool_x.append(self.x[sub].copy())
-            self.pool_w.append(self.w[sub] * (1.0 - p[frac]))
-            self.pool_src.append(sub)
-            self.w = self.w.copy()  # never written in place: a `LawView` may hold it
+            self.pool_x = self.pool_x + [self.x[sub]]
+            self.pool_w = self.pool_w + [self.w[sub] * (1.0 - p[frac])]
+            self.pool_src = self.pool_src + [sub]
+            self.w = self.w.copy()
             self.w[sub] = self.w[sub] * p[frac]
         if full.any():
+            self.alive = self.alive.copy()
             self.alive[idx[full]] = False
         self.stopped_any = self.stopped_any or bool(frac.any() or full.any())
 
@@ -265,8 +268,8 @@ class LawView:
     """The law of a particle system at one node, as coefficients read it.
 
     Holds the live rows' positions and weights, read-only and uncopied when
-    every row is alive. `Particles` replaces `x` and `w` instead of writing
-    them, so a view kept past its node does not move with the particles.
+    every row is alive. `Particles` never writes its arrays, so a view kept
+    past its node does not move with the particles.
     `survivors()` returns the rows in row order, unsorted and unmerged.
     """
 
@@ -366,10 +369,12 @@ def flow(
     noise: Optional[Noise] = None,
     enter: Optional[Callable[[int, Particles], None]] = None,
 ) -> Iterator[tuple[int, float, Optional[LawView]]]:
-    """Advance `particles` in place over the node indices `nodes`.
+    """Advance `particles` over the node indices `nodes`.
 
-    At node k, at time t0 + k dt: call `enter(k, particles)` on the state
-    that enters the node, unless `enter` is None; apply `stop` through
+    The kernel replaces the particles' arrays and never writes them, so a
+    copy taken on the way keeps the state it was taken from. At node k, at
+    time t0 + k dt: call `enter(k, particles)` on the state that enters the
+    node, unless `enter` is None; apply `stop` through
     `Particles.stop` unless it is None or nothing survives; build the
     `LawView` of the post-stop law when `problem.uses_measure` (None
     otherwise); yield (k, t, view), where the caller reads the post-stop

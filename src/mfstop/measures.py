@@ -239,6 +239,8 @@ class StopMap:
         if side not in ("below", "above"):
             raise ValueError("side must be 'below' or 'above'")
         theta = float(theta)
+        if not np.isfinite(theta):
+            raise ValueError("threshold theta must be finite")
         if side == "below":
             fn = lambda x: (x[:, 0] > theta).astype(float)
         else:
@@ -248,6 +250,8 @@ class StopMap:
     @staticmethod
     def logistic(a, c: float) -> "StopMap":
         a_vec = np.atleast_1d(np.asarray(a, dtype=float))
+        if not (np.isfinite(a_vec).all() and np.isfinite(c)):
+            raise ValueError("logistic a and c must be finite")
 
         def fn(x):
             s = x @ a_vec + c
@@ -273,7 +277,7 @@ class StopMap:
         values = np.asarray(values, dtype=float)
         if values.shape[0] != edges.shape[0] + 1:
             raise ValueError("tabular stop map needs len(values) == len(edges) + 1")
-        if np.any(values < 0) or np.any(values > 1):
+        if not ((values >= 0) & (values <= 1)).all():  # refuses NaN too
             raise ValueError("tabular values outside [0,1]")
         fn = lambda x: values[np.searchsorted(edges, x[:, 0], side="right")]
         return StopMap(fn, "tabular", {"edges": edges.tolist(), "values": values.tolist()})
@@ -287,6 +291,8 @@ class StopMap:
         """
         sites = np.atleast_2d(np.asarray(sites, dtype=float))
         values = np.asarray(values, dtype=float).ravel()
+        if not ((values >= 0) & (values <= 1)).all() or not 0 <= default <= 1:
+            raise ValueError("site_lookup values or default outside [0,1]")
 
         def fn(x):
             out = np.full(x.shape[0], default)

@@ -25,7 +25,7 @@ kernel run with no stop rule path for path under the same seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -97,7 +97,10 @@ class PolicyRun:
 
     `reward` holds each row's running reward (left Riemann sum over the
     post-stop nodes) and `survivor_mass` the surviving weight after each
-    node's stop.
+    node's stop. `checkpoints` holds a copy of the run as it entered each
+    node it ran, before that node's stop; each checkpoint's own
+    `checkpoints` are the ones before it. As in `Particles`, no array or
+    list a run holds is written after it is made.
     """
 
     problem: Problem
@@ -106,15 +109,15 @@ class PolicyRun:
     survivor_mass: list
     n_atoms: int
     paths_per_atom: int
+    checkpoints: tuple = ()
 
     def copy(self) -> "PolicyRun":
-        """An independent copy, which a run may continue without touching this one."""
-        return replace(
-            self,
-            particles=self.particles.copy(),
-            reward=self.reward.copy(),
-            survivor_mass=list(self.survivor_mass),
-        )
+        """A copy that shares every array and list; a run may continue
+        either without touching the other."""
+        other = object.__new__(PolicyRun)
+        other.__dict__.update(self.__dict__)
+        other.particles = self.particles.copy()
+        return other
 
     def multiplicities(self, rng, resamples: int):
         """Row multiplicities of a bootstrap stratified by source atom."""
@@ -163,7 +166,6 @@ def run_policy(
     noise: Optional[Noise] = None,
     *,
     resume: Optional[PolicyRun] = None,
-    checkpoints: Optional[list] = None,
 ) -> PolicyRun:
     """Simulate nodes start_node..end_node with the given survival maps.
 
@@ -172,13 +174,13 @@ def run_policy(
     `noise` is a `policy_noise` object shared with other runs, built from the
     same (m0, problem, paths_per_atom, seed); by default the run builds its own.
 
-    `checkpoints` and `resume` let a policy search skip replayed prefixes.
-    Given a list `checkpoints`, the run appends a copy of itself as it enters
-    each node, before that node's stop. Given `resume`, a checkpoint that an
-    earlier run from (m0, paths_per_atom, seed) and the same noise took
-    entering node start_node, the run continues a copy of it instead of
-    starting from m0. Its result is then bit for bit that of the run from m0
-    of any maps that stop as the earlier run's did before start_node.
+    The run records its `checkpoints` as it goes, so a policy search can
+    skip replayed prefixes: given `resume`, a checkpoint that an earlier run
+    from (m0, paths_per_atom, seed) and the same noise took entering node
+    start_node, the run continues a copy of it instead of starting from m0.
+    Its result, checkpoints included, is then bit for bit that of the run
+    from m0 of any maps that stop as the earlier run's did before start_node.
+    A checkpoint shares its arrays with the run: neither writes them.
     """
     if abs(grid.horizon - problem.horizon) > 1e-12:
         raise ValueError("grid horizon differs from problem horizon")
@@ -196,14 +198,18 @@ def run_policy(
     else:
         run = resume.copy()
     particles = run.particles
-    enter = None if checkpoints is None else lambda k, _: checkpoints.append(run.copy())
+
+    def enter(k, _):
+        run.checkpoints = run.checkpoints + (run.copy(),)
+
     dt = grid.dt
     stop = lambda k, x, rows: maps[k](x)
     for k, t, m_k in flow(particles, problem, 0.0, dt, nodes, stop, noise, enter):
         alive, w = particles.alive, particles.w
-        run.survivor_mass.append(float(w[alive].sum()))
+        run.survivor_mass = run.survivor_mass + [float(w[alive].sum())]
         if problem.f is not None and alive.any():
             idx = np.nonzero(alive)[0]
+            run.reward = run.reward.copy()
             run.reward[idx] += problem.rate(t, particles.x[idx], m_k) * w[idx] * dt
     return run
 

@@ -11,11 +11,12 @@ values.
 
 A refinement trial changes the incumbent at one node k, and the law
 entering node k depends only on the maps before k (the flow property behind
-the dynamic programming principle). The search therefore keeps the
-incumbent's run as per-node checkpoints and runs each trial from its
-checkpoint k; a trial whose new map stops the same rows with the same
-fractions is the incumbent's run bit for bit and takes its value without a
-run. Both leave every value exactly as a run from m0 gives it.
+the dynamic programming principle). Every policy run records the state
+entering each node as a checkpoint that shares the run's arrays, since no
+run writes them; the search keeps the incumbent's checkpoints and runs each
+trial from its checkpoint k. A trial whose new map stops the same rows with
+the same fractions is the incumbent's run bit for bit and takes its value
+without a run. Both leave every value exactly as a run from m0 gives it.
 
 The state of the dynamic program is a measure, so no backward recursion over
 a finite state space is available in general. For deterministic dynamics
@@ -125,7 +126,7 @@ class _Searcher:
         # the incumbent's maps, its seen entry and its run's checkpoints
         self.incumbent: Optional[tuple] = None
         self.incumbent_result: Optional[tuple] = None
-        self.checkpoints: list = []
+        self.checkpoints: tuple = ()
 
     def _key(self, pol: Policy):
         return tuple(sm.key for sm in pol.maps[self.start_node :])
@@ -154,13 +155,12 @@ class _Searcher:
         return None
 
     def _evaluate(self, pol: Policy) -> tuple:
-        k, resume, checkpoints = self.start_node, None, []
+        k, resume = self.start_node, None
         if self.incumbent is not None:
             k = self._first_change(pol)
             if k is None:
                 return self.incumbent_result
             resume = self.checkpoints[k - self.start_node]
-            checkpoints = self.checkpoints[: k - self.start_node]
         run = run_policy(
             self.m0,
             self.problem,
@@ -171,12 +171,11 @@ class _Searcher:
             k,
             noise=self.noise,
             resume=resume,
-            checkpoints=checkpoints,
         )
         result = (run.estimate(self.seed, 0).value, float(np.mean(run.survivor_mass)))
         if self.incumbent is None or result[0] > self.incumbent_result[0]:
             self.incumbent, self.incumbent_result = pol.maps, result
-            self.checkpoints = checkpoints
+            self.checkpoints = run.checkpoints
         return result
 
 

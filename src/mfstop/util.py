@@ -36,21 +36,6 @@ def check_threads(threads) -> None:
         raise ValueError("threads must be 1: the thread pools were removed")
 
 
-def dump_json_atomic(path: str, payload: dict) -> None:
-    """Write JSON to `path` atomically (temp file + rename), sorted keys, LF."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def dump_text_atomic(path: str, text: str) -> None:
     """Write text to `path` atomically (temp file + rename), UTF-8, LF."""
     directory = os.path.dirname(os.path.abspath(path)) or "."

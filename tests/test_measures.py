@@ -106,6 +106,26 @@ def test_apply_stop_forced_split():
     assert atoms == {(0.0, 0): 0.5, (1.0, 1): 0.5}
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StopMap.threshold(float("nan")),
+        lambda: StopMap.threshold(float("inf"), "above"),
+        lambda: StopMap.logistic(float("nan"), 0.0),
+        lambda: StopMap.logistic([1.0], float("-inf")),
+        lambda: StopMap.tabular([0.0], [0.5, float("nan")]),
+        lambda: StopMap.tabular([0.0], [0.5, 1.5]),
+        lambda: StopMap.site_lookup([[0.0]], [float("nan")]),
+        lambda: StopMap.site_lookup([[0.0]], [-0.5]),
+        lambda: StopMap.site_lookup([[0.0]], [0.5], default=float("nan")),
+        lambda: StopMap.site_lookup([[0.0]], [0.5], default=2.0),
+    ],
+)
+def test_a_bad_stop_map_is_refused_when_it_is_built(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_apply_stop_mass_conservation_tight():
     rng = np.random.default_rng(2)
     for _ in range(20):

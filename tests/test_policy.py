@@ -292,6 +292,23 @@ def test_policy_json_round_trip():
     assert policy_to_json(back) == policy_to_json(pol)
 
 
+@pytest.mark.parametrize(
+    "node",
+    [
+        '{"family": "threshold", "params": {"theta": NaN, "side": "below"}}',
+        '{"family": "threshold", "params": {"theta": -Infinity, "side": "above"}}',
+        '{"family": "logistic", "params": {"a": [NaN], "c": 0.0}}',
+        '{"family": "tabular", "params": {"edges": [0.0], "values": [1.0, NaN]}}',
+        '{"family": "site_lookup", "params": {"sites": [[0.0]], "values": [NaN], "default": 1}}',
+        '{"family": "site_lookup", "params": {"sites": [[0.0]], "values": [0.5], "default": NaN}}',
+    ],
+)
+def test_policy_json_refuses_a_bad_stop_map(node):
+    # Python's json reads NaN and Infinity, so the constructors refuse them
+    with pytest.raises(ValueError):
+        policy_from_json('{"family": "mixed", "nodes": [%s]}' % node)
+
+
 def test_policy_json_rejects_opaque_callables():
     pol = Policy((StopMap(lambda x: np.ones(x.shape[0])),))
     with pytest.raises(ValueError):
@@ -344,14 +361,14 @@ def _run_state(run):
 def test_a_resumed_run_equals_the_full_run_bit_for_bit(case):
     m0, problem, grid, paths, maps = _resume_case(case)
     noise = policy_noise(m0, problem, paths, 3, range(grid.n))
-    full = _run_state(run_policy(m0, problem, grid, maps, paths, 3, noise=noise))
-    checkpoints = []
-    recorded = run_policy(m0, problem, grid, maps, paths, 3, noise=noise, checkpoints=checkpoints)
-    assert _run_state(recorded) == full
+    run = run_policy(m0, problem, grid, maps, paths, 3, noise=noise)
+    full, checkpoints = _run_state(run), run.checkpoints
     assert len(checkpoints) == grid.n
+    recorded = [_run_state(c) for c in checkpoints]
     for k, checkpoint in enumerate(checkpoints):
         resumed = run_policy(m0, problem, grid, maps, paths, 3, k, noise=noise, resume=checkpoint)
         assert _run_state(resumed) == full
+        assert [_run_state(c) for c in resumed.checkpoints] == recorded
     # a resumed run continues a copy: the checkpoints are as they were
     resumed = run_policy(m0, problem, grid, maps, paths, 3, noise=noise, resume=checkpoints[0])
     assert _run_state(resumed) == full
@@ -361,8 +378,8 @@ def test_every_node_has_a_checkpoint_when_nothing_survives():
     problem, grid = brownian(f=lambda t, x, m: np.cos(x[:, 0])), TimeGrid(n=5, horizon=1.0)
     m0 = make_empirical([(0.2, 1), (0.9, 1)])
     maps = (StopMap.constant(0.5), StopMap.constant(0.0)) + (StopMap.threshold(0.5),) * 3
-    checkpoints = []
-    full = run_policy(m0, problem, grid, maps, 10, 4, checkpoints=checkpoints)
+    full = run_policy(m0, problem, grid, maps, 10, 4)
+    checkpoints = full.checkpoints
     assert len(checkpoints) == grid.n
     assert not checkpoints[-1].particles.alive.any()
     for k, checkpoint in enumerate(checkpoints):
@@ -393,9 +410,9 @@ def test_a_resumed_run_warns_on_truncation_exactly_when_the_full_run_does(stop_n
     maps = [StopMap.constant(1.0)] * grid.n
     if stop_node is not None:
         maps[stop_node] = StopMap.constant(0.5)
-    checkpoints = []
-    full = _warns(lambda: run_policy(m0, problem, grid, maps, 50, 10, checkpoints=checkpoints))
+    runs = []
+    full = _warns(lambda: runs.append(run_policy(m0, problem, grid, maps, 50, 10)))
     assert full is (stop_node is None)
-    for k, checkpoint in enumerate(checkpoints):
+    for k, checkpoint in enumerate(runs[0].checkpoints):
         resume = lambda: run_policy(m0, problem, grid, maps, 50, 10, k, resume=checkpoint)
         assert _warns(resume) is full

@@ -1,5 +1,6 @@
 """Policy search against exact enumeration, plus the two-stage DPP check."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.stats import norm
 from mfstop.catalog import build_instance
 from mfstop.dynamics import MAX_NOISE_DOUBLES, Problem, TimeGrid
 from mfstop.measures import StopMap, apply_stop, make_empirical
-from mfstop.policy import Policy, evaluate_policy, run_policy
+from mfstop.policy import Policy, PolicyRun, evaluate_policy, run_policy
 from mfstop.solver import (
     SearchConfig,
     _Searcher,
@@ -311,3 +312,41 @@ def test_search_steps_only_past_the_incumbents_checkpoints(monkeypatch):
     res = solve_value(inst.m0, inst.problem, grid, SearchConfig(paths_per_atom=400), seed=1)
     assert res.n_evaluations == 161
     assert len(steps) == 653
+
+
+def _digest(run) -> str:
+    """A hash of every array and list the run holds."""
+    particles, h = run.particles, hashlib.sha256()
+    for part in (particles.x, particles.alive, particles.w, run.reward):
+        h.update(part.tobytes())
+    for part in (particles.pool_x, particles.pool_w, particles.pool_src, run.survivor_mass):
+        h.update(repr(len(part)).encode())
+        for a in part:
+            h.update(np.asarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_no_run_of_a_search_writes_a_checkpoint_it_shares_arrays_with(monkeypatch):
+    recorded, ids, resumed = [], set(), []
+    copy = PolicyRun.copy
+
+    def recording(run):
+        copied = copy(run)
+        if id(run) in ids:  # a copy of a checkpoint is a resumed run
+            resumed.append(copied)
+        else:
+            recorded.append((copied, _digest(copied)))
+            ids.add(id(copied))
+        return copied
+
+    monkeypatch.setattr(PolicyRun, "copy", recording)
+    inst = build_instance("attraction")
+    grid = TimeGrid(8, inst.problem.horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        solve_value(inst.m0, inst.problem, grid, SearchConfig(paths_per_atom=40), seed=1)
+    # the search resumed runs and stopped rows both fully and fractionally
+    assert resumed
+    assert any(not c.particles.alive.all() for c, _ in recorded)
+    assert any(c.particles.pool_x for c, _ in recorded)
+    assert all(_digest(checkpoint) == digest for checkpoint, digest in recorded)
