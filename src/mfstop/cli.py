@@ -39,7 +39,7 @@ from .dynamics import TimeGrid
 from .measures import measure_from_csv, measure_to_csv
 from .mollifier import MollifierParams, mollify
 from .pde import aggregate_value, standard_os_pde
-from .policy import Policy, evaluate_policy_detailed, policy_to_json
+from .policy import BOOTSTRAP_RESAMPLES, Policy, policy_to_json, run_policy
 from .risk import (
     distortion_g,
     expected_shortfall,
@@ -156,10 +156,11 @@ def _cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     inst = cfg.instance()
     grid = TimeGrid(cfg.grid_n, inst.problem.horizon)
-    est, diag = evaluate_policy_detailed(
-        inst.m0, inst.problem, grid, Policy.never_stop(grid.n), cfg.paths_per_atom, cfg.seed
+    run = run_policy(
+        inst.m0, inst.problem, grid, Policy.never_stop(grid.n).maps, cfg.paths_per_atom, cfg.seed
     )
-    terminal = diag["terminal_snapshot"]
+    est = run.estimate(cfg.seed, BOOTSTRAP_RESAMPLES)
+    terminal = run.particles.snapshot()
     xs, ws = terminal.x_marginal()
     body = {
         "problem": cfg.problem,
@@ -168,17 +169,15 @@ def _cmd_simulate(args) -> int:
         "value_never_stop": est.value,
         "mc_stderr": est.mc_stderr,
         "n_paths": est.n_paths,
-        "survivor_mass_mean": diag["survivor_mass_mean"],
+        "survivor_mass_mean": float(np.mean(run.survivor_mass)),
         "terminal_mean": float(xs[:, 0] @ ws),
         "terminal_second_moment": float(xs[:, 0] ** 2 @ ws),
     }
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-        mpath = os.path.join(args.out, "simulate_terminal.csv")
-        measure_to_csv(terminal, mpath)
-        body["terminal_measure_csv"] = os.path.basename(mpath)
-        if not args.quiet:
-            print(f"wrote {mpath}")
+        buf = io.StringIO()
+        measure_to_csv(terminal, buf)
+        _emit_text(args, "simulate_terminal.csv", buf.getvalue())
+        body["terminal_measure_csv"] = "simulate_terminal.csv"
     _emit_json(args, "simulate.json", _envelope("simulate", cfg, t0, body))
     return 0
 

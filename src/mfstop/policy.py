@@ -93,7 +93,7 @@ class Policy:
 
 @dataclass
 class PolicyRun:
-    """A policy simulated forward to its end node.
+    """A policy simulated forward to the horizon.
 
     `reward` holds each row's running reward (left Riemann sum over the
     post-stop nodes) and `survivor_mass` the surviving weight after each
@@ -162,31 +162,29 @@ def run_policy(
     paths_per_atom: int,
     seed: int,
     start_node: int = 0,
-    end_node: Optional[int] = None,
     noise: Optional[Noise] = None,
     *,
     resume: Optional[PolicyRun] = None,
 ) -> PolicyRun:
-    """Simulate nodes start_node..end_node with the given survival maps.
+    """Simulate nodes start_node..n-1 with the given survival maps.
 
-    `end_node` defaults to the full horizon; a smaller value stops the run at
-    that node, leaving the state at t_end before any node-end_node stopping.
     `noise` is a `policy_noise` object shared with other runs, built from the
     same (m0, problem, paths_per_atom, seed); by default the run builds its own.
 
-    The run records its `checkpoints` as it goes, so a policy search can
-    skip replayed prefixes: given `resume`, a checkpoint that an earlier run
-    from (m0, paths_per_atom, seed) and the same noise took entering node
-    start_node, the run continues a copy of it instead of starting from m0.
-    Its result, checkpoints included, is then bit for bit that of the run
-    from m0 of any maps that stop as the earlier run's did before start_node.
-    A checkpoint shares its arrays with the run: neither writes them.
+    The run records its `checkpoints` as it goes, one per node in order: the
+    state entering node k of a run from node 0 is `checkpoints[k]`. Given
+    `resume`, a checkpoint that an earlier run from (m0, paths_per_atom,
+    seed) and the same noise took entering node start_node, the run
+    continues a copy of it instead of starting from m0. Its result,
+    checkpoints included, is then bit for bit that of the run from m0 of any
+    maps that stop as the earlier run's did before start_node. A checkpoint
+    shares its arrays with the run: neither writes them.
     """
     if abs(grid.horizon - problem.horizon) > 1e-12:
         raise ValueError("grid horizon differs from problem horizon")
     if len(maps) != grid.n:
         raise ValueError("policy must supply one map per decision node")
-    nodes = range(start_node, grid.n if end_node is None else end_node)
+    nodes = range(start_node, grid.n)
     if noise is None:
         noise = policy_noise(m0, problem, paths_per_atom, seed, nodes)
     elif (noise.seed, len(noise.ids), noise.d) != (seed, m0.n_atoms * paths_per_atom, problem.d):
@@ -233,24 +231,6 @@ def evaluate_policy(
     """
     run = run_policy(m0, problem, grid, pol.maps, paths_per_atom, seed, start_node, noise=noise)
     return run.estimate(seed, BOOTSTRAP_RESAMPLES)
-
-
-def evaluate_policy_detailed(
-    m0: EmpiricalMeasure,
-    problem: Problem,
-    grid: TimeGrid,
-    pol: Policy,
-    paths_per_atom: int,
-    seed: int,
-    start_node: int = 0,
-) -> tuple[ValueEstimate, dict]:
-    """evaluate_policy plus search diagnostics (survivor-mass trace)."""
-    run = run_policy(m0, problem, grid, pol.maps, paths_per_atom, seed, start_node)
-    diag = {
-        "survivor_mass_mean": float(np.mean(run.survivor_mass)),
-        "terminal_snapshot": run.particles.snapshot(),
-    }
-    return run.estimate(seed, BOOTSTRAP_RESAMPLES), diag
 
 
 # ---------------------------------------------------------------------------

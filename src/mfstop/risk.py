@@ -175,9 +175,9 @@ def expected_shortfall_value(
 
     For each beta a minimization-form obstacle problem prices the payoff
     (x - beta)+, the aggregation identity lifts it to the measure m, and the
-    scalar objective beta + V_beta/(1-alpha) is minimized by the bracket
-    search of `mean_variance_dual`, with as many rounds as it takes to shrink
-    the bracket to `xtol`; each scan and round is one stacked sweep, and no
+    scalar objective beta + V_beta/(1-alpha) is minimized by `_bracket_search`,
+    as in `mean_variance_dual`, with as many rounds as it takes to shrink the
+    bracket to `xtol`; each scan and round is one stacked sweep, and no
     level is solved on its own. The objective grows at both ends of the beta
     axis, so an interior bracket exists; failing to find one in the
     configured range is an error.
@@ -366,9 +366,9 @@ def meanvar_alpha_star_path(
     If the duality were time consistent the slope would be constant along
     the optimal flow. This builds the obstacle surface of the time-0
     maximizer, turns its binding region into per-node stop rules, simulates
-    those rules forward, and re-evaluates the argmax at each visited
-    pre-stop law. Data only: argmax locations are flat near ties, so the
-    reported drift carries no pass/fail meaning.
+    those rules forward once, and re-evaluates the argmax at the pre-stop
+    laws that run's checkpoints hold. Data only: argmax locations are flat
+    near ties, so the reported drift carries no pass/fail meaning.
     """
     from .policy import run_policy
 
@@ -398,9 +398,9 @@ def meanvar_alpha_star_path(
         maps.append(StopMap.tabular(edges, 1.0 - binding.astype(float)))
 
     nodes = sorted({int(round(q)) for q in np.linspace(0, grid.n - 1, checkpoints)})
+    run = run_policy(m, problem, grid, maps, paths_per_atom, seed)
     out = []
     for k in nodes:
-        run = run_policy(m, problem, grid, maps, paths_per_atom, seed, end_node=k)
-        snap = run.particles.snapshot()
+        snap = run.checkpoints[k].particles.snapshot()
         out.append({"t": float(grid.nodes[k]), "alpha_star": alpha_star_at(grid.nodes[k], snap)})
     return out

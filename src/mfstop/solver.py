@@ -25,15 +25,16 @@ every per-atom stop-time assignment exactly; `solve_value` folds that
 enumeration in automatically when it is affordable, and the same routine
 serves as the brute-force oracle in tests.
 
-`verify_dpp` checks the two-stage decomposition: solve on [0,T], replay the
-optimal prefix to the split node, re-solve from the realized snapshot, and
-compare. `monotonicity_check` samples random stop maps p and checks that
-stopping first never helps: V(m) >= V(apply_stop(m, p)) up to noise.
+`verify_dpp` checks the two-stage decomposition: solve on [0,T], read the
+law at the split node from the winner's run, re-solve from it, and compare.
+`monotonicity_check` samples random stop maps p and checks that stopping
+first never helps: V(m) >= V(apply_stop(m, p)) up to noise.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -42,7 +43,7 @@ import numpy as np
 
 from .dynamics import Particles, Problem, TimeGrid, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop
-from .policy import Policy, ValueEstimate, evaluate_policy, policy_noise, run_policy
+from .policy import BOOTSTRAP_RESAMPLES, Policy, PolicyRun, ValueEstimate, policy_noise, run_policy
 from .util import check_threads, rng_for
 
 __all__ = [
@@ -76,17 +77,26 @@ class SearchConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("paths_per_atom", "coarse_points", "refine_rounds", "restart_paths"):
+            v, least = getattr(self, name), int(name != "refine_rounds")
+            if not isinstance(v, int) or isinstance(v, bool) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        tol = self.tol
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 <= tol < math.inf:
+            raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")
         check_threads(self.threads)
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Search outcome; iterable as (estimate, policy)."""
+    """Search outcome; iterable as (estimate, policy). `run` is the winner's
+    run that `estimate` comes from, with the law entering each node."""
 
     estimate: ValueEstimate
     policy: Policy
     converged: bool
     n_evaluations: int
+    run: PolicyRun = field(repr=False, compare=False)
 
     def __iter__(self):
         return iter((self.estimate, self.policy))
@@ -258,9 +268,9 @@ def solve_value(
     The returned value is a sampled lower bound on the grid-time value (up
     to MC error): it is the max the search saw, and every evaluated policy's
     value is a true objective. Near-optimal ties go to the policy that stops
-    least (largest average survivor mass). A final pass re-evaluates the
-    winner with `policy.BOOTSTRAP_RESAMPLES` bootstrap resamples to attach
-    the standard error.
+    least (largest average survivor mass). A final run of the winner, kept
+    as `SolveResult.run`, attaches the standard error from
+    `policy.BOOTSTRAP_RESAMPLES` bootstrap resamples.
     """
     cfg = search_cfg or SearchConfig()
     searcher = _Searcher(m0, problem, grid, cfg, seed, start_node)
@@ -300,21 +310,15 @@ def solve_value(
     ]
     best = max(tied, key=searcher.survivor_mass)
 
-    est = evaluate_policy(
-        m0,
-        problem,
-        grid,
-        best,
-        cfg.paths_per_atom,
-        seed,
-        start_node=start_node,
-        noise=searcher.noise,
+    run = run_policy(
+        m0, problem, grid, best.maps, cfg.paths_per_atom, seed, start_node, noise=searcher.noise
     )
     return SolveResult(
-        estimate=est,
+        estimate=run.estimate(seed, BOOTSTRAP_RESAMPLES),
         policy=best,
         converged=converged,
         n_evaluations=searcher.n_evaluations,
+        run=run,
     )
 
 
@@ -442,11 +446,10 @@ class DppReport:
     mode: str
 
 
-def _prefix_run(m0, problem, grid, pol, paths, seed, s):
-    """Replay a policy to node s; returns (reward, reward stderr, snapshot)."""
-    run = run_policy(m0, problem, grid, pol.maps, paths, seed, 0, end_node=s)
+def _prefix_run(run: PolicyRun, seed: int):
+    """A run's state at a node; returns (reward so far, its stderr, snapshot)."""
     se = 0.0
-    if problem.f is not None and paths >= 2:
+    if run.problem.f is not None and run.paths_per_atom >= 2:
         rng = rng_for(seed, "prefix-bootstrap")
         se = float(np.std([run.reward @ mult for mult in run.multiplicities(rng, 100)], ddof=1))
     return float(run.reward.sum()), se, run.particles.snapshot()
@@ -463,9 +466,9 @@ def verify_dpp(
 ) -> DppReport:
     """Two-stage consistency of the value: solve-whole vs solve-then-restart.
 
-    LHS is the value on the full horizon. RHS replays the optimal policy's
-    prefix to the split node (pre-stop snapshot), adds the prefix running
-    reward, and re-solves from the realized measure. The optimal prefix
+    LHS is the value on the full horizon. RHS reads the state entering the
+    split node (pre-stop) from the run that gave the LHS, not a replay, adds
+    its running reward so far, and re-solves from its law. The optimal prefix
     attains the sup over first-segment policies, because any better prefix
     followed by its best continuation would beat the LHS optimum.
 
@@ -484,9 +487,8 @@ def verify_dpp(
         raise ValueError("mode must be 'search' or 'exact'")
 
     full = solve_value(m0, problem, grid, cfg, seed)
-    prefix_reward, prefix_se, snapshot = _prefix_run(
-        m0, problem, grid, full.policy, cfg.paths_per_atom, seed, s
-    )
+    state = full.run.checkpoints[s] if s < grid.n else full.run
+    prefix_reward, prefix_se, snapshot = _prefix_run(state, seed)
 
     if s == grid.n:
         # terminal layer: the restart value is the terminal-stop sup, which

@@ -183,7 +183,7 @@ def test_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_memory_exhaustion_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "evaluate_policy_detailed", _raise(MemoryError()))
+    monkeypatch.setattr(cli, "run_policy", _raise(MemoryError()))
     path = _write_config(tmp_path)
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 4
     assert "MemoryError" in capsys.readouterr().err
@@ -209,6 +209,21 @@ def test_simulate_writes_envelope_and_terminal_measure(tmp_path):
 
     terminal = measure_from_csv(os.path.join(out, "simulate_terminal.csv"))
     assert abs(terminal.ws.sum() - 1.0) < 1e-9
+
+
+def test_simulate_writes_every_artifact_atomically(tmp_path, monkeypatch):
+    written = []
+    dump = cli.dump_text_atomic
+
+    def recording(path, text):
+        written.append(os.path.basename(path))
+        dump(path, text)
+
+    monkeypatch.setattr(cli, "dump_text_atomic", recording)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", _write_config(tmp_path), "--out", str(out),
+                     "--quiet"]) == 0
+    assert sorted(written) == sorted(os.listdir(out)) == ["simulate.json", "simulate_terminal.csv"]
 
 
 def test_repeat_run_same_seed_is_byte_identical(tmp_path):

@@ -14,9 +14,9 @@ from mfstop.catalog import load_experiment_config
 from mfstop.dynamics import Noise, Particles, Problem, TimeGrid, flow
 from mfstop.measures import StopMap, apply_stop, make_empirical
 from mfstop.policy import (
+    BOOTSTRAP_RESAMPLES,
     Policy,
     evaluate_policy,
-    evaluate_policy_detailed,
     policy_from_json,
     policy_noise,
     policy_to_json,
@@ -80,14 +80,15 @@ def test_never_stop_matches_unstopped_simulation_exactly():
         reward[alive] += problem.f(t, particles.x[alive], snap) * particles.w[alive] * grid.dt
     manual = float(reward.sum() + problem.g(*particles.marginal()))
 
-    est, diag = evaluate_policy_detailed(
-        m0, make_problem("policy"), grid, Policy.never_stop(grid.n), paths_per_atom=400,
+    run = run_policy(
+        m0, make_problem("policy"), grid, Policy.never_stop(grid.n).maps, paths_per_atom=400,
         seed=seed,
     )
+    est = run.estimate(seed, BOOTSTRAP_RESAMPLES)
     assert len(seen["policy"]) == len(seen["kernel"]) == grid.n
     for x_policy, x_kernel in zip(seen["policy"], seen["kernel"]):
         assert np.array_equal(x_policy, x_kernel)
-    snap = diag["terminal_snapshot"]
+    snap = run.particles.snapshot()
     kernel_snap = particles.snapshot()
     assert np.array_equal(snap.xs, kernel_snap.xs)
     assert np.array_equal(snap.ws, kernel_snap.ws)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_solver import _counting_steps
 
 from mfstop import risk
 from mfstop.catalog import build_instance
@@ -327,6 +328,19 @@ def test_alpha_star_path_is_flat_when_stopping_now_is_optimal():
     assert len(path) == 3
     stars = {round(p["alpha_star"], 10) for p in path}
     assert len(stars) == 1
+
+
+def test_alpha_star_path_runs_its_rule_once(monkeypatch):
+    # every reported law is a checkpoint of one run over the 8 nodes (one
+    # run per reported node took 0 + 2 + 5 + 7 = 14 Euler steps)
+    steps = _counting_steps(monkeypatch)
+    inst = build_instance("mean_variance", lam=1.0)
+    grid = TimeGrid(8, inst.problem.horizon)
+    path = meanvar_alpha_star_path(
+        inst.m0, inst.problem, 1.0, inst.pde_cfg, grid, checkpoints=4, paths_per_atom=20
+    )
+    assert [p["t"] for p in path] == [float(grid.nodes[k]) for k in (0, 2, 5, 7)]
+    assert len(steps) == grid.n
 
 
 def test_mean_variance_dual_makes_one_sweep_per_slope_grid(monkeypatch):

@@ -2,12 +2,13 @@
 
 import hashlib
 import warnings
+from importlib.resources import files
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from mfstop.catalog import build_instance
+from mfstop.catalog import build_instance, load_experiment_config
 from mfstop.dynamics import MAX_NOISE_DOUBLES, Problem, TimeGrid
 from mfstop.measures import StopMap, apply_stop, make_empirical
 from mfstop.policy import Policy, PolicyRun, evaluate_policy, run_policy
@@ -243,6 +244,33 @@ def test_search_config_refuses_threads_other_than_one():
         SearchConfig(threads=2)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("paths_per_atom", 0),
+        ("paths_per_atom", 2.5),
+        ("paths_per_atom", True),
+        ("restart_paths", 0),
+        ("coarse_points", 0),
+        ("coarse_points", 3.0),
+        ("refine_rounds", -1),
+        ("refine_rounds", False),
+        ("tol", float("nan")),
+        ("tol", float("inf")),
+        ("tol", -1e-3),
+        ("tol", True),
+    ],
+)
+def test_search_config_refuses_bad_values_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SearchConfig(**{field: value})
+
+
+def test_search_config_accepts_its_smallest_values():
+    cfg = SearchConfig(paths_per_atom=1, coarse_points=1, refine_rounds=0, tol=0, restart_paths=1)
+    assert (cfg.refine_rounds, cfg.tol) == (0, 0)
+
+
 def test_oversized_noise_table_is_refused_before_any_run(monkeypatch):
     import mfstop.rng
 
@@ -312,6 +340,30 @@ def test_search_steps_only_past_the_incumbents_checkpoints(monkeypatch):
     res = solve_value(inst.m0, inst.problem, grid, SearchConfig(paths_per_atom=400), seed=1)
     assert res.n_evaluations == 161
     assert len(steps) == 653
+
+
+def test_verify_dpp_steps_only_inside_its_two_solves(monkeypatch):
+    # the split law is the winner's checkpoint, so no prefix is replayed
+    # (386 Euler steps when the prefix ran again from m0)
+    import mfstop.solver
+
+    cfg = load_experiment_config(str(files("mfstop").joinpath("configs", "standard_put.json")))
+    inst = cfg.instance()
+    grid = TimeGrid(cfg.grid_n, inst.problem.horizon)
+    steps, in_solves = _counting_steps(monkeypatch), []
+    solve = mfstop.solver.solve_value
+
+    def counted(*args, **kwargs):
+        before = len(steps)
+        result = solve(*args, **kwargs)
+        in_solves.append(len(steps) - before)
+        return result
+
+    monkeypatch.setattr(mfstop.solver, "solve_value", counted)
+    scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom)
+    verify_dpp(inst.m0, inst.problem, grid, cfg.split_index, scfg, seed=cfg.seed)
+    assert len(in_solves) == 2
+    assert len(steps) == sum(in_solves) == 382
 
 
 def _digest(run) -> str:
