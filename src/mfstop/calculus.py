@@ -35,9 +35,10 @@ passes the atoms of m), the key is the nearest anchor, so every probe
 around an atom shares its draws. Without anchors the key is the bucket of
 width `NOISE_BUCKET`, and probes that cross a bucket edge draw independent
 noise: keep probe centers away from multiples of `NOISE_BUCKET` on that
-path. Each functional draws the noise of a key once and shares it with
-every later call, so the 27 evaluations of one `generator` call draw each
-of their few keys once.
+path. Each functional draws the whole noise table of a key once, in
+lane-capped passes (`dynamics.Noise`), and shares it with every later call,
+so the 27 evaluations of one `generator` call draw each of their few keys
+once.
 """
 
 from __future__ import annotations
@@ -268,10 +269,12 @@ def make_unstopped_functional(
     too, which correlates their paths but does not bias per-path laws for
     measure-free coefficients.
 
-    The noise of each key is drawn once per node and kept by u, shared by
-    every later call of u; a call stacks its atoms' per-key blocks in row
-    order. The draws are a pure function of their address, so the values
-    equal those of a fresh functional per call. A call whose own rows need
+    The noise of each key is drawn once, the whole table over every node
+    on the key's first use, in passes of at most
+    `dynamics.NOISE_PASS_LANES` lanes, and kept by u, shared by every
+    later call of u; a call stacks its atoms' per-key blocks in row order,
+    node by node. The draws are a pure function of their address, so the
+    values equal those of a fresh functional per call. A call whose own rows need
     more than `dynamics.MAX_NOISE_DOUBLES` doubles is refused before it
     draws, and the kept noise never holds more: when a call's new keys
     would overflow it, it is emptied first.

@@ -23,10 +23,11 @@ Noise comes from `rng.normals(seed, particle_ids, k, d)` with k the node
 index, so a simulation is a deterministic function of its seed regardless
 of batching, and two simulations sharing a seed see identical increments
 wherever their particle ids coincide. A `Noise` object owns that address
-and draws each node's block once: runs that share one object (every
-candidate of a policy search) reuse the same blocks instead of drawing them
-again. A run without noise is a sigma = 0 replay: it draws nothing and
-steps by the drift alone.
+and draws its whole table once, on the first block a run reads, in a few
+`rng.normals` passes of whole nodes of at most NOISE_PASS_LANES lanes each:
+runs that share one object (every candidate of a policy search) reuse the
+same blocks instead of drawing them again. A run without noise is a
+sigma = 0 replay: it draws nothing and steps by the drift alone.
 """
 
 from __future__ import annotations
@@ -41,10 +42,22 @@ import numpy as np
 from . import rng as crng
 from .measures import EmpiricalMeasure, from_arrays
 
-__all__ = ["Problem", "TimeGrid", "Particles", "LawView", "Noise", "flow", "MAX_NOISE_DOUBLES"]
+__all__ = [
+    "Problem",
+    "TimeGrid",
+    "Particles",
+    "LawView",
+    "Noise",
+    "flow",
+    "MAX_NOISE_DOUBLES",
+    "NOISE_PASS_LANES",
+]
 
 # cap on the doubles one Noise object may hold: 2^25 doubles, 256 MiB
 MAX_NOISE_DOUBLES = 1 << 25
+# cap on the (id, node) lanes of one rng.normals pass of a Noise table; it
+# bounds the pass's scratch arrays next to the kept table
+NOISE_PASS_LANES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -296,12 +309,15 @@ class LawView:
 class Noise:
     """The particle noise at address (seed, ids, d) over the node indices `nodes`.
 
-    `block(k)` is the (len(ids), d) block `rng.normals(seed, ids, k, d)`,
-    drawn on first use and kept, read-only, for every later run that asks
-    for node k. An integer `ids` n stands for the ids 0..n-1. A table of
-    more than MAX_NOISE_DOUBLES is refused before anything is allocated.
-    Safe to share between threads: a block drawn twice by racing threads is
-    the same bits, and the first one stored is the one every caller gets.
+    `block(k)` is the (len(ids), d) block `rng.normals(seed, ids, k, d)`.
+    The first `block` call draws the whole table, in passes of whole nodes
+    of at most NOISE_PASS_LANES (id, node) lanes each (one node per pass
+    when one node alone is wider), and keeps it, read-only, for every later
+    run: `block(k)` returns the same view of node k on every call. An
+    integer `ids` n stands for the ids 0..n-1. A table of more than
+    MAX_NOISE_DOUBLES is refused before anything is allocated. Safe to
+    share between threads: a table drawn twice by racing threads is the
+    same bits, and the first one stored is the one every caller gets.
     """
 
     def __init__(self, seed: int, ids, d: int, nodes: range):
@@ -316,18 +332,32 @@ class Noise:
         self.ids = np.arange(ids, dtype=np.uint64) if count else ids
         self.d = d
         self.nodes = nodes
-        self._blocks: dict = {}
+        # "blocks" -> the per-node views of the drawn table, once drawn
+        self._drawn: dict = {}
 
     def block(self, k: int) -> np.ndarray:
-        block = self._blocks.get(k)
-        if block is None:
-            if k not in self.nodes:
-                raise ValueError(f"node {k} lies outside the noise table's nodes {self.nodes}")
-            # a contiguous copy, so that a kept block holds d columns, not 2 ceil(d/2)
-            block = np.ascontiguousarray(crng.normals(self.seed, self.ids, k, self.d))
-            block.flags.writeable = False
-            block = self._blocks.setdefault(k, block)
-        return block
+        try:
+            i = self.nodes.index(k)
+        except ValueError:
+            raise ValueError(
+                f"node {k} lies outside the noise table's nodes {self.nodes}"
+            ) from None
+        blocks = self._drawn.get("blocks")
+        if blocks is None:
+            blocks = self._drawn.setdefault("blocks", self._draw())
+        return blocks[i]
+
+    def _draw(self) -> list:
+        """The read-only per-node views of the whole table, drawn in lane-capped passes."""
+        n = len(self.ids)
+        per_pass = max(1, NOISE_PASS_LANES // max(n, 1))
+        steps = np.asarray(self.nodes, dtype=np.int64)
+        table = np.empty((steps.shape[0], n, self.d))
+        for i in range(0, steps.shape[0], per_pass):
+            window = steps[i : i + per_pass]
+            table[i : i + per_pass] = crng.normals(self.seed, self.ids, window, self.d)
+        table.flags.writeable = False
+        return list(table)
 
 
 def check_coefficients(*values: np.ndarray) -> None:

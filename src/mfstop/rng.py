@@ -11,7 +11,11 @@ rest of the package leans on:
   comparisons (policy A vs policy B, bumped vs unbumped measure) for free.
 
 The block cipher is Philox-4x32 with 10 rounds, implemented directly on
-uint32 lanes so a whole vector of particle counters is evaluated in one shot.
+uint32 lanes so a whole vector of counters is evaluated in one shot. A lane
+is one (particle, step) address: the cipher is the same function of every
+lane, so one call may span many steps (a 1-d array `step`) and equals the
+per-step calls bit for bit. The step fills one 32-bit counter word, and a
+step outside [0, 2^32) is refused rather than wrapped onto another step.
 Each 4-word block is turned into two 53-bit uniforms and then two standard
 normals via Box-Muller.
 """
@@ -45,14 +49,15 @@ def _philox_rounds(c0, c1, c2, c3, k0, k1):
     return c0, c1, c2, c3
 
 
-def _blocks(seed: int, particles: np.ndarray, step: int, block: int) -> tuple:
-    """Evaluate one Philox block per particle for a fixed (step, block) slot."""
-    particles = np.asarray(particles, dtype=np.uint64)
-    n = particles.shape[0]
+def _blocks(seed: int, lanes: tuple, block: int) -> tuple:
+    """Evaluate one Philox block per lane for a fixed block slot.
+
+    `lanes` holds the uint32 counter words (step, id low, id high), one
+    entry per lane.
+    """
+    c1, c2, c3 = lanes
+    n = c1.shape[0]
     c0 = np.full(n, block, dtype=np.uint32)
-    c1 = np.full(n, step & 0xFFFFFFFF, dtype=np.uint32)
-    c2 = (particles & _LO).astype(np.uint32)
-    c3 = (particles >> np.uint64(32)).astype(np.uint32)
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     k0 = np.full(n, seed & 0xFFFFFFFF, dtype=np.uint32)
     k1 = np.full(n, seed >> 32, dtype=np.uint32)
@@ -69,24 +74,36 @@ def _to_uniform_pair(x0, x1, x2, x3):
     return u1, u2
 
 
-def normals(seed: int, particles: np.ndarray, step: int, d: int) -> np.ndarray:
-    """Standard normal increments, shape (len(particles), d).
+def normals(seed: int, particles: np.ndarray, step, d: int) -> np.ndarray:
+    """Standard normal increments, shape (len(particles), d), or
+    (len(step), len(particles), d) when `step` is a 1-d array of steps.
 
     `particles` are integer particle ids; `step` is the global time-step
-    index. The output is a deterministic function of (seed, id, step, slot),
-    so any subset of particles evaluated in any order sees the same numbers.
+    index, in [0, 2^32). The output is a deterministic function of (seed,
+    id, step, slot), so any subset of particles and steps evaluated in any
+    order or grouping sees the same numbers: row s of a vector call equals
+    the call at step[s] bit for bit.
     """
-    particles = np.asarray(particles)
-    n = particles.shape[0]
+    particles = np.asarray(particles).astype(np.uint64, copy=False)
+    steps = np.asarray(step)
+    if steps.ndim > 1 or steps.dtype.kind not in "iuO":
+        raise ValueError("step must be an integer or a 1-d array of integers")
+    if steps.size and not (0 <= steps.min() and steps.max() <= 0xFFFFFFFF):
+        raise ValueError("noise steps must lie in [0, 2^32)")
+    shape = steps.shape + (particles.shape[0], d)
+    # the counter words (step, id low, id high) of every lane, steps outer
+    ids = np.tile(particles, steps.size)
+    c1 = np.repeat(steps.reshape(-1).astype(np.uint32), particles.shape[0])
+    lanes = c1, (ids & _LO).astype(np.uint32), (ids >> np.uint64(32)).astype(np.uint32)
+    n = ids.shape[0]
     if n == 0:
-        return np.zeros((0, d))
+        return np.zeros(shape)
     nblocks = (d + 1) // 2
     out = np.empty((n, 2 * nblocks))
     for blk in range(nblocks):
-        u1, u2 = _to_uniform_pair(*_blocks(seed, particles, step, blk))
+        u1, u2 = _to_uniform_pair(*_blocks(seed, lanes, blk))
         r = np.sqrt(-2.0 * np.log(u1))
         theta = _TWO_PI * u2
         out[:, 2 * blk] = r * np.cos(theta)
         out[:, 2 * blk + 1] = r * np.sin(theta)
-    return out[:, :d]
-
+    return out[:, :d].reshape(shape)

@@ -1,5 +1,7 @@
 """Bump-quotient derivatives, the flow generator, and stationarity residuals."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -207,18 +209,24 @@ ATTRACTION = build_instance("attraction")
 THREE_BUCKETS = make_empirical([(-0.375, 1), (0.125, 1), (0.625, 1)], [0.3, 0.3, 0.4])
 
 
-def _count_normals(monkeypatch) -> list:
+def drawn_lanes(monkeypatch) -> list:
+    """Record the (id, step) address of every lane that `rng.normals` draws."""
     import mfstop.rng
 
-    calls = []
+    lanes = []
     draw = mfstop.rng.normals
 
-    def counting(*args):
-        calls.append(args)
-        return draw(*args)
+    def recording(seed, ids, step, d):
+        lanes.extend((int(i), int(k)) for k in np.atleast_1d(step) for i in ids)
+        return draw(seed, ids, step, d)
 
-    monkeypatch.setattr(mfstop.rng, "normals", counting)
-    return calls
+    monkeypatch.setattr(mfstop.rng, "normals", recording)
+    return lanes
+
+
+def _key_lanes(keys, paths: int, n_steps: int) -> set:
+    """The addresses of the given noise keys' paths over every node."""
+    return {((key << 20) | p, k) for key in keys for p in range(paths) for k in range(n_steps)}
 
 
 def _recording(u, calls):
@@ -269,11 +277,14 @@ def test_shared_noise_is_bit_identical_to_fresh_functionals():
 )
 def test_each_noise_key_is_drawn_once_per_functional(monkeypatch, m, n_keys):
     u = make_unstopped_functional(ATTRACTION.problem, n_steps=8, paths_per_atom=20, seed=4)
-    calls = _count_normals(monkeypatch)
+    lanes = drawn_lanes(monkeypatch)
     generator(u, 0.0, m, ATTRACTION.problem)
-    # one draw per key and node; the generator's 27 evaluations of u share them
-    assert len(calls) == n_keys * 8
-    assert len({(ids[0], k) for _, ids, k, _ in calls}) == n_keys * 8
+    # each key's paths over every node, each address once: the generator's
+    # 27 evaluations of u share them
+    keys = {i >> 20 for i, _ in lanes}
+    assert len(keys) == n_keys
+    assert len(lanes) == n_keys * 20 * 8
+    assert set(lanes) == _key_lanes(keys, 20, 8)
 
 
 def test_shared_noise_stays_under_the_cap(monkeypatch):
@@ -285,12 +296,15 @@ def test_shared_noise_stays_under_the_cap(monkeypatch):
     low = make_empirical([(-0.375, 1), (0.125, 1)], [0.5, 0.5])
     high = make_empirical([(0.625, 1), (1.125, 1)], [0.5, 0.5])
     u = make_unstopped_functional(ATTRACTION.problem, **sim)
-    calls = _count_normals(monkeypatch)
+    lanes = drawn_lanes(monkeypatch)
     for m in (low, high, low, high):
         assert u(0.0, m) == make_unstopped_functional(ATTRACTION.problem, **sim)(0.0, m)
     # each law's keys push the other's out, so every call of u draws again:
-    # 4 calls of u and 4 fresh functionals, 2 keys x 8 nodes each
-    assert len(calls) == 8 * 2 * 8
+    # each of the 4 keys' addresses is drawn by 2 calls of u and 2 fresh
+    # functionals, and once by each
+    keys = {i >> 20 for i, _ in lanes}
+    assert len(keys) == 4
+    assert Counter(lanes) == dict.fromkeys(_key_lanes(keys, 20, 8), 4)
     with pytest.raises(ValueError, match="the particle noise needs 480 doubles"):
         u(0.0, THREE_BUCKETS)
 

@@ -12,7 +12,7 @@ from test_golden import PULL_M0, noisy_pull_problem
 
 from mfstop.calculus import generator, make_unstopped_functional
 from mfstop.catalog import load_experiment_config
-from mfstop.dynamics import LawView, Noise, Particles, Problem, TimeGrid, flow
+from mfstop.dynamics import NOISE_PASS_LANES, LawView, Noise, Particles, Problem, TimeGrid, flow
 from mfstop.measures import StopMap, _merge_sorted, make_empirical
 from mfstop.policy import Policy, evaluate_policy, policy_noise
 
@@ -410,3 +410,40 @@ def test_shared_noise_hands_every_thread_the_same_blocks():
         assert not seen[0][j].flags.writeable
     with pytest.raises(ValueError, match="node 2"):
         noise.block(2)
+
+
+@pytest.mark.parametrize(
+    "n_ids,per_pass",
+    [(1000, NOISE_PASS_LANES // 1000), (NOISE_PASS_LANES + 1, 1)],
+    ids=["nodes-per-pass", "one-node-wider-than-the-cap"],
+)
+def test_a_noise_table_wider_than_the_lane_cap_is_drawn_in_capped_passes(
+    monkeypatch, n_ids, per_pass
+):
+    import mfstop.rng
+
+    draw = mfstop.rng.normals
+    passes = []
+
+    def recording(seed, ids, step, d):
+        passes.append(np.atleast_1d(step).tolist())
+        return draw(seed, ids, step, d)
+
+    monkeypatch.setattr(mfstop.rng, "normals", recording)
+    ids = np.arange(n_ids, dtype=np.uint64) * 3 + 2**33
+    nodes = range(3, 20)
+    noise = Noise(5, ids, 3, nodes)
+    first = noise.block(7)
+    # the first block draws the whole table, whole nodes per pass, each node once
+    assert len(passes) == -(-len(nodes) // per_pass) > 1
+    assert all(len(steps) <= per_pass for steps in passes)
+    assert all(len(steps) * n_ids <= max(NOISE_PASS_LANES, n_ids) for steps in passes)
+    assert sum(passes, []) == list(nodes)
+    monkeypatch.setattr(mfstop.rng, "normals", draw)
+    for k in nodes:
+        block = noise.block(k)
+        assert block.shape == (n_ids, 3) and block.flags.c_contiguous
+        assert not block.flags.writeable
+        assert np.array_equal(block.view(np.uint64), draw(5, ids, k, 3).view(np.uint64))
+    assert noise.block(7) is first
+    assert len(passes) == -(-len(nodes) // per_pass)

@@ -67,3 +67,39 @@ def test_large_particle_ids():
     z = normals(3, ids, step=0, d=1)
     assert np.all(np.isfinite(z))
     assert z[0, 0] != pytest.approx(z[1, 0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "ids",
+    [
+        np.arange(0),
+        np.arange(37),
+        np.array([2**32 - 1, 2**32, 2**40 + 3, 2**63 + 5], dtype=np.uint64),
+    ],
+    ids=["no-ids", "small-ids", "wide-ids"],
+)
+def test_a_vector_of_steps_equals_stacked_per_step_calls(ids, d):
+    steps = np.arange(5, 12)
+    stacked = np.stack([normals(21, ids, int(k), d) for k in steps])
+    vector = normals(21, ids, steps, d)
+    assert vector.shape == (steps.size, ids.size, d)
+    # bit for bit, so a -0.0 against 0.0 or a last-bit difference fails
+    assert np.array_equal(vector.view(np.uint64), stacked.view(np.uint64))
+    # any window of the steps is the same window of the whole
+    assert np.array_equal(normals(21, ids, steps[2:5], d), vector[2:5])
+    assert normals(21, ids, steps[:0], d).shape == (0, ids.size, d)
+
+
+@pytest.mark.parametrize("step", [-1, 2**32, 2**64, np.array([0, 2**32]), np.array([-1, 3])])
+def test_steps_outside_the_counter_word_are_refused(step):
+    # the step fills one 32-bit counter word; masking it would alias step
+    # 2^32 with step 0 and step -1 with step 2^32 - 1
+    with pytest.raises(ValueError, match=r"noise steps must lie in \[0, 2\^32\)"):
+        normals(3, np.arange(4), step, 1)
+
+
+def test_the_last_step_of_the_counter_word_is_drawn():
+    ids = np.arange(4)
+    assert normals(3, ids, 2**32 - 1, 2).shape == (4, 2)
+    assert not np.array_equal(normals(3, ids, 2**32 - 1, 1), normals(3, ids, 0, 1))

@@ -7,6 +7,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 from scipy.stats import norm
+from test_calculus import drawn_lanes
 
 from mfstop.catalog import build_instance, load_experiment_config
 from mfstop.dynamics import MAX_NOISE_DOUBLES, Problem, TimeGrid
@@ -218,16 +219,7 @@ def test_monotonicity_report_is_clean_on_small_problem():
 @pytest.mark.parametrize("start_node", [0, 3])
 def test_search_draws_each_node_noise_once(monkeypatch, start_node):
     # every candidate and the final bootstrap evaluation share one table
-    import mfstop.rng
-
-    calls = []
-    draw = mfstop.rng.normals
-
-    def counted(seed, ids, step, d):
-        calls.append(step)
-        return draw(seed, ids, step, d)
-
-    monkeypatch.setattr(mfstop.rng, "normals", counted)
+    lanes = drawn_lanes(monkeypatch)
     inst = build_instance("standard_put")
     grid = TimeGrid(8, inst.problem.horizon)
     cfg = SearchConfig(paths_per_atom=40, refine_rounds=1)
@@ -235,7 +227,9 @@ def test_search_draws_each_node_noise_once(monkeypatch, start_node):
         warnings.simplefilter("ignore", RuntimeWarning)
         res = solve_value(inst.m0, inst.problem, grid, cfg, seed=2, start_node=start_node)
     assert res.n_evaluations > 1
-    assert sorted(calls) == list(range(start_node, grid.n))
+    # each (particle, node) address of the table once, and no other
+    rows = inst.m0.n_atoms * cfg.paths_per_atom
+    assert sorted(lanes) == [(i, k) for i in range(rows) for k in range(start_node, grid.n)]
 
 
 def test_search_config_refuses_threads_other_than_one():
