@@ -38,7 +38,8 @@ noise: keep probe centers away from multiples of `NOISE_BUCKET` on that
 path. Each functional draws the whole noise table of a key once, in
 lane-capped passes (`dynamics.Noise`), and shares it with every later call,
 so the 27 evaluations of one `generator` call draw each of their few keys
-once.
+once; each call stacks its keys' tables into the one array that `flow`
+steps against.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 from . import dynamics
 from .dynamics import LawView, Noise, Particles, Problem, check_coefficients, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays
-from .util import rng_for
+from .util import check_count, rng_for
 
 __all__ = [
     "linear_derivative",
@@ -234,16 +235,6 @@ def generator(
     return est.dt + float(ws @ integrand)
 
 
-class _Stacked:
-    """The noise of a run whose rows are the given tables' rows, one table after another."""
-
-    def __init__(self, tables: list):
-        self.tables = tables
-
-    def block(self, k: int) -> np.ndarray:
-        return np.concatenate([table.block(k) for table in self.tables])
-
-
 def make_unstopped_functional(
     problem: Problem,
     n_steps: int = 64,
@@ -269,20 +260,21 @@ def make_unstopped_functional(
     too, which correlates their paths but does not bias per-path laws for
     measure-free coefficients.
 
-    The noise of each key is drawn once, the whole table over every node
-    on the key's first use, in passes of at most
-    `dynamics.NOISE_PASS_LANES` lanes, and kept by u, shared by every
-    later call of u; a call stacks its atoms' per-key blocks in row order,
-    node by node. The draws are a pure function of their address, so the
-    values equal those of a fresh functional per call. A call whose own rows need
-    more than `dynamics.MAX_NOISE_DOUBLES` doubles is refused before it
-    draws, and the kept noise never holds more: when a call's new keys
-    would overflow it, it is emptied first.
+    The noise of each key is drawn once, as a `dynamics.Noise` table over
+    every node on the key's first use, and kept by u, shared by every later
+    call of u. A call stacks its atoms' tables in row order once, into a
+    copy it holds while it runs, beside the kept tables. The draws are a
+    pure function of their address, so the values equal those of a fresh
+    functional per call. A call whose own rows need more than
+    `dynamics.MAX_NOISE_DOUBLES` doubles is refused before it draws, and
+    neither its copy nor the kept noise ever holds more: when a call's new
+    keys would overflow the kept noise, it is emptied first.
     """
     if problem.d != 1:
         raise ValueError("the simulated functional is one-dimensional")
-    if n_steps < 1 or paths_per_atom < 1:
-        raise ValueError("n_steps and paths_per_atom must be positive")
+    check_count("paths_per_atom", paths_per_atom, 1)
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
     if paths_per_atom >= (1 << 20):
         raise ValueError("paths_per_atom exceeds the noise address space")
 
@@ -309,9 +301,8 @@ def make_unstopped_functional(
             # running-reward integral vanishes
             return problem.terminal(m.xs, m.ws)
 
-        # the call's own rows must fit the cap, as if drawn as one table;
-        # this never draws
-        Noise(seed, n_live * p, problem.d, nodes)
+        # the call's own stacked rows must fit the cap, as one table would
+        dynamics.check_noise_size(n_live * p * n_steps * problem.d)
         if anchors is None:
             keys = np.floor(xs_live[:, 0] / NOISE_BUCKET).astype(np.int64) + (1 << 31)
         else:
@@ -324,7 +315,7 @@ def make_unstopped_functional(
             new = set(keys)
         for key in new:
             noises[key] = Noise(seed, (np.uint64(key) << np.uint64(20)) | paths, problem.d, nodes)
-        noise = _Stacked([noises[key] for key in keys])
+        noise = np.concatenate([noises[key].table for key in keys], axis=1)
 
         particles = Particles.from_measure(m, p, freeze_stopped=True)
         dt = (horizon - t) / n_steps
@@ -354,7 +345,8 @@ class ResidualConfig:
     lower envelope of the stop sensitivity, each position moved by
     `JITTER` (1 + |x|) times a standard normal. seed drives both draws, and
     h is the spatial probe scale handed to `generator` and
-    `estimate_derivatives`.
+    `estimate_derivatives`. A non-integer n_stop_maps and an h that is not
+    positive and finite are refused here, before anything is simulated.
     """
 
     n_stop_maps: int = 64
@@ -362,8 +354,10 @@ class ResidualConfig:
     h: float = BUMP_H
 
     def __post_init__(self):
-        if self.n_stop_maps < 0:
-            raise ValueError("n_stop_maps must be nonnegative")
+        check_count("n_stop_maps", self.n_stop_maps, 0)
+        h = self.h
+        if not isinstance(h, (int, float)) or isinstance(h, bool) or not 0 < h < math.inf:
+            raise ValueError(f"h must be a positive finite number, got {h!r}")
 
 
 def _measure_key(m: EmpiricalMeasure) -> bytes:

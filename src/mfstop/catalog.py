@@ -21,7 +21,7 @@ from .dynamics import MAX_NOISE_DOUBLES, Problem
 from .measures import EmpiricalMeasure, make_empirical
 from .pde import PdeConfig
 from .risk import distorted_expectation, expected_shortfall
-from .util import check_threads
+from .util import check_count, check_threads
 
 __all__ = [
     "coefficient_field",
@@ -275,9 +275,7 @@ class ExperimentConfig:
             # the noise streams read the seed modulo 2^64
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         for name in ("grid_n", "paths_per_atom", "trials", "z_samples"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            check_count(name, getattr(self, name), 1)
         if self.grid_n * self.paths_per_atom > MAX_NOISE_DOUBLES:
             # every particle subcommand draws at least this many doubles
             raise ValueError(
@@ -286,8 +284,7 @@ class ExperimentConfig:
                 "paths_per_atom or grid_n"
             )
         check_threads(self.threads)
-        if not isinstance(self.mollifier_n, int) or self.mollifier_n < 2:
-            raise ValueError("mollifier_n must be an integer >= 2")
+        check_count("mollifier_n", self.mollifier_n, 2)
         split = self.split_index
         if split is not None and (
             not isinstance(split, int) or isinstance(split, bool) or not 0 < split <= self.grid_n

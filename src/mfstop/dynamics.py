@@ -10,8 +10,8 @@ law leaves the kernel.
 
 Every particle flow in the package runs through one kernel, `flow`. At each
 decision node it applies the node's stop rule, builds the view of the
-post-stop law, hands both to the caller, then draws the node's noise and
-takes one Euler step. Callers accumulate their own running rewards from
+post-stop law, hands both to the caller, then reads the node's noise row
+and takes one Euler step. Callers accumulate their own running rewards from
 what the kernel hands them; only this module knows the step order, how the
 noise is addressed and how frozen mass enters the law.
 
@@ -23,11 +23,12 @@ Noise comes from `rng.normals(seed, particle_ids, k, d)` with k the node
 index, so a simulation is a deterministic function of its seed regardless
 of batching, and two simulations sharing a seed see identical increments
 wherever their particle ids coincide. A `Noise` object owns that address
-and draws its whole table once, on the first block a run reads, in a few
-`rng.normals` passes of whole nodes of at most NOISE_PASS_LANES lanes each:
-runs that share one object (every candidate of a policy search) reuse the
-same blocks instead of drawing them again. A run without noise is a
-sigma = 0 replay: it draws nothing and steps by the drift alone.
+and draws its whole table when it is made, in a few `rng.normals` passes
+of whole nodes of at most NOISE_PASS_LANES lanes each. `flow` reads only
+the table, an array whose row i is the noise of node nodes[i]: runs handed
+one table (every candidate of a policy search) reuse the same rows instead
+of drawing them again. A run without noise is a sigma = 0 replay: it draws
+nothing and steps by the drift alone.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "LawView",
     "Noise",
     "flow",
+    "check_noise_size",
     "MAX_NOISE_DOUBLES",
     "NOISE_PASS_LANES",
 ]
@@ -306,58 +308,40 @@ class LawView:
         return float(self._w.sum())
 
 
+def check_noise_size(size: int) -> None:
+    """Refuse a noise table of `size` doubles above MAX_NOISE_DOUBLES."""
+    if size > MAX_NOISE_DOUBLES:
+        raise ValueError(
+            f"the particle noise needs {size} doubles, more than the cap of "
+            f"{MAX_NOISE_DOUBLES} (256 MiB); lower paths_per_atom or grid_n"
+        )
+
+
 class Noise:
     """The particle noise at address (seed, ids, d) over the node indices `nodes`.
 
-    `block(k)` is the (len(ids), d) block `rng.normals(seed, ids, k, d)`.
-    The first `block` call draws the whole table, in passes of whole nodes
-    of at most NOISE_PASS_LANES (id, node) lanes each (one node per pass
-    when one node alone is wider), and keeps it, read-only, for every later
-    run: `block(k)` returns the same view of node k on every call. An
-    integer `ids` n stands for the ids 0..n-1. A table of more than
-    MAX_NOISE_DOUBLES is refused before anything is allocated. Safe to
-    share between threads: a table drawn twice by racing threads is the
-    same bits, and the first one stored is the one every caller gets.
+    `table[i]` is the (len(ids), d) block `rng.normals(seed, ids, nodes[i], d)`.
+    The whole table is drawn when the object is made, in passes of whole
+    nodes of at most NOISE_PASS_LANES (id, node) lanes each (one node per
+    pass when one node alone is wider), and kept read-only, so every run
+    handed it reads the same rows. An integer `ids` n stands for the ids
+    0..n-1. A table of more than MAX_NOISE_DOUBLES is refused before
+    anything is allocated.
     """
 
     def __init__(self, seed: int, ids, d: int, nodes: range):
         count = isinstance(ids, (int, np.integer))
-        size = (int(ids) if count else len(ids)) * len(nodes) * d
-        if size > MAX_NOISE_DOUBLES:
-            raise ValueError(
-                f"the particle noise needs {size} doubles, more than the cap of "
-                f"{MAX_NOISE_DOUBLES} (256 MiB); lower paths_per_atom or grid_n"
-            )
+        check_noise_size((int(ids) if count else len(ids)) * len(nodes) * d)
         self.seed = seed
         self.ids = np.arange(ids, dtype=np.uint64) if count else ids
         self.d = d
         self.nodes = nodes
-        # "blocks" -> the per-node views of the drawn table, once drawn
-        self._drawn: dict = {}
-
-    def block(self, k: int) -> np.ndarray:
-        try:
-            i = self.nodes.index(k)
-        except ValueError:
-            raise ValueError(
-                f"node {k} lies outside the noise table's nodes {self.nodes}"
-            ) from None
-        blocks = self._drawn.get("blocks")
-        if blocks is None:
-            blocks = self._drawn.setdefault("blocks", self._draw())
-        return blocks[i]
-
-    def _draw(self) -> list:
-        """The read-only per-node views of the whole table, drawn in lane-capped passes."""
         n = len(self.ids)
         per_pass = max(1, NOISE_PASS_LANES // max(n, 1))
-        steps = np.asarray(self.nodes, dtype=np.int64)
-        table = np.empty((steps.shape[0], n, self.d))
-        for i in range(0, steps.shape[0], per_pass):
-            window = steps[i : i + per_pass]
-            table[i : i + per_pass] = crng.normals(self.seed, self.ids, window, self.d)
-        table.flags.writeable = False
-        return list(table)
+        self.table = np.empty((len(nodes), n, d))
+        for i in range(0, len(nodes), per_pass):
+            self.table[i : i + per_pass] = crng.normals(seed, self.ids, nodes[i : i + per_pass], d)
+        self.table.flags.writeable = False
 
 
 def check_coefficients(*values: np.ndarray) -> None:
@@ -396,7 +380,7 @@ def flow(
     dt: float,
     nodes: range,
     stop: Optional[Callable] = None,
-    noise: Optional[Noise] = None,
+    noise: Optional[np.ndarray] = None,
     enter: Optional[Callable[[int, Particles], None]] = None,
 ) -> Iterator[tuple[int, float, Optional[LawView]]]:
     """Advance `particles` over the node indices `nodes`.
@@ -409,9 +393,11 @@ def flow(
     `LawView` of the post-stop law when `problem.uses_measure` (None
     otherwise); yield (k, t, view), where the caller reads the post-stop
     state and hands the view to `problem.rate`; then take one Euler step
-    through `problem.drift` and `problem.vol` with the noise
-    `noise.block(k)`, or with none when noise is None. A caller that needs
-    the canonical snapshot calls `particles.snapshot()`.
+    through `problem.drift` and `problem.vol` with the noise row
+    `noise[i]` of k = nodes[i] (a slice of a `Noise.table`; a table whose
+    row count is not len(nodes) is refused before the first step), or with
+    none when noise is None. A caller that needs the canonical snapshot
+    calls `particles.snapshot()`.
 
     A run over the whole horizon [0, T] of a truncated-horizon problem that
     stops nothing warns when the surviving state has not decayed to 5% of
@@ -421,11 +407,13 @@ def flow(
     such a run's particles to the horizon warns exactly when the whole run
     would.
     """
+    if noise is not None and len(noise) != len(nodes):
+        raise ValueError(f"the noise table has {len(noise)} rows for the nodes {nodes}")
     reaches_horizon = t0 + nodes.stop * dt >= problem.horizon * (1 - 1e-9)
     if t0 + nodes.start * dt == 0.0:
         guard = problem.truncated_horizon and particles.alive.any() and reaches_horizon
         particles.guard_size0 = np.abs(particles.x[particles.alive]).mean() if guard else None
-    for k in nodes:
+    for i, k in enumerate(nodes):
         t = t0 + k * dt
         if enter is not None:
             enter(k, particles)
@@ -433,7 +421,7 @@ def flow(
             particles.stop(k, stop)
         law = LawView(particles) if problem.uses_measure else None
         yield k, t, law
-        xi = None if noise is None else noise.block(k)
+        xi = None if noise is None else noise[i]
         particles.x = advance_positions(particles.x, particles.alive, t, dt, problem, law, xi)
     size0 = particles.guard_size0
     if reaches_horizon and size0 is not None and not particles.stopped_any:

@@ -10,10 +10,11 @@ everything is stopped by fiat; the terminal reward reads the spatial
 marginal, which that forced stop does not alter.
 
 Row i of a run from m0 with r paths per atom is particle id i, so the
-noise of every run is fixed by (m0, r, seed) alone. `policy_noise` builds
-it once; a policy search hands that one object to every candidate, which
-draws each node's noise once per search and gives common random numbers
-across candidates by construction.
+noise of every run is fixed by (m0, r, seed) alone. `policy_noise` draws
+it once, as a read-only table; a policy search hands that one object to
+every candidate, which draws each node's noise once per search and gives
+common random numbers across candidates by construction. A run hands
+`flow` the table's rows from its start node on.
 
 Fractional stopping never duplicates live particles: the stopped fraction is
 appended to a frozen pool (it can never move again) and the live particle
@@ -32,7 +33,7 @@ import numpy as np
 
 from .dynamics import Noise, Particles, Problem, TimeGrid, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop
-from .util import rng_for
+from .util import check_count, rng_for
 
 __all__ = [
     "Policy",
@@ -169,7 +170,9 @@ def run_policy(
     """Simulate nodes start_node..n-1 with the given survival maps.
 
     `noise` is a `policy_noise` object shared with other runs, built from the
-    same (m0, problem, paths_per_atom, seed); by default the run builds its own.
+    same (m0, problem, paths_per_atom, seed) over nodes that cover
+    start_node..n-1; by default the run builds its own. `paths_per_atom`
+    must be an int >= 1, checked before any noise is drawn.
 
     The run records its `checkpoints` as it goes, one per node in order: the
     state entering node k of a run from node 0 is `checkpoints[k]`. Given
@@ -180,6 +183,7 @@ def run_policy(
     maps that stop as the earlier run's did before start_node. A checkpoint
     shares its arrays with the run: neither writes them.
     """
+    check_count("paths_per_atom", paths_per_atom, 1)
     if abs(grid.horizon - problem.horizon) > 1e-12:
         raise ValueError("grid horizon differs from problem horizon")
     if len(maps) != grid.n:
@@ -189,6 +193,10 @@ def run_policy(
         noise = policy_noise(m0, problem, paths_per_atom, seed, nodes)
     elif (noise.seed, len(noise.ids), noise.d) != (seed, m0.n_atoms * paths_per_atom, problem.d):
         raise ValueError("the shared noise belongs to another seed, path count or dimension")
+    # the table's nodes are consecutive, so a table holding both ends holds every node
+    for k in (nodes[0], nodes[-1]) if nodes else ():
+        if k not in noise.nodes:
+            raise ValueError(f"node {k} lies outside the noise table's nodes {noise.nodes}")
     if resume is None:
         particles = Particles.from_measure(m0, paths_per_atom)
         n_rows = particles.w.shape[0]
@@ -202,7 +210,8 @@ def run_policy(
 
     dt = grid.dt
     stop = lambda k, x, rows: maps[k](x)
-    for k, t, m_k in flow(particles, problem, 0.0, dt, nodes, stop, noise, enter):
+    table = noise.table[start_node - noise.nodes.start :]
+    for k, t, m_k in flow(particles, problem, 0.0, dt, nodes, stop, table, enter):
         alive, w = particles.alive, particles.w
         run.survivor_mass = run.survivor_mass + [float(w[alive].sum())]
         if problem.f is not None and alive.any():

@@ -14,8 +14,9 @@ The block cipher is Philox-4x32 with 10 rounds, implemented directly on
 uint32 lanes so a whole vector of counters is evaluated in one shot. A lane
 is one (particle, step) address: the cipher is the same function of every
 lane, so one call may span many steps (a 1-d array `step`) and equals the
-per-step calls bit for bit. The step fills one 32-bit counter word, and a
-step outside [0, 2^32) is refused rather than wrapped onto another step.
+per-step calls bit for bit. The step fills one 32-bit counter word and the
+id two; a step outside [0, 2^32), or an id that is negative or not an
+integer, is refused rather than wrapped or truncated onto another address.
 Each 4-word block is turned into two 53-bit uniforms and then two standard
 normals via Box-Muller.
 """
@@ -35,7 +36,7 @@ _TWO_PI = 2.0 * np.pi
 
 
 def _philox_rounds(c0, c1, c2, c3, k0, k1):
-    """Ten Philox-4x32 rounds on uint32 lane arrays; returns four uint32 arrays."""
+    """Ten Philox-4x32 rounds on uint32 lanes and a uint32 key; returns four uint32 arrays."""
     for _ in range(10):
         p0 = _M0 * c0.astype(np.uint64)
         p1 = _M1 * c2.astype(np.uint64)
@@ -53,14 +54,12 @@ def _blocks(seed: int, lanes: tuple, block: int) -> tuple:
     """Evaluate one Philox block per lane for a fixed block slot.
 
     `lanes` holds the uint32 counter words (step, id low, id high), one
-    entry per lane.
+    entry per lane. Every lane shares the key, so it stays two scalars.
     """
     c1, c2, c3 = lanes
-    n = c1.shape[0]
-    c0 = np.full(n, block, dtype=np.uint32)
+    c0 = np.full(c1.shape[0], block, dtype=np.uint32)
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    k0 = np.full(n, seed & 0xFFFFFFFF, dtype=np.uint32)
-    k1 = np.full(n, seed >> 32, dtype=np.uint32)
+    k0, k1 = np.uint32(seed & 0xFFFFFFFF), np.uint32(seed >> 32)
     with np.errstate(over="ignore"):
         return _philox_rounds(c0, c1, c2, c3, k0, k1)
 
@@ -78,13 +77,16 @@ def normals(seed: int, particles: np.ndarray, step, d: int) -> np.ndarray:
     """Standard normal increments, shape (len(particles), d), or
     (len(step), len(particles), d) when `step` is a 1-d array of steps.
 
-    `particles` are integer particle ids; `step` is the global time-step
-    index, in [0, 2^32). The output is a deterministic function of (seed,
-    id, step, slot), so any subset of particles and steps evaluated in any
-    order or grouping sees the same numbers: row s of a vector call equals
-    the call at step[s] bit for bit.
+    `particles` are integer particle ids in [0, 2^64); `step` is the global
+    time-step index, in [0, 2^32). The output is a deterministic function
+    of (seed, id, step, slot), so any subset of particles and steps
+    evaluated in any order or grouping sees the same numbers: row s of a
+    vector call equals the call at step[s] bit for bit.
     """
-    particles = np.asarray(particles).astype(np.uint64, copy=False)
+    particles = np.asarray(particles)
+    if particles.dtype.kind not in "iu" or (particles.size and particles.min() < 0):
+        raise ValueError("particle ids must be nonnegative integers")
+    particles = particles.astype(np.uint64, copy=False)
     steps = np.asarray(step)
     if steps.ndim > 1 or steps.dtype.kind not in "iuO":
         raise ValueError("step must be an integer or a 1-d array of integers")

@@ -4,10 +4,10 @@
 families, constant fractions and thresholds: a coarse sweep with one shared
 parameter across nodes, then per-node coordinate descent with shrinking
 brackets. All candidate evaluations, and the final bootstrap evaluation of
-the winner, share one noise object (`policy.policy_noise`): each node's
-noise is drawn once per solve, it is common across policies by
-construction, and comparisons are far less noisy than the individual
-values.
+the winner, read one noise table (`policy.policy_noise`), drawn when the
+search starts: each node's noise is drawn once per solve, it is common
+across policies by construction, and comparisons are far less noisy than
+the individual values.
 
 A refinement trial changes the incumbent at one node k, and the law
 entering node k depends only on the maps before k (the flow property behind
@@ -44,7 +44,7 @@ import numpy as np
 from .dynamics import Particles, Problem, TimeGrid, flow
 from .measures import EmpiricalMeasure, StopMap, apply_stop
 from .policy import BOOTSTRAP_RESAMPLES, Policy, PolicyRun, ValueEstimate, policy_noise, run_policy
-from .util import check_threads, rng_for
+from .util import check_count, check_threads, rng_for
 
 __all__ = [
     "SearchConfig",
@@ -78,9 +78,7 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("paths_per_atom", "coarse_points", "refine_rounds", "restart_paths"):
-            v, least = getattr(self, name), int(name != "refine_rounds")
-            if not isinstance(v, int) or isinstance(v, bool) or v < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+            check_count(name, getattr(self, name), int(name != "refine_rounds"))
         tol = self.tol
         if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 <= tol < math.inf:
             raise ValueError(f"tol must be a finite nonnegative number, got {tol!r}")

@@ -1,4 +1,4 @@
-"""Small shared helpers: seeded generator derivation, the `threads` check, atomic IO."""
+"""Small shared helpers: seeded generator derivation, the `threads` and count checks, atomic IO."""
 
 from __future__ import annotations
 
@@ -34,6 +34,12 @@ def check_threads(threads) -> None:
     """Refuse every `threads` but 1: the field is kept only so old configs load."""
     if threads != 1 or type(threads) is not int:
         raise ValueError("threads must be 1: the thread pools were removed")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Refuse a count `name` that is not an int (bools included) or is below `least`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def dump_text_atomic(path: str, text: str) -> None:

@@ -406,6 +406,26 @@ def test_residual_report_is_deterministic():
     )
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_stop_maps", -1),
+        ("n_stop_maps", 2.5),
+        ("n_stop_maps", True),
+        ("h", 0.0),
+        ("h", -1e-3),
+        ("h", float("nan")),
+        ("h", float("inf")),
+        ("h", True),
+    ],
+)
+def test_residual_config_refuses_a_bad_field_when_made(field, value):
+    # before any simulation: a bad h used to surface only in the first
+    # derivative probe, after u(t, m) and every stop candidate had run
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ResidualConfig(**{field: value})
+
+
 def test_bump_and_config_validation():
     u = lambda t, m: 0.0
     with pytest.raises(ValueError, match="h must be positive"):

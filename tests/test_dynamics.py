@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 import warnings
 from importlib.resources import files
 
@@ -50,7 +49,7 @@ def simulate(m0, problem, grid, paths_per_atom, seed, stop=None, nodes=None):
     ids = np.arange(particles.w.shape[0], dtype=np.uint64)
     xs = []
     nodes = range(grid.n) if nodes is None else nodes
-    noise = None if seed is None else Noise(seed, ids, problem.d, nodes)
+    noise = None if seed is None else Noise(seed, ids, problem.d, nodes).table
     for _ in flow(particles, problem, 0.0, grid.dt, nodes, stop, noise):
         xs.append(particles.x)
     xs.append(particles.x)
@@ -140,7 +139,7 @@ def test_mass_conservation():
         particles = Particles.from_measure(m0, 50)
         ids = np.arange(particles.w.shape[0], dtype=np.uint64)
         masses = []
-        noise = Noise(5, ids, 1, range(20))
+        noise = Noise(5, ids, 1, range(20)).table
         for _ in flow(particles, prob, 0.0, 0.05, range(20), stop, noise):
             masses.append(particles.marginal()[1].sum())
         masses.append(particles.marginal()[1].sum())
@@ -197,7 +196,7 @@ def test_law_view_equals_the_canonical_snapshot_at_every_node():
     )
     nodes = range(4)
     particles = Particles.from_measure(PULL_M0, 30)
-    noise = policy_noise(PULL_M0, problem, 30, 17, nodes)
+    noise = policy_noise(PULL_M0, problem, 30, 17, nodes).table
     stop = lambda k, x, rows: maps[k](x)
     kept = []
     for _, _, view in flow(particles, problem, 0.0, 0.25, nodes, stop, noise):
@@ -298,7 +297,8 @@ def test_snapshot_is_valid_measure():
     m0 = make_empirical([(0.0, 1), (1.0, 0)], [3, 1])
     particles = Particles.from_measure(m0, 7)
     ids = np.arange(particles.w.shape[0], dtype=np.uint64)
-    for k, _, snap in flow(particles, prob, 0.0, 0.2, range(5), noise=Noise(8, ids, 1, range(5))):
+    noise = Noise(8, ids, 1, range(5)).table
+    for k, _, snap in flow(particles, prob, 0.0, 0.2, range(5), noise=noise):
         assert snap is None  # no coefficient reads the measure
         if k == 3:
             snap = particles.snapshot()
@@ -313,7 +313,7 @@ def test_frozen_atoms_stay_outside_the_rows():
     particles = Particles.from_measure(m0, 7, freeze_stopped=True)
     assert particles.w.shape[0] == 7 and particles.alive.all()
     ids = np.arange(7, dtype=np.uint64)
-    for _ in flow(particles, prob, 0.0, 0.2, range(5), noise=Noise(8, ids, 1, range(5))):
+    for _ in flow(particles, prob, 0.0, 0.2, range(5), noise=Noise(8, ids, 1, range(5)).table):
         pass
     snap = particles.snapshot()
     assert snap.ws.sum() == pytest.approx(1.0, abs=1e-12)
@@ -382,34 +382,28 @@ def test_truncation_guard_runs_on_the_production_paths():
         u(0.5, m0)
 
 
-def test_shared_noise_hands_every_thread_the_same_blocks():
-    # more threads than cores and a short switch interval, so that threads
-    # race on the first draw of each block
-    from concurrent.futures import ThreadPoolExecutor
-
+def test_a_noise_table_is_read_only_and_equals_per_node_draws():
     from mfstop.rng import normals
 
     ids = np.arange(500, dtype=np.uint64) * 7
     nodes = range(3, 11)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for _ in range(20):
-                noise = Noise(13, ids, 2, nodes)
-                futures = [
-                    pool.submit(lambda: [noise.block(k) for k in nodes]) for _ in range(16)
-                ]
-                seen = [f.result(timeout=60) for f in futures]
-                for j in range(len(nodes)):
-                    assert all(blocks[j] is seen[0][j] for blocks in seen)
-    finally:
-        sys.setswitchinterval(interval)
-    for j, k in enumerate(nodes):
-        assert np.array_equal(seen[0][j], normals(13, ids, k, 2))
-        assert not seen[0][j].flags.writeable
-    with pytest.raises(ValueError, match="node 2"):
-        noise.block(2)
+    noise = Noise(13, ids, 2, nodes)
+    assert noise.table.shape == (len(nodes), 500, 2)
+    assert not noise.table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        noise.table[0, 0, 0] = 0.0
+    for i, k in enumerate(nodes):
+        assert np.array_equal(noise.table[i], normals(13, ids, k, 2))
+
+
+def test_flow_refuses_a_noise_table_of_another_node_count():
+    particles = Particles.from_measure(make_empirical([(0.0, 1)]), 4)
+    table = Noise(3, 4, 1, range(5)).table
+    for rows in (table[:4], np.concatenate([table, table[:1]])):
+        with pytest.raises(ValueError, match=f"the noise table has {len(rows)} rows"):
+            next(flow(particles, brownian_problem(), 0.0, 0.2, range(5), noise=rows))
+    # the check runs before any state is touched
+    assert np.array_equal(particles.x, np.zeros((4, 1)))
 
 
 @pytest.mark.parametrize(
@@ -433,17 +427,13 @@ def test_a_noise_table_wider_than_the_lane_cap_is_drawn_in_capped_passes(
     ids = np.arange(n_ids, dtype=np.uint64) * 3 + 2**33
     nodes = range(3, 20)
     noise = Noise(5, ids, 3, nodes)
-    first = noise.block(7)
-    # the first block draws the whole table, whole nodes per pass, each node once
+    # the constructor draws the whole table, whole nodes per pass, each node once
     assert len(passes) == -(-len(nodes) // per_pass) > 1
     assert all(len(steps) <= per_pass for steps in passes)
     assert all(len(steps) * n_ids <= max(NOISE_PASS_LANES, n_ids) for steps in passes)
     assert sum(passes, []) == list(nodes)
     monkeypatch.setattr(mfstop.rng, "normals", draw)
-    for k in nodes:
-        block = noise.block(k)
-        assert block.shape == (n_ids, 3) and block.flags.c_contiguous
-        assert not block.flags.writeable
-        assert np.array_equal(block.view(np.uint64), draw(5, ids, k, 3).view(np.uint64))
-    assert noise.block(7) is first
-    assert len(passes) == -(-len(nodes) // per_pass)
+    assert noise.table.shape == (len(nodes), n_ids, 3) and noise.table.flags.c_contiguous
+    assert not noise.table.flags.writeable
+    for i, k in enumerate(nodes):
+        assert np.array_equal(noise.table[i].view(np.uint64), draw(5, ids, k, 3).view(np.uint64))

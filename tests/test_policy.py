@@ -74,7 +74,7 @@ def test_never_stop_matches_unstopped_simulation_exactly():
     particles = Particles.from_measure(m0, 400)
     ids = np.arange(400, dtype=np.uint64)
     reward = np.zeros(400)
-    noise = Noise(seed, ids, 1, range(grid.n))
+    noise = Noise(seed, ids, 1, range(grid.n)).table
     for k, t, snap in flow(particles, problem, 0.0, grid.dt, range(grid.n), noise=noise):
         alive = particles.alive
         reward[alive] += problem.f(t, particles.x[alive], snap) * particles.w[alive] * grid.dt
@@ -191,6 +191,34 @@ def test_shared_noise_gives_the_same_value_and_must_match_the_run():
             run_policy(m0, problem, grid, pol.maps, paths, seed, 1, noise=noise)
     with pytest.raises(ValueError, match="node 0"):
         run_policy(m0, problem, grid, pol.maps, 25, 8, 0, noise=noise)
+    # a later start reads the table from its own node on
+    later = evaluate_policy(m0, problem, grid, pol, 25, seed=8, start_node=2, noise=noise)
+    assert later == evaluate_policy(m0, problem, grid, pol, 25, seed=8, start_node=2)
+    short = policy_noise(m0, problem, 25, 8, range(1, grid.n - 1))
+    with pytest.raises(ValueError, match=f"node {grid.n - 1} lies outside"):
+        run_policy(m0, problem, grid, pol.maps, 25, 8, 1, noise=short)
+
+
+@pytest.mark.parametrize("paths", [0, -1, 2.5, True], ids=["zero", "negative", "float", "bool"])
+@pytest.mark.parametrize("route", ["run_policy", "evaluate_policy", "make_unstopped_functional"])
+def test_a_bad_path_count_is_refused_before_any_noise_is_drawn(monkeypatch, route, paths):
+    import mfstop.rng
+    from mfstop.calculus import make_unstopped_functional
+
+    def no_draws(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(mfstop.rng, "normals", no_draws)
+    problem, grid = brownian(), TimeGrid(n=4, horizon=1.0)
+    m0 = make_empirical([(0.8, 1), (1.3, 1)])
+    pol = Policy.never_stop(grid.n)
+    with pytest.raises(ValueError, match=f"paths_per_atom must be an integer >= 1, got {paths!r}"):
+        if route == "run_policy":
+            run_policy(m0, problem, grid, pol.maps, paths, seed=1)
+        elif route == "evaluate_policy":
+            evaluate_policy(m0, problem, grid, pol, paths, seed=1)
+        else:
+            make_unstopped_functional(problem, n_steps=4, paths_per_atom=paths)(0.0, m0)
 
 
 # ---------------------------------------------------------------------------

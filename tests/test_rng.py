@@ -103,3 +103,20 @@ def test_the_last_step_of_the_counter_word_is_drawn():
     ids = np.arange(4)
     assert normals(3, ids, 2**32 - 1, 2).shape == (4, 2)
     assert not np.array_equal(normals(3, ids, 2**32 - 1, 1), normals(3, ids, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[1.5, 1.0], np.array([0.0, 1.0]), [-1, 2], np.array([-(2**40)]), np.array([True, False])],
+    ids=["fraction", "whole-floats", "negative", "wide-negative", "bools"],
+)
+def test_ids_that_are_not_nonnegative_integers_are_refused(ids):
+    # casting would truncate 1.5 onto id 1 and wrap id -1 onto id 2^64 - 1
+    with pytest.raises(ValueError, match="particle ids must be nonnegative integers"):
+        normals(1, ids, 0, 1)
+
+
+def test_the_last_id_of_the_address_space_is_drawn():
+    ids = np.array([2**64 - 1, 0], dtype=np.uint64)
+    z = normals(1, ids, 0, 1)
+    assert np.all(np.isfinite(z)) and z[0, 0] != z[1, 0]
