@@ -9,13 +9,14 @@ derivative is defined only up to an additive constant). One Richardson
 halving (2 q(eps/2) - q(eps)) removes the first-order error, so quotients
 are exact on functionals linear or quadratic in the measure.
 
-From the bump probes are assembled:
+The bump probes come in two plans, each computing only what its caller reads:
 
-* ``d_I``, the stop sensitivity at a surviving position x: the derivative
-  at (x, 1) minus the derivative at (x, 0). The centering constant cancels,
-  so d_I is gauge-invariant. Negative values mean stopping mass at x raises
-  u to first order.
-* spatial central differences of the survivor-side derivative, from which
+* ``stop_sensitivity``, the stop-sensitivity probe: d_I at a surviving
+  position x, the derivative at (x, 1) minus the derivative at (x, 0). The
+  centering constant cancels, so d_I is gauge-invariant. Negative values
+  mean stopping mass at x raises u to first order.
+* ``estimate_derivatives``, the flow probe: spatial central differences of
+  the survivor-side derivative and the time difference of u, from which
   ``generator`` builds the measure flow operator: the time derivative of u
   plus the survivor-weighted drift and diffusion terms acting on
   delta_m u along x.
@@ -28,18 +29,10 @@ From the bump probes are assembled:
 ``make_unstopped_functional`` turns a problem into a simulated functional
 u(t, m) = terminal reward of the never-stop flow plus the accumulated
 running reward. Its noise is keyed by where each path starts rather than
-by atom identity, so a measure and its probe bumps (reweighted atoms, or
-positions shifted by a little) see identical draws and finite differences
-stay usable despite Monte Carlo noise. Given anchors (`mfstop residual`
-passes the atoms of m), the key is the nearest anchor, so every probe
-around an atom shares its draws. Without anchors the key is the bucket of
-width `NOISE_BUCKET`, and probes that cross a bucket edge draw independent
-noise: keep probe centers away from multiples of `NOISE_BUCKET` on that
-path. Each functional draws the whole noise table of a key once, in
-lane-capped passes (`dynamics.Noise`), and shares it with every later call,
-so the 27 evaluations of one `generator` call draw each of their few keys
-once; each call stacks its keys' tables into the one array that `flow`
-steps against.
+by atom identity, so a measure and its probe bumps see identical draws and
+finite differences stay usable despite Monte Carlo noise. Each key's noise
+is drawn once per functional, so the 21 evaluations of one `generator`
+call on three survivors draw each of their few keys once.
 """
 
 from __future__ import annotations
@@ -59,6 +52,7 @@ __all__ = [
     "linear_derivative",
     "DerivativeEstimate",
     "estimate_derivatives",
+    "stop_sensitivity",
     "running_reward",
     "generator",
     "make_unstopped_functional",
@@ -90,6 +84,13 @@ def _with_atom(m: EmpiricalMeasure, x, flag: int, eps: float) -> EmpiricalMeasur
     flags = np.concatenate([m.flags, np.array([flag], dtype=np.uint8)])
     ws = np.concatenate([(1.0 - eps) * m.ws, np.array([eps])])
     return from_arrays(xs, flags, ws)
+
+
+def _base_value(u, t, m) -> float:
+    base = float(u(t, m))
+    if not math.isfinite(base):
+        raise ValueError("functional is non-finite at the base measure")
+    return base
 
 
 def _quotient(u, t, m, x, flag, eps, base, richardson=True) -> float:
@@ -125,23 +126,14 @@ def linear_derivative(
         raise ValueError("flag must be 0 or 1")
     if not 0.0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 0.5]")
-    base = float(u(t, m))
-    if not math.isfinite(base):
-        raise ValueError("functional is non-finite at the base measure")
-    return _quotient(u, t, m, x, flag, eps, base, richardson)
+    return _quotient(u, t, m, x, flag, eps, _base_value(u, t, m), richardson)
 
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
-    """Assembled probe values at one (t, m).
+    """The flow probe at one (t, m): dx_delta and dxx_delta per surviving
+    atom, in canonical atom order, and dt, the time difference of u."""
 
-    delta_m holds the centered derivative per atom of m (its m-weighted sum
-    is zero by the gauge); d_I, dx_delta, dxx_delta are per surviving atom
-    in canonical atom order; dt is the time difference of u.
-    """
-
-    delta_m: np.ndarray
-    d_I: np.ndarray
     dx_delta: np.ndarray
     dxx_delta: np.ndarray
     dt: float
@@ -154,42 +146,26 @@ def estimate_derivatives(
     h: float = BUMP_H,
     horizon: Optional[float] = None,
 ) -> DerivativeEstimate:
-    """All derivative probes of u at (t, m) in one sweep; d = 1 only.
+    """The flow probe of u at (t, m), the probes `generator` reads; d = 1 only.
 
     Every bump has weight `BUMP_EPS` and is Richardson-extrapolated. The
-    spatial probes sit at x +- h (1+|x|) on the survivor side, with h > 0;
-    the time probe is central with step `BUMP_DT_FRAC` * horizon (horizon 1
-    when not given), one-sided at the ends of [0, horizon]. Raw bump
-    quotients are recentered so the weighted sum of delta_m vanishes
-    exactly; d_I uses the raw difference, where the centering constant
-    cancels anyway.
+    survivor-side quotients sit at x and x +- h (1+|x|), with h > 0; the
+    time probe is central with step `BUMP_DT_FRAC` * horizon (horizon 1
+    when not given), one-sided at the ends of [0, horizon]. That is
+    1 + 6 per survivor + 2 evaluations of u: 21 on three survivors.
     """
     if m.d != 1:
         raise ValueError("derivative probes are one-dimensional")
     if not h > 0.0:
         raise ValueError("the spatial probe scale h must be positive")
-    base = float(u(t, m))
-    if not math.isfinite(base):
-        raise ValueError("functional is non-finite at the base measure")
+    base = _base_value(u, t, m)
 
-    quot = lambda x, flag: _quotient(u, t, m, x, flag, BUMP_EPS, base)
-
-    raw = np.array([quot(m.xs[k], int(m.flags[k])) for k in range(m.n_atoms)])
-    delta_m = raw - float(m.ws @ raw)
-
-    live = np.flatnonzero(m.flags == 1)
-    d_i = np.empty(live.size)
-    dx = np.empty(live.size)
-    dxx = np.empty(live.size)
-    for out_k, k in enumerate(live):
-        x = float(m.xs[k, 0])
-        hx = h * (1.0 + abs(x))
-        q_mid = raw[k]
-        q_plus = quot(np.array([x + hx]), 1)
-        q_minus = quot(np.array([x - hx]), 1)
-        d_i[out_k] = q_mid - quot(np.array([x]), 0)
-        dx[out_k] = (q_plus - q_minus) / (2.0 * hx)
-        dxx[out_k] = (q_plus - 2.0 * q_mid + q_minus) / (hx * hx)
+    xs = m.xs[m.flags == 1, 0]
+    hx = h * (1.0 + np.abs(xs))
+    quot = lambda ys: np.array([_quotient(u, t, m, y, 1, BUMP_EPS, base) for y in ys])
+    q_mid, q_plus, q_minus = quot(xs), quot(xs + hx), quot(xs - hx)
+    dx = (q_plus - q_minus) / (2.0 * hx)
+    dxx = (q_plus - 2.0 * q_mid + q_minus) / (hx * hx)
 
     scale = horizon if horizon is not None else 1.0
     step = BUMP_DT_FRAC * scale
@@ -199,7 +175,19 @@ def estimate_derivatives(
         raise ValueError("time probe collapsed; horizon too small for BUMP_DT_FRAC")
     dt_val = (float(u(hi, m)) - float(u(lo, m))) / (hi - lo)
 
-    return DerivativeEstimate(delta_m=delta_m, d_I=d_i, dx_delta=dx, dxx_delta=dxx, dt=dt_val)
+    return DerivativeEstimate(dx_delta=dx, dxx_delta=dxx, dt=dt_val)
+
+
+def stop_sensitivity(
+    u: Callable[[float, EmpiricalMeasure], float], t: float, m: EmpiricalMeasure
+) -> np.ndarray:
+    """The stop-sensitivity probe: d_I at each surviving atom of m, in
+    canonical atom order, from the Richardson-extrapolated bump quotients at
+    (x, 1) and (x, 0) of weight `BUMP_EPS`: 1 + 4 per survivor evaluations of u.
+    """
+    base = _base_value(u, t, m)
+    quot = lambda x, flag: _quotient(u, t, m, x, flag, BUMP_EPS, base)
+    return np.array([quot(x, 1) - quot(x, 0) for x in m.xs[m.flags == 1]])
 
 
 def running_reward(problem: Problem, t: float, m: EmpiricalMeasure) -> float:
@@ -344,9 +332,9 @@ class ResidualConfig:
     u(t, m); `JITTER_SAMPLES` position-jittered copies of m approximate the
     lower envelope of the stop sensitivity, each position moved by
     `JITTER` (1 + |x|) times a standard normal. seed drives both draws, and
-    h is the spatial probe scale handed to `generator` and
-    `estimate_derivatives`. A non-integer n_stop_maps and an h that is not
-    positive and finite are refused here, before anything is simulated.
+    h is the spatial probe scale handed to `generator`. A non-integer
+    n_stop_maps and an h that is not positive and finite are refused here,
+    before anything is simulated.
     """
 
     n_stop_maps: int = 64
@@ -360,8 +348,17 @@ class ResidualConfig:
             raise ValueError(f"h must be a positive finite number, got {h!r}")
 
 
-def _measure_key(m: EmpiricalMeasure) -> bytes:
-    return m.xs.tobytes() + m.flags.tobytes() + np.round(m.ws, 12).tobytes()
+def _memo(u: Callable[[float, EmpiricalMeasure], float]) -> Callable:
+    """u keeping its value at each exact (t, xs, flags, ws) it was called on."""
+    values: dict = {}
+
+    def memo(t: float, m: EmpiricalMeasure) -> float:
+        key = (np.float64(t).tobytes(), m.xs.tobytes(), m.flags.tobytes(), m.ws.tobytes())
+        if key not in values:
+            values[key] = u(t, m)
+        return values[key]
+
+    return memo
 
 
 def obstacle_residual(
@@ -385,24 +382,24 @@ def obstacle_residual(
 
     When m has no survivors, d_I is undefined; the report says so and the
     residual is the interior term alone.
+
+    The report evaluates u once per exact (t, measure): a candidate's
+    membership value is its generator's base, and m's survivor quotients
+    serve d_I_min too. u must be a pure function of (t, m), as the
+    simulated functional is.
     """
-    base = float(u(t, m))
-    if not math.isfinite(base):
-        raise ValueError("functional is non-finite at the base measure")
+    u = _memo(u)
+    base = _base_value(u, t, m)
     rng = rng_for(cfg.seed, "residual")
 
     maps = [StopMap.constant(1.0), StopMap.constant(0.0)]
     maps += [StopMap.random(rng) for _ in range(cfg.n_stop_maps)]
 
-    seen = set()
-    candidates = []
+    unique: dict = {}  # the first stop of m with each key, its weights rounded
     for sm in maps:
         m2 = apply_stop(m, sm)
-        key = _measure_key(m2)
-        if key in seen:
-            continue
-        seen.add(key)
-        candidates.append(m2)
+        unique.setdefault(m2.xs.tobytes() + m2.flags.tobytes() + np.round(m2.ws, 12).tobytes(), m2)
+    candidates = list(unique.values())
 
     kept = [m2 for m2 in candidates if float(u(t, m2)) >= base - MEMBERSHIP_TOL]
 
@@ -411,33 +408,20 @@ def obstacle_residual(
         for m2 in kept
     ))
 
-    xs_live, _ = m.survivors()
-    if xs_live.shape[0] == 0:
-        return {
-            "value": base,
-            "interior_term": interior_term,
-            "d_I_min": None,
-            "residual": interior_term,
-            "n_candidates": len(candidates),
-            "n_kept": len(kept),
-            "empty_survivors": True,
-        }
-
-    probes = [m]
-    for _ in range(JITTER_SAMPLES):
-        shift = JITTER * (1.0 + np.abs(m.xs)) * rng.standard_normal(m.xs.shape)
-        probes.append(from_arrays(m.xs + shift, m.flags, m.ws))
-    d_i_min = min(
-        float(estimate_derivatives(u, t, meas, cfg.h, horizon=problem.horizon).d_I.min())
-        for meas in probes
-    )
+    d_i_min = None
+    if (m.flags == 1).any():
+        probes = [m]
+        for _ in range(JITTER_SAMPLES):
+            shift = JITTER * (1.0 + np.abs(m.xs)) * rng.standard_normal(m.xs.shape)
+            probes.append(from_arrays(m.xs + shift, m.flags, m.ws))
+        d_i_min = min(float(stop_sensitivity(u, t, meas).min()) for meas in probes)
 
     return {
         "value": base,
         "interior_term": interior_term,
         "d_I_min": d_i_min,
-        "residual": min(interior_term, d_i_min),
+        "residual": interior_term if d_i_min is None else min(interior_term, d_i_min),
         "n_candidates": len(candidates),
         "n_kept": len(kept),
-        "empty_survivors": False,
+        "empty_survivors": d_i_min is None,
     }

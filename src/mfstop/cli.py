@@ -5,7 +5,8 @@ never-stop dynamics, `solve` searches for the best stopping policy,
 `verify-dpp` replays the two-stage consistency check, `residual` and
 `mollify` operate on a measure (the instance's initial law unless a CSV is
 given), `example` reproduces the benchmark tables as CSV, and `acceptance`
-runs the pinned verification suite.
+runs the pinned verification suite. Each subcommand imports the layers it
+runs, so `import mfstop.cli` loads only what dispatch and config loading need.
 
 Every JSON artifact embeds the sha256 of the resolved config, the seed, the
 package version, and a runtime_ms field; reruns with equal seeds reproduce
@@ -33,21 +34,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .calculus import BUMP_H, ResidualConfig, make_unstopped_functional, obstacle_residual
 from .catalog import ExperimentConfig, build_instance, load_experiment_config
 from .dynamics import TimeGrid
 from .measures import measure_from_csv, measure_to_csv
-from .mollifier import MollifierParams, mollify
-from .pde import aggregate_value, standard_os_pde
-from .policy import BOOTSTRAP_RESAMPLES, Policy, policy_to_json, run_policy
-from .risk import (
-    distortion_g,
-    expected_shortfall,
-    expected_shortfall_value,
-    mean_variance_dual,
-    meanvar_alpha_star_path,
-)
-from .solver import SearchConfig, solve_value, verify_dpp
 from .util import check_threads, config_digest, dump_text_atomic
 
 __all__ = ["main"]
@@ -152,6 +141,8 @@ def _row(parameter: str, value: float, oracle: float, stderr: float) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    from .policy import BOOTSTRAP_RESAMPLES, Policy, run_policy
+
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
     inst = cfg.instance()
@@ -183,6 +174,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .pde import aggregate_value, standard_os_pde
+    from .policy import policy_to_json
+    from .solver import SearchConfig, solve_value
+
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
     inst = cfg.instance()
@@ -209,6 +204,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify_dpp(args) -> int:
+    from .solver import SearchConfig, verify_dpp
+
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
     inst = cfg.instance()
@@ -225,6 +222,9 @@ def _cmd_verify_dpp(args) -> int:
 
 
 def _cmd_residual(args) -> int:
+    from .calculus import BUMP_H, ResidualConfig, make_unstopped_functional, obstacle_residual
+    from .pde import aggregate_value, standard_os_pde
+
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
     inst = cfg.instance()
@@ -257,6 +257,8 @@ def _cmd_residual(args) -> int:
 
 
 def _cmd_mollify(args) -> int:
+    from .mollifier import MollifierParams, mollify
+
     t0 = time.perf_counter()
     cfg = _resolve_config(args)
     inst = cfg.instance()
@@ -287,6 +289,9 @@ def _cmd_mollify(args) -> int:
 
 
 def _example_standard(cfg: ExperimentConfig) -> list[dict]:
+    from .pde import aggregate_value, standard_os_pde
+    from .solver import SearchConfig, solve_value
+
     inst = build_instance("standard_put", **cfg.problem_params)
     pde = standard_os_pde(inst.problem, inst.psi, inst.pde_cfg)
     oracle = aggregate_value(inst.m0, pde, inst.psi)
@@ -300,6 +305,8 @@ def _example_standard(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _example_meanvar(cfg: ExperimentConfig, args) -> list[dict]:
+    from .risk import mean_variance_dual, meanvar_alpha_star_path
+
     rows = []
     for lam in (0.0, 0.5, 1.0, 2.0):
         inst = build_instance("mean_variance", lam=lam)
@@ -329,6 +336,8 @@ def _example_meanvar(cfg: ExperimentConfig, args) -> list[dict]:
 
 
 def _example_es(cfg: ExperimentConfig) -> list[dict]:
+    from .risk import expected_shortfall, expected_shortfall_value
+
     rows = []
     for alpha in (0.5, 0.75, 0.9):
         inst = build_instance("shortfall", alpha=alpha)
@@ -343,6 +352,7 @@ def _example_es(cfg: ExperimentConfig) -> list[dict]:
 
 def _example_distortion(cfg: ExperimentConfig) -> list[dict]:
     from .acceptance import quadrature_distortion
+    from .risk import distortion_g
 
     inst = build_instance("distortion", **cfg.problem_params)
     xs, ws = inst.m0.x_marginal()

@@ -187,6 +187,7 @@ class Particles:
     A copy therefore shares all of them, and a copy or a `LawView` kept
     past its node does not move with the particles.
 
+    `all_alive` is `alive.all()`, kept where `alive` is made so no step reduces it.
     `stopped_any` and `guard_size0` are the state of `flow`'s
     truncated-horizon guard, so a copy taken mid-run carries it on.
     """
@@ -194,6 +195,7 @@ class Particles:
     def __init__(self, x, alive, w, frozen_x=None, frozen_w=None):
         self.x = x
         self.alive = alive
+        self.all_alive = bool(alive.all())
         self.w = w
         self.frozen_x = np.zeros((0, x.shape[1])) if frozen_x is None else frozen_x
         self.frozen_w = np.zeros(0) if frozen_w is None else frozen_w
@@ -276,6 +278,7 @@ class Particles:
         if full.any():
             self.alive = self.alive.copy()
             self.alive[idx[full]] = False
+            self.all_alive = False
         self.stopped_any = self.stopped_any or bool(frac.any() or full.any())
 
 
@@ -289,7 +292,7 @@ class LawView:
     """
 
     def __init__(self, particles: Particles):
-        if particles.alive.all():
+        if particles.all_alive:
             self._x, self._w = particles.x.view(), particles.w.view()
         else:
             live = np.flatnonzero(particles.alive)
@@ -352,7 +355,7 @@ def check_coefficients(*values: np.ndarray) -> None:
 
 def advance_positions(
     x: np.ndarray,
-    alive: np.ndarray,
+    alive: Optional[np.ndarray],
     t: float,
     dt: float,
     problem: Problem,
@@ -361,15 +364,17 @@ def advance_positions(
 ) -> np.ndarray:
     """One Euler update x + 1_alive (b dt + sigma sqrt(dt) xi).
 
-    The step of `flow`. With noise None, sigma is not evaluated and the
-    update is the drift alone, as in a sigma = 0 replay. Refuses non-finite
+    The step of `flow`. alive None means every row is alive, and the update
+    skips the mask. With noise None, sigma is not evaluated and the update
+    is the drift alone, as in a sigma = 0 replay. Refuses non-finite
     stepped rows: a non-finite coefficient, or a position that overflows.
     """
     incr = problem.drift(t, x, m) * dt
     if noise is not None:
-        incr = incr + problem.vol(t, x, m) * noise * np.sqrt(dt)
-    x = x + incr * alive[:, None]
-    check_coefficients(x)
+        incr = incr + problem.vol(t, x, m) * noise * math.sqrt(dt)
+    x = x + (incr if alive is None else incr * alive[:, None])
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite drift or volatility")
     return x
 
 
@@ -422,7 +427,8 @@ def flow(
         law = LawView(particles) if problem.uses_measure else None
         yield k, t, law
         xi = None if noise is None else noise[i]
-        particles.x = advance_positions(particles.x, particles.alive, t, dt, problem, law, xi)
+        alive = None if particles.all_alive else particles.alive
+        particles.x = advance_positions(particles.x, alive, t, dt, problem, law, xi)
     size0 = particles.guard_size0
     if reaches_horizon and size0 is not None and not particles.stopped_any:
         size = np.abs(particles.x[particles.alive]).mean()

@@ -31,6 +31,12 @@ ENTRY_LAYERS = (
     "calculus.generator",
 )
 
+# the calls one traced `residual` operation makes: three running atoms
+RESIDUAL_LAYER_CALLS = {
+    "calculus.estimate_derivatives.calls": 1,
+    "dynamics.advance_positions.calls": 21 * 64,
+}
+
 
 def _undo_tracing_afterwards(monkeypatch) -> None:
     """Have monkeypatch restore every function of every mfstop module, which
@@ -66,10 +72,17 @@ def test_one_operation_of_each_kind_runs_and_checks(monkeypatch, traced):
                 first.setdefault(op.kind, op)
         for op in first.values():
             call, check = runner.prepare(op)
+            before = dict(tracer.counts) if traced else {}
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", message="policy search budget exhausted")
                 ok, detail = check(call())
             assert ok, f"{workload} {op.kind} {op.args}: {detail}"
+            if traced and workload == "residual":
+                # the generator's work stays in the traced layers: one flow
+                # probe of 21 simulated functionals of 64 Euler steps each
+                made = {name: tracer.counts[name] - before.get(name, 0)
+                        for name in RESIDUAL_LAYER_CALLS}
+                assert made == RESIDUAL_LAYER_CALLS
     if traced:
         metrics = worker.layer_metrics(tracer, 0.0)
         for layer in ENTRY_LAYERS:

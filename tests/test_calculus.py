@@ -1,6 +1,7 @@
 """Bump-quotient derivatives, the flow generator, and stationarity residuals."""
 
 from collections import Counter
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from mfstop.calculus import (
     make_unstopped_functional,
     obstacle_residual,
     running_reward,
+    stop_sensitivity,
 )
-from mfstop.catalog import build_instance
+from mfstop.catalog import build_instance, load_experiment_config
 from mfstop.dynamics import Problem
 from mfstop.measures import StopMap, apply_stop, make_empirical
 from mfstop.pde import aggregate_value, standard_os_pde
@@ -76,17 +78,17 @@ def test_constant_functional_has_zero_derivative():
     assert linear_derivative(u, 0.0, M3, (0.3, 0)) == 0.0
 
 
-def test_estimate_centers_delta_and_d_i_is_gauge_invariant():
+def test_linear_derivative_is_centered_and_d_i_is_gauge_invariant():
     u = lambda t, m: full_mean(m) ** 2 + float((m.xs[:, 0] ** 2) @ m.ws)
-    est = estimate_derivatives(u, 0.0, M3)
-    assert abs(float(M3.ws @ est.delta_m)) <= 1e-10
+    delta_m = [linear_derivative(u, 0.0, M3, (x, f)) for x, f in zip(M3.xs[:, 0], M3.flags)]
+    assert abs(float(M3.ws @ delta_m)) <= 1e-10
     x = 1.1
     direct = linear_derivative(u, 0.0, M3, (x, 1)) - linear_derivative(
         u, 0.0, M3, (x, 0)
     )
     live_xs = M3.survivors()[0][:, 0]
     k = int(np.flatnonzero(np.isclose(live_xs, x))[0])
-    assert abs(est.d_I[k] - direct) <= 1e-9
+    assert abs(stop_sensitivity(u, 0.0, M3)[k] - direct) <= 1e-9
 
 
 def test_generator_matches_drift_only_analytic_value():
@@ -247,11 +249,12 @@ def _assert_shared_noise_is_invisible(problem, calls, **sim):
 def test_shared_noise_is_bit_identical_to_fresh_functionals():
     sim = dict(n_steps=8, paths_per_atom=20, seed=4)
     problem = ATTRACTION.problem
-    # the generator's own probes: +-h and weight bumps, and both time probes
+    # the generator's own probes: the base, the bumps at x and x +- h, and
+    # both time probes
     calls = []
     u = _recording(make_unstopped_functional(problem, **sim), calls)
     generator(u, 0.1, ATTRACTION.m0, problem)
-    assert len(calls) == 27 and {t for t, _ in calls} > {0.1}
+    assert len(calls) == 21 and {t for t, _ in calls} > {0.1}
     stopped = make_empirical([(-1.0, 1), (0.0, 0), (1.0, 1)], [0.3, 0.3, 0.4])
     calls += [(0.0, stopped), (0.3, THREE_BUCKETS), (0.0, ATTRACTION.m0)]
     _assert_shared_noise_is_invisible(problem, calls, **sim)
@@ -280,7 +283,7 @@ def test_each_noise_key_is_drawn_once_per_functional(monkeypatch, m, n_keys):
     lanes = drawn_lanes(monkeypatch)
     generator(u, 0.0, m, ATTRACTION.problem)
     # each key's paths over every node, each address once: the generator's
-    # 27 evaluations of u share them
+    # 21 evaluations of u share them
     keys = {i >> 20 for i, _ in lanes}
     assert len(keys) == n_keys
     assert len(lanes) == n_keys * 20 * 8
@@ -442,3 +445,40 @@ def test_bump_and_config_validation():
     sim = make_unstopped_functional(problem, n_steps=4, paths_per_atom=8)
     with pytest.raises(ValueError, match="time"):
         sim(2.5, M3)
+
+
+# generator, the stop sensitivities and the residual report's (interior_term,
+# d_I_min, n_kept) on each shipped config, as computed before the probe plan
+# was split by caller: 40 paths per atom over 16 steps, keyed by m's atoms
+PROBES_BEFORE_THE_SPLIT = {
+    "standard_put": (
+        "-0x1.172dff7048518p-3",
+        ["0x1.a0273682a0f88p-3", "0x1.512ba71f507b4p-2", "0x1.5a65b86e4c0a8p-3"],
+        ("0x1.172dff7048518p-3", "0x1.5898faba2c5b8p-3", 1),
+    ),
+    "attraction": (
+        "0x1.60b857381939cp-7",
+        ["0x1.54e28781b4080p-6", "0x1.bbd4d18d82ff0p-6", "-0x1.6f877b55d9378p-4"],
+        ("-0x1.6e49619678035p-7", "-0x1.6f877b55d94a8p-4", 6),
+    ),
+    "mean_variance": (
+        "0x1.559d7e9af3280p-8",
+        ["-0x1.574497dcb4e18p-1", "-0x1.1758dd8a6b7f0p-2", "-0x1.2c6aabec309a0p-1"],
+        ("-0x1.559d7e9af3280p-8", "-0x1.57522851b72b8p-1", 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBES_BEFORE_THE_SPLIT))
+def test_split_probes_read_the_values_of_the_whole_plan_bit_for_bit(name):
+    cfg = load_experiment_config(str(files("mfstop").joinpath("configs", f"{name}.json")))
+    inst = cfg.instance()
+    m, problem = inst.m0, inst.problem
+    sim = dict(n_steps=16, paths_per_atom=40, seed=cfg.seed, anchors=m.xs[:, 0])
+    gen, d_i, report = PROBES_BEFORE_THE_SPLIT[name]
+    assert generator(make_unstopped_functional(problem, **sim), 0.0, m, problem).hex() == gen
+    got = stop_sensitivity(make_unstopped_functional(problem, **sim), 0.0, m)
+    assert [float(v).hex() for v in got] == d_i
+    rep = obstacle_residual(make_unstopped_functional(problem, **sim), 0.0, m, problem,
+                            ResidualConfig(n_stop_maps=4, seed=cfg.seed))
+    assert (rep["interior_term"].hex(), rep["d_I_min"].hex(), rep["n_kept"]) == report

@@ -90,7 +90,7 @@ def test_config_seed_beyond_u64_exits_2(tmp_path, capsys):
 
 
 def test_config_with_a_nan_lam_exits_2_on_load(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "solve_value", _raise(AssertionError("solver ran")))
+    monkeypatch.setattr("mfstop.solver.solve_value", _raise(AssertionError("solver ran")))
     path = _write_config(tmp_path, problem="mean_variance", problem_params={"lam": float("nan")})
     assert cli.main(["solve", "--config", path]) == 2
     assert "lam" in capsys.readouterr().err
@@ -99,7 +99,7 @@ def test_config_with_a_nan_lam_exits_2_on_load(tmp_path, capsys, monkeypatch):
 def test_threads_other_than_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
     from mfstop import acceptance
 
-    monkeypatch.setattr(cli, "solve_value", _raise(AssertionError("solver ran")))
+    monkeypatch.setattr("mfstop.solver.solve_value", _raise(AssertionError("solver ran")))
     monkeypatch.setattr(acceptance, "run_all", _raise(AssertionError("acceptance ran")))
     path = _write_config(tmp_path)
     assert cli.main(["solve", "--config", path, "--threads", "2"]) == 2
@@ -112,7 +112,7 @@ def test_threads_other_than_one_exit_2_before_any_work(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("split_index", [2.5, True])
 def test_non_integer_split_index_exits_2(tmp_path, capsys, monkeypatch, split_index):
-    monkeypatch.setattr(cli, "verify_dpp", _raise(AssertionError("verify_dpp ran")))
+    monkeypatch.setattr("mfstop.solver.verify_dpp", _raise(AssertionError("verify_dpp ran")))
     path = _write_config(tmp_path, split_index=split_index)
     assert cli.main(["verify-dpp", "--config", path]) == 2
     assert "split_index" in capsys.readouterr().err
@@ -158,7 +158,7 @@ def test_grid_n_over_the_noise_cap_exits_2_at_once(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(mfstop.rng, "normals", _raise(AssertionError("noise drawn")))
     # nor is the never-stop policy over grid_n nodes built
-    monkeypatch.setattr(cli.Policy, "never_stop", _raise(AssertionError("policy built")))
+    monkeypatch.setattr("mfstop.policy.Policy.never_stop", _raise(AssertionError("policy built")))
     path = _write_config(tmp_path, grid_n=10**21)
     assert cli.main(["simulate", "--config", path]) == 2
     err = capsys.readouterr().err
@@ -175,7 +175,7 @@ def _raise(exc):
 def test_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
     # the obstacle solver raises RuntimeError when it does not converge
     failure = "obstacle step did not settle within 481 policy iterations"
-    monkeypatch.setattr(cli, "standard_os_pde", _raise(RuntimeError(failure)))
+    monkeypatch.setattr("mfstop.pde.standard_os_pde", _raise(RuntimeError(failure)))
     path = _write_config(tmp_path)
     assert cli.main(["residual", "--config", path]) == 4
     err = capsys.readouterr().err
@@ -183,7 +183,7 @@ def test_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_memory_exhaustion_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_policy", _raise(MemoryError()))
+    monkeypatch.setattr("mfstop.policy.run_policy", _raise(MemoryError()))
     path = _write_config(tmp_path)
     assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 4
     assert "MemoryError" in capsys.readouterr().err
@@ -340,3 +340,15 @@ def test_cli_import_and_catalog_builds_leave_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", STARTUP], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.split() == ["[]", "False"]
+
+
+def test_importing_the_cli_loads_no_layer_a_subcommand_runs():
+    # each subcommand imports the layers it runs; dispatch and config
+    # loading need none of them
+    layers = ["mfstop." + name for name in ("solver", "policy", "calculus", "mollifier")]
+    code = f"import sys, mfstop.cli; print([m for m in {layers!r} if m in sys.modules])"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -11,9 +11,18 @@ from test_golden import PULL_M0, noisy_pull_problem
 
 from mfstop.calculus import generator, make_unstopped_functional
 from mfstop.catalog import load_experiment_config
-from mfstop.dynamics import NOISE_PASS_LANES, LawView, Noise, Particles, Problem, TimeGrid, flow
+from mfstop.dynamics import (
+    NOISE_PASS_LANES,
+    LawView,
+    Noise,
+    Particles,
+    Problem,
+    TimeGrid,
+    advance_positions,
+    flow,
+)
 from mfstop.measures import StopMap, _merge_sorted, make_empirical
-from mfstop.policy import Policy, evaluate_policy, policy_noise
+from mfstop.policy import Policy, evaluate_policy, policy_noise, run_policy
 
 
 def _mean_g(points, weights):
@@ -268,6 +277,66 @@ def test_a_position_that_overflows_is_refused():
             simulate(make_empirical([(0.0, 1)]), prob, TimeGrid(2, 2.0), 1, seed=None)
 
 
+def _all_alive_is_alive_all(particles):
+    assert particles.all_alive is bool(particles.alive.all())
+
+
+def test_all_alive_follows_alive_through_stops_copies_and_resumes():
+    _all_alive_is_alive_all(Particles.from_measure(make_empirical([(0.0, 1), (1.0, 0)]), 2))
+    particles = Particles.from_measure(make_empirical([(0.0, 1), (1.0, 1)]), 3)
+    _all_alive_is_alive_all(particles)
+    before = particles.copy()
+    particles.stop(0, lambda k, x, rows: np.full(rows.size, 0.5))  # fractional only
+    _all_alive_is_alive_all(particles)
+    particles.stop(1, lambda k, x, rows: (rows > 0).astype(float))  # stops row 0
+    for p in (particles, particles.copy(), before, before.copy()):
+        _all_alive_is_alive_all(p)
+    assert before.all_alive and not particles.all_alive
+
+    prob, grid = brownian_problem(), TimeGrid(4, 1.0)
+    m0 = make_empirical([(-0.5, 1), (0.5, 1)])
+    maps = (StopMap.constant(1.0), StopMap.constant(0.5), StopMap.threshold(0.0),
+            StopMap.constant(1.0))
+    noise = policy_noise(m0, prob, 5, 3, range(grid.n))
+    run = run_policy(m0, prob, grid, maps, 5, 3, noise=noise)
+    for k, checkpoint in enumerate(run.checkpoints):
+        _all_alive_is_alive_all(checkpoint.particles)
+        resumed = run_policy(m0, prob, grid, maps, 5, 3, k, noise=noise, resume=checkpoint)
+        _all_alive_is_alive_all(resumed.particles)
+    assert run.checkpoints[2].particles.all_alive and not run.particles.all_alive
+
+
+def test_an_all_alive_step_equals_the_masked_step_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x, xi = rng.standard_normal((50, 1)), rng.standard_normal((50, 1))
+    prob = gbm_problem(-0.3, 0.45)
+    every = np.ones(50, dtype=bool)
+    for noise in (xi, None):
+        unmasked = advance_positions(x, None, 0.3, 0.1, prob, None, noise)
+        masked = advance_positions(x, every, 0.3, 0.1, prob, None, noise)
+        assert unmasked.tobytes() == masked.tobytes()
+    # and a whole flow with every row alive, against the same flow made to mask
+    m0 = make_empirical([(-0.5, 1), (0.5, 1)])
+    table = Noise(8, 10, 1, range(6)).table
+    runs = [Particles.from_measure(m0, 5) for _ in range(2)]
+    runs[1].all_alive = False
+    for particles in runs:
+        for _ in flow(particles, prob, 0.0, 0.2, range(6), noise=table):
+            pass
+    assert runs[0].x.tobytes() == runs[1].x.tobytes()
+
+
+@pytest.mark.parametrize("alive", [None, np.ones(2, dtype=bool)], ids=["all-alive", "masked"])
+@pytest.mark.parametrize("drift", [np.nan, 1.5e308], ids=["nan", "overflow"])
+def test_a_non_finite_step_is_refused_with_or_without_the_mask(alive, drift):
+    prob = Problem(d=1, b=lambda t, x, m: drift, sigma=lambda t, x, m: 0.0, f=None,
+                   g=_mean_g, horizon=1.0)
+    x = np.full((2, 1), 1.5e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite drift or volatility"):
+            advance_positions(x, alive, 0.0, 1.0, prob, None, None)
+
+
 def test_flow_builds_no_canonical_measure(monkeypatch):
     import mfstop.measures
 
@@ -287,9 +356,9 @@ def test_flow_builds_no_canonical_measure(monkeypatch):
     assert builds == []
     u = make_unstopped_functional(inst.problem, n_steps=8, paths_per_atom=20, seed=4)
     generator(u, 0.0, inst.m0, inst.problem)
-    # only the bump probes, each at eps and eps/2: one per atom, then x + h,
-    # x - h and the stopped copy (x, 0) per survivor; 3 atoms, all alive
-    assert len(builds) == 2 * (3 + 3 * 3)
+    # only the bump probes, each at eps and eps/2: x, x + h and x - h per
+    # survivor; 3 atoms, all alive
+    assert len(builds) == 2 * 3 * 3
 
 
 def test_snapshot_is_valid_measure():
