@@ -41,10 +41,9 @@ __all__ = [
 def coefficient_field(name: str, **params) -> tuple[Callable, bool]:
     """Return (callable with signature (t, x, m), uses_measure) by name.
 
-    constant:       value
-    affine:         intercept + slope * x  (componentwise)
-    mean_reverting: kappa * (level - x)
-    attraction:     kappa * (surviving mean - x); reads the measure
+    constant:   value
+    affine:     intercept + slope * x  (componentwise)
+    attraction: kappa * (surviving mean - x); reads the measure
     """
     if name == "constant":
         value = float(params.pop("value"))
@@ -54,11 +53,6 @@ def coefficient_field(name: str, **params) -> tuple[Callable, bool]:
         intercept = float(params.pop("intercept", 0.0))
         slope = float(params.pop("slope"))
         fn = lambda t, x, m: intercept + slope * x
-        uses_measure = False
-    elif name == "mean_reverting":
-        kappa = float(params.pop("kappa"))
-        level = float(params.pop("level", 0.0))
-        fn = lambda t, x, m: kappa * (level - x)
         uses_measure = False
     elif name == "attraction":
 

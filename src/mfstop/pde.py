@@ -19,28 +19,29 @@ There is one backward sweep, and it carries K obstacles on the same grid
 and coefficients at once; `standard_os_pde` is its K = 1 case. Each step
 evaluates the coefficient rows once and stacks the K blocks into one
 (K nx)-row tridiagonal system, so each policy iteration is a single
-`dgtsv` call over the blocks still live. A block keeps its own warm start,
-tolerance and iteration count, and leaves the later iterations once it
-settles. The stacked solve is the separate solves bit for bit: the two
-boundary rows of every block sit on the obstacle, so the entries coupling
-neighbouring blocks are exactly 0. At each block boundary the elimination
-multiplier is then 0 and partial pivoting never swaps rows across it, so
-every block goes through the separate solve's arithmetic. (Subtracting
-that zero product can only turn a -0.0 boundary payoff into +0.0.)
+`dgtsv` call over all K blocks. A block keeps its own warm start and
+tolerance; once it settles it keeps its rows, and the step ends when every
+block has settled. The stacked solve is the separate solves bit for bit:
+the two boundary rows of every block sit on the obstacle, so the entries
+coupling neighbouring blocks are exactly 0. At each block boundary the
+elimination multiplier is then 0 and partial pivoting never swaps rows
+across it, so every block goes through the separate solve's arithmetic,
+and a settled block solved again comes back unchanged. (Subtracting that
+zero product can only turn a -0.0 boundary payoff into +0.0.)
 
 A step is a pure function of its rows, its right-hand side and the warm
 start it begins from (`psi`, its row maxima and the mode are fixed within a
-sweep), so the sweep keeps the last step it solved and does not solve a
-step whose inputs repeat it: the rows are the same object, and the
-right-hand side and the warm start are equal bit for bit (by their bits,
-not by ==, which takes -0.0 for +0.0). The last output, which the sweep
-still holds, is then exactly what the solve would return, and the solve
-would leave the warm start as it found it: the current warm start is what
-the last solve left, and equals what it began from. Steps repeat wherever
-stopping at once is optimal and every slice is the obstacle itself, as for
-the payoffs both risk duals scan on their shipped instances. The step after
-one that moved the warm start begins from another warm start and is
-solved; a failing step stores nothing. The memo lives for one sweep.
+sweep). The step reports whether it moved its warm start, which it does
+exactly when its first solve left some block unsettled. After a step that
+did not, the sweep keeps its rows and right-hand side, and does not solve a
+next step whose rows are the same object and whose right-hand side is equal
+bit for bit (by its bits, not by ==, which takes -0.0 for +0.0): that step
+begins from the same warm start, so the output the sweep still holds is
+exactly what the solve would return. After a step that moved its warm
+start the sweep keeps nothing, and the next step is solved. Steps repeat
+wherever stopping at once is optimal and every slice is the obstacle
+itself, as for the payoffs both risk duals scan on their shipped instances.
+A failing step stores nothing. The memo lives for one sweep.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def _lcp_step(
     on_obstacle: np.ndarray,
     mode: str,
     gtsv,
-) -> np.ndarray:
+) -> tuple:
     """Solve one backward step of K stacked complementarity systems exactly.
 
     Every block (a row of `rhs`, `psi` and `on_obstacle`, shape (K, nx))
@@ -157,50 +158,40 @@ def _lcp_step(
     mode 'sup': min(Av - rhs, v - psi) = 0;  'inf': min(rhs - Av, psi - v) = 0.
     Policy iteration from the rows `on_obstacle` marks (the two boundary rows
     of each block always are, which pins them to psi), updated in place;
-    `psi_max` is max|psi| per block. Each iteration solves every live block
-    with one call of `gtsv`, LAPACK's tridiagonal solver, and a block leaves
-    the later iterations once it settles. It settles on a residual at
-    rounding level, not on a repeated set of rows, which can cycle where v
-    and psi coincide.
+    `psi_max` is max|psi| per block. Each iteration solves all K blocks with
+    one call of `gtsv`, LAPACK's tridiagonal solver. A block settles on a
+    residual at rounding level, not on a repeated set of rows, which can
+    cycle where v and psi coincide; a settled block keeps its rows, so the
+    later solves return it unchanged, and the loop ends once every block
+    has settled. Returns (values, moved): `moved` is False when the first
+    solve settled every block, which leaves `on_obstacle` as it found it.
     """
     lower, diag, upper, norm_a = rows
     sign = 1.0 if mode == "sup" else -1.0
     project = np.maximum if mode == "sup" else np.minimum
     # rounding in Av - rhs grows with |A| |v|, and |v| <= max(|rhs|, |psi|)
     tol = 1e-13 * norm_a * (np.max(np.abs(rhs), axis=1) + psi_max)
-    live = None  # indices of the unsettled blocks; None while all are
-    r, p, on, tl = rhs, psi, on_obstacle, tol
-    for _ in range(rhs.shape[1]):
+    for iteration in range(rhs.shape[1]):
         _, _, _, v, info = gtsv(
-            np.where(on, 0.0, lower).ravel()[1:],
-            np.where(on, 1.0, diag).ravel(),
-            np.where(on, 0.0, upper).ravel()[:-1],
-            np.where(on, p, r).ravel(),
+            np.where(on_obstacle, 0.0, lower).ravel()[1:],
+            np.where(on_obstacle, 1.0, diag).ravel(),
+            np.where(on_obstacle, 0.0, upper).ravel()[:-1],
+            np.where(on_obstacle, psi, rhs).ravel(),
         )
         if info != 0:
             raise RuntimeError(f"LAPACK tridiagonal solve failed (info={info})")
-        v = v.reshape(r.shape)
+        v = v.reshape(rhs.shape)
         av = diag * v
         av[:, 1:] += lower[1:] * v[:, :-1]
         av[:, :-1] += upper[:-1] * v[:, 1:]
-        equation_gap = sign * (av - r)[:, 1:-1]
-        obstacle_gap = sign * (v - p)[:, 1:-1]
-        settled = np.max(np.abs(np.minimum(equation_gap, obstacle_gap)), axis=1) <= tl
-        if live is None and settled.all():
-            return project(v, p)
+        equation_gap = sign * (av - rhs)[:, 1:-1]
+        obstacle_gap = sign * (v - psi)[:, 1:-1]
+        settled = np.max(np.abs(np.minimum(equation_gap, obstacle_gap)), axis=1) <= tol
+        if settled.all():
+            return project(v, psi), iteration > 0
         # near-ties leave the obstacle; flipping them on rounding noise stalls
-        flips = obstacle_gap < equation_gap - tl[:, None]
-        if live is None and not settled.any():
-            on[:, 1:-1] = flips  # still all live: update in place
-            continue
-        if live is None:
-            live, out = np.arange(len(rhs)), np.empty_like(rhs)
-        out[live[settled]] = project(v[settled], p[settled])
-        live = live[~settled]
-        if len(live) == 0:
-            return out
-        on_obstacle[live, 1:-1] = flips[~settled]
-        r, p, on, tl = rhs[live], psi[live], on_obstacle[live], tol[live]
+        flips = obstacle_gap < equation_gap - tol[:, None]
+        on_obstacle[~settled, 1:-1] = flips[~settled]
     raise RuntimeError(
         f"obstacle step did not settle within {rhs.shape[1]} policy iterations"
     )
@@ -240,7 +231,7 @@ def _sweep(problem: Problem, psis, cfg: PdeConfig, mode: str, keep_surfaces: boo
         values[-1] = current
     on_obstacle = np.ones(psi_values.shape, dtype=bool)
     coefficients = None
-    last = None  # (rows, rhs, warm start) of the last step solved
+    last = None  # (rows, rhs) of the last step, unless it moved its warm start
     for k in range(cfg.nt - 1, -1, -1):
         t = ts[k]
         b, s2 = _coefficient_rows(problem, t, xs)
@@ -259,12 +250,10 @@ def _sweep(problem: Problem, psis, cfg: PdeConfig, mode: str, keep_surfaces: boo
             last is not None
             and last[0] is rows
             and np.array_equal(rhs.view(np.uint64), last[1].view(np.uint64))
-            and np.array_equal(on_obstacle, last[2])
         )
         if not repeat:  # a repeated step keeps the output `current` already is
-            start = on_obstacle.copy()
-            current = _lcp_step(rhs, rows, psi_values, psi_max, on_obstacle, mode, dgtsv)
-            last = (rows, rhs, start)
+            current, moved = _lcp_step(rhs, rows, psi_values, psi_max, on_obstacle, mode, dgtsv)
+            last = None if moved else (rows, rhs)
         if keep_surfaces:
             values[k] = current
     return xs, ts, psi_values, values if keep_surfaces else current

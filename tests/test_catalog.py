@@ -56,10 +56,6 @@ def test_coefficient_field_families():
     out = np.ravel(affine(0.0, np.array([[2.0]]), None))
     np.testing.assert_allclose(out, [-0.9])
 
-    revert, _ = coefficient_field("mean_reverting", kappa=2.0, level=1.0)
-    out = np.ravel(revert(0.0, np.array([[3.0]]), None))
-    np.testing.assert_allclose(out, [-4.0])
-
     with pytest.raises(ValueError, match="unknown coefficient"):
         coefficient_field("fancy")
     with pytest.raises(ValueError):

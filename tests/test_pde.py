@@ -127,7 +127,7 @@ def lcp_step(rhs, lower, diag, upper, psi, on_obstacle, mode):
     """The step kernel on the blocks in the rows of rhs, psi and on_obstacle."""
     rows = (lower, diag, upper, np.max(np.abs(lower) + diag + np.abs(upper)))
     psi_max = np.max(np.abs(psi), axis=1)
-    return _lcp_step(rhs, rows, psi, psi_max, on_obstacle, mode, scipy.linalg.lapack.dgtsv)
+    return _lcp_step(rhs, rows, psi, psi_max, on_obstacle, mode, scipy.linalg.lapack.dgtsv)[0]
 
 
 def random_m_matrix(rng, n):
@@ -159,10 +159,20 @@ def test_lcp_step_matches_brute_force_enumeration(mode):
 
 
 @pytest.mark.parametrize("mode", ["sup", "inf"])
-def test_stacked_lcp_step_matches_brute_force_and_single_blocks(mode):
+def test_stacked_lcp_step_matches_brute_force_and_single_blocks(monkeypatch, mode):
     # K blocks share one random M-matrix; each block has its own data and
-    # warm start, and must equal both the oracle and its own K = 1 solve
+    # warm start, and must equal both the oracle and its own K = 1 solve,
+    # also where a block settles before the others and is solved again
+    solves = []
+    gtsv = scipy.linalg.lapack.dgtsv
+
+    def counted(*args):
+        solves.append(None)
+        return gtsv(*args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted)
     rng = np.random.default_rng(11)
+    uneven = 0  # draws whose blocks settle at different iterations
     for _ in range(40):
         n = int(rng.integers(3, 9))
         k = int(rng.integers(2, 6))
@@ -173,15 +183,18 @@ def test_stacked_lcp_step_matches_brute_force_and_single_blocks(mode):
         rhs[rng.random((k, n)) < 0.2] = 0.0
         start = rng.random((k, n)) < 0.5
         start[:, [0, -1]] = True
-        singles = [
-            lcp_step(rhs[[j]], lower, diag, upper, psi[[j]], start[[j]], mode)[0]
-            for j in range(k)
-        ]
+        singles, iterations = [], set()
+        for j in range(k):
+            solves.clear()
+            singles.append(lcp_step(rhs[[j]], lower, diag, upper, psi[[j]], start[[j]], mode)[0])
+            iterations.add(len(solves))
+        uneven += len(iterations) > 1
         v = lcp_step(rhs, lower, diag, upper, psi, start.copy(), mode)
         for j in range(k):
             oracle = brute_force_lcp(lower, diag, upper, rhs[j], psi[j], mode)
             assert np.max(np.abs(v[j] - oracle)) < 1e-12
             assert v[j].tobytes() == singles[j].tobytes()
+    assert uneven > 0
 
 
 def test_fine_grid_with_long_steps_matches_unconstrained_solve():
@@ -270,7 +283,7 @@ def reference_sweep(problem, psis, cfg, mode):
             rhs = rhs + dt * problem.rate(ts[k], xs[:, None], None)
         values[k] = _lcp_step(
             rhs, rows, psi_values, psi_max, on_obstacle, mode, scipy.linalg.lapack.dgtsv
-        )
+        )[0]
     return values
 
 
@@ -346,8 +359,10 @@ def test_stacked_sweep_equals_separate_solves(case):
 
 def test_a_step_that_repeats_the_last_one_is_not_solved_again(monkeypatch):
     # stopping at once is optimal for both shipped duals, so every step of a
-    # sweep after its first repeats the rows, right-hand side and warm start
-    # of the step before; a put step or a moving drift never does
+    # sweep after its first repeats the rows and right-hand side of the step
+    # before and leaves its warm start as it found it; a step of the GBM
+    # dual or of a put changes the right-hand side, and a moving drift the
+    # rows
     calls = []
     step = pde_module._lcp_step
 
@@ -364,6 +379,10 @@ def test_a_step_that_repeats_the_last_one_is_not_solved_again(monkeypatch):
     risk.mean_variance_dual(mv.m0, mv.problem, 1.0, mv.pde_cfg)
     assert len(calls) == 3  # the slope grid and 2 refine rounds
     calls.clear()
+    gbm = build_instance("mean_variance_gbm")
+    risk.mean_variance_dual(gbm.m0, gbm.problem, 0.5, gbm.pde_cfg)
+    assert len(calls) == 1080  # every step changes its right-hand side
+    calls.clear()
     put = build_instance("standard_put")
     standard_os_pde(put.problem, put.psi, put.pde_cfg)
     assert len(calls) == put.pde_cfg.nt
@@ -371,6 +390,22 @@ def test_a_step_that_repeats_the_last_one_is_not_solved_again(monkeypatch):
     cfg = small_cfg(nt=40)
     standard_os_pde(moving_drift_problem(), put_psi, cfg, mode="sup")
     assert len(calls) == cfg.nt
+
+
+@pytest.mark.parametrize("moved,solves", [(False, 1), (True, 40)])
+def test_a_step_that_moved_its_warm_start_is_solved_again(monkeypatch, moved, solves):
+    # a step that returns its own right-hand side makes every later step
+    # repeat the rows and right-hand side; it may be skipped only when the
+    # solve left the warm start as it found it
+    calls = []
+
+    def fake_step(rhs, *args):
+        calls.append(None)
+        return rhs.copy(), moved
+
+    monkeypatch.setattr(pde_module, "_lcp_step", fake_step)
+    standard_os_pde(brownian_problem(0.3), put_psi, small_cfg(nt=40), mode="sup")
+    assert len(calls) == solves
 
 
 def test_interpolation_and_domain_guard():
