@@ -16,14 +16,19 @@ directions: mode 'sup' keeps v >= psi (maximize over stopping), mode 'inf'
 keeps v <= psi (minimize, used by the shortfall reduction).
 
 There is one backward sweep, and it carries K obstacles on the same grid
-and coefficients at once; `standard_os_pde` is its K = 1 case. Each step
-evaluates the coefficient rows once and stacks the K blocks into one
-(K nx)-row tridiagonal system, so each policy iteration is a single
-`dgtsv` call over all K blocks. A block keeps its own warm start and
-tolerance; once it settles it keeps its rows, and the step ends when every
-block has settled. The stacked solve is the separate solves bit for bit:
-the two boundary rows of every block sit on the obstacle, so the entries
-coupling neighbouring blocks are exactly 0. At each block boundary the
+and coefficients at once; `standard_os_pde` is its K = 1 case. The rows of
+every step come from `step_rows`, which evaluates the coefficients once per
+step and builds the rows again only where they change, so a
+time-homogeneous problem holds one rows object for all its steps. Several
+sweeps over one problem and grid may share that set, as the risk duals'
+scans do; the rows are read-only, and a sweep refuses a set built for
+another problem or grid. Each step stacks the K blocks into one (K nx)-row
+tridiagonal system, so each policy iteration is a single `dgtsv` call over
+all K blocks. A block keeps its own warm start and tolerance; once it
+settles it keeps its rows, and the step ends when every block has settled.
+The stacked solve is the separate solves bit for bit: the two boundary rows
+of every block sit on the obstacle, so the entries coupling neighbouring
+blocks are exactly 0. At each block boundary the
 elimination multiplier is then 0 and partial pivoting never swaps rows
 across it, so every block goes through the separate solve's arithmetic,
 and a settled block solved again comes back unchanged. (Subtracting that
@@ -41,7 +46,11 @@ exactly what the solve would return. After a step that moved its warm
 start the sweep keeps nothing, and the next step is solved. Steps repeat
 wherever stopping at once is optimal and every slice is the obstacle
 itself, as for the payoffs both risk duals scan on their shipped instances.
-A failing step stores nothing. The memo lives for one sweep.
+A repeated step keeps its own right-hand side; without a running reward
+that is the next step's right-hand side itself, so a run of repeats costs
+an identity check per step, not a comparison. A failing step stores
+nothing. The memo lives for one sweep; the step rows it compares by
+identity may outlive it.
 """
 
 from __future__ import annotations
@@ -60,6 +69,8 @@ __all__ = [
     "standard_os_pde",
     "stacked_os_pde",
     "stacked_initial_values",
+    "StepRows",
+    "step_rows",
     "aggregate_value",
     "aggregate_slice",
 ]
@@ -139,7 +150,51 @@ def _tridiag(b: np.ndarray, s2: np.ndarray, dt: float, h: float):
     diag = np.where(
         central, 1.0 + 2.0 * dt * diff, 1.0 + 2.0 * dt * diff + dt * (bp - bm) / h
     )
-    return lower, diag, upper, np.max(np.abs(lower) + diag + np.abs(upper))
+    norm_a = np.max(np.abs(lower) + diag + np.abs(upper))
+    for row in (lower, diag, upper):
+        row.setflags(write=False)  # shared by every sweep over the same steps
+    return lower, diag, upper, norm_a
+
+
+class StepRows:
+    """The grid xs (nx,), ts (nt+1,) and the tridiagonal rows of every
+    backward step of one (problem, cfg) pair; `rows[k]`, a `_tridiag`
+    result, is the step from t_(k+1) to t_k.
+
+    Built by `step_rows`. Adjacent steps whose coefficients are equal share
+    one rows object, so a time-homogeneous problem holds exactly one.
+    """
+
+    # a plain class: generating a dataclass would add to every CLI start-up
+    __slots__ = ("problem", "cfg", "xs", "ts", "rows")
+
+    def __init__(self, problem: Problem, cfg: PdeConfig, xs, ts, rows: tuple):
+        self.problem, self.cfg, self.xs, self.ts, self.rows = problem, cfg, xs, ts, rows
+
+
+def step_rows(problem: Problem, cfg: PdeConfig) -> StepRows:
+    """Evaluate the coefficients once per step and build the rows of every
+    backward step, for any number of sweeps over this problem and grid."""
+    if problem.d != 1:
+        raise ValueError("the obstacle solver is one-dimensional")
+    if problem.uses_measure:
+        raise ValueError("the aggregation route needs measure-free coefficients")
+    xs = np.linspace(cfg.x_lo, cfg.x_hi, cfg.nx)
+    ts = np.linspace(0.0, problem.horizon, cfg.nt + 1)
+    rows = [None] * cfg.nt
+    coefficients = None
+    for k in range(cfg.nt - 1, -1, -1):
+        b, s2 = _coefficient_rows(problem, ts[k], xs)
+        # the rows depend on t only through the coefficients: rebuild them
+        # only when those change, which time-homogeneous problems never do
+        if coefficients is None or not (
+            np.array_equal(b, coefficients[0]) and np.array_equal(s2, coefficients[1])
+        ):
+            check_coefficients(b, s2)
+            coefficients = (b, s2)
+            built = _tridiag(b, s2, ts[1] - ts[0], xs[1] - xs[0])
+        rows[k] = built
+    return StepRows(problem=problem, cfg=cfg, xs=xs, ts=ts, rows=tuple(rows))
 
 
 def _lcp_step(
@@ -197,23 +252,30 @@ def _lcp_step(
     )
 
 
-def _sweep(problem: Problem, psis, cfg: PdeConfig, mode: str, keep_surfaces: bool):
-    """One backward obstacle solve for K payoffs on one grid.
+def _sweep(
+    problem: Problem,
+    psis,
+    cfg: PdeConfig,
+    mode: str,
+    keep_surfaces: bool,
+    steps: StepRows | None = None,
+):
+    """One backward obstacle solve for K payoffs on one grid, over the
+    prepared `steps` of (problem, cfg), or over its own when None.
 
     Returns (xs, ts, psi_values (K, nx), values): values is (nt+1, K, nx)
     when `keep_surfaces`, else only the t = 0 slices (K, nx).
     """
-    if problem.d != 1:
-        raise ValueError("the obstacle solver is one-dimensional")
-    if problem.uses_measure:
-        raise ValueError("the aggregation route needs measure-free coefficients")
     if mode not in ("sup", "inf"):
         raise ValueError("mode must be 'sup' or 'inf'")
     if len(psis) == 0:
         raise ValueError("need at least one payoff")
+    if steps is None:
+        steps = step_rows(problem, cfg)
+    elif steps.problem is not problem or steps.cfg != cfg:
+        raise ValueError("the step rows were prepared for another problem or grid")
 
-    xs = np.linspace(cfg.x_lo, cfg.x_hi, cfg.nx)
-    ts = np.linspace(0.0, problem.horizon, cfg.nt + 1)
+    xs, ts = steps.xs, steps.ts
     dt = ts[1] - ts[0]
     psi_values = np.empty((len(psis), cfg.nx))
     for row, psi in zip(psi_values, psis):
@@ -230,30 +292,24 @@ def _sweep(problem: Problem, psis, cfg: PdeConfig, mode: str, keep_surfaces: boo
         values = np.empty((cfg.nt + 1,) + psi_values.shape)
         values[-1] = current
     on_obstacle = np.ones(psi_values.shape, dtype=bool)
-    coefficients = None
     last = None  # (rows, rhs) of the last step, unless it moved its warm start
     for k in range(cfg.nt - 1, -1, -1):
-        t = ts[k]
-        b, s2 = _coefficient_rows(problem, t, xs)
-        # the rows depend on t only through the coefficients: rebuild them
-        # only when those change, which time-homogeneous problems never do
-        if coefficients is None or not (
-            np.array_equal(b, coefficients[0]) and np.array_equal(s2, coefficients[1])
-        ):
-            check_coefficients(b, s2)
-            coefficients = (b, s2)
-            rows = _tridiag(b, s2, dt, xs[1] - xs[0])
+        rows = steps.rows[k]
         rhs = current
         if problem.f is not None:
-            rhs = rhs + dt * problem.rate(t, xs[:, None], None)
+            rhs = rhs + dt * problem.rate(ts[k], xs[:, None], None)
         repeat = (
             last is not None
             and last[0] is rows
-            and np.array_equal(rhs.view(np.uint64), last[1].view(np.uint64))
+            and (
+                rhs is last[1]
+                or np.array_equal(rhs.view(np.uint64), last[1].view(np.uint64))
+            )
         )
         if not repeat:  # a repeated step keeps the output `current` already is
             current, moved = _lcp_step(rhs, rows, psi_values, psi_max, on_obstacle, mode, dgtsv)
-            last = None if moved else (rows, rhs)
+        # a repeated step keeps its own rhs, which is the next step's when f is None
+        last = None if moved else (rows, rhs)
         if keep_surfaces:
             values[k] = current
     return xs, ts, psi_values, values if keep_surfaces else current
@@ -282,12 +338,15 @@ def stacked_initial_values(
     psis,
     cfg: PdeConfig,
     mode: str = "sup",
+    steps: StepRows | None = None,
 ) -> tuple:
     """The t = 0 slices of `stacked_os_pde`, without keeping the surfaces.
 
+    `steps`, from `step_rows(problem, cfg)`, lets several sweeps share one
+    set of step rows; by default the sweep builds its own.
     Returns (xs, values) with values of shape (K, nx), one row per payoff.
     """
-    xs, _, _, values = _sweep(problem, psis, cfg, mode, keep_surfaces=False)
+    xs, _, _, values = _sweep(problem, psis, cfg, mode, keep_surfaces=False, steps=steps)
     return xs, values
 
 

@@ -9,7 +9,8 @@ the payoff (x-beta)+ and the outer minimization over beta commutes with the
 inner stopping problem. Both reductions price their linear subproblems with
 the obstacle solver and the aggregation identity from `pde`, and both find
 their best slope or level by one bracket search (a grid, then 9-point rounds
-that shrink the bracket by 4) whose every scan is one stacked backward sweep.
+that shrink the bracket by 4) whose every scan is one stacked backward sweep;
+a dual builds its step rows once and every one of its sweeps reuses them.
 
 The distortion functional needs no dynamics at all: on an atomic law the
 layer-cake integral collapses to an exact finite sum.
@@ -31,6 +32,7 @@ from .pde import (
     aggregate_value,
     stacked_initial_values,
     stacked_os_pde,
+    step_rows,
 )
 from .util import check_threads
 
@@ -109,9 +111,10 @@ class EsResult:
     beta_star: float
 
 
-def _linear_values(m, problem, psis, pde_cfg, mode) -> list:
-    """Value of m for each payoff: one stacked sweep, aggregated at t = 0."""
-    xs, rows = stacked_initial_values(problem, psis, pde_cfg, mode)
+def _linear_values(m, problem, psis, pde_cfg, mode, steps=None) -> list:
+    """Value of m for each payoff: one stacked sweep over `steps` (see
+    `stacked_initial_values`), aggregated at t = 0."""
+    xs, rows = stacked_initial_values(problem, psis, pde_cfg, mode, steps)
     return [aggregate_slice(m, xs, row, psi) for row, psi in zip(rows, psis)]
 
 
@@ -177,10 +180,10 @@ def expected_shortfall_value(
     (x - beta)+, the aggregation identity lifts it to the measure m, and the
     scalar objective beta + V_beta/(1-alpha) is minimized by `_bracket_search`,
     as in `mean_variance_dual`, with as many rounds as it takes to shrink the
-    bracket to `xtol`; each scan and round is one stacked sweep, and no
-    level is solved on its own. The objective grows at both ends of the beta
-    axis, so an interior bracket exists; failing to find one in the
-    configured range is an error.
+    bracket to `xtol`; each scan and round is one stacked sweep over step
+    rows built once per call, and no level is solved on its own. The
+    objective grows at both ends of the beta axis, so an interior bracket
+    exists; failing to find one in the configured range is an error.
 
     `threads` must be 1; it is kept so that existing callers keep working.
     """
@@ -203,9 +206,11 @@ def expected_shortfall_value(
     if not (math.isfinite(xtol) and xtol > 0.0):
         raise ValueError("xtol must be finite and positive")
 
+    steps = step_rows(problem, pde_cfg)
+
     def neg_objectives(betas) -> list:
         psis = [_shortfall_payoff(beta) for beta in betas]
-        values = _linear_values(m, problem, psis, pde_cfg, "inf")
+        values = _linear_values(m, problem, psis, pde_cfg, "inf", steps)
         return [-(beta + v_beta / (1.0 - alpha)) for beta, v_beta in zip(betas, values)]
 
     # the bracket is two scan steps wide and each round shrinks it by 4
@@ -265,7 +270,8 @@ def mean_variance_dual(
     -lam/2, all other slopes have infinite conjugate). Each V_a is an
     obstacle solve plus aggregation; the outer sup runs on a grid with local
     refinement and reports the maximizing slope a*. The grid is one stacked
-    backward sweep, and so are the new slopes of each refinement round.
+    backward sweep, and so are the new slopes of each refinement round; all
+    of them share step rows built once per call.
 
     lam = 0 degenerates to the plain mean problem and is evaluated directly.
     `threads` must be 1; it is kept so that existing callers keep working.
@@ -288,9 +294,11 @@ def mean_variance_dual(
     if not (math.isfinite(a_lo) and math.isfinite(a_hi) and a_lo < a_hi):
         raise ValueError("alpha bounds must be finite and increasing")
 
+    steps = step_rows(problem, pde_cfg)
+
     def dual_objectives(alphas) -> list:
         psis = [_meanvar_payoff(a, lam) for a in alphas]
-        values = _linear_values(m, problem, psis, pde_cfg, "sup")
+        values = _linear_values(m, problem, psis, pde_cfg, "sup", steps)
         return [v_a - (a - 1.0) ** 2 / (2.0 * lam) for a, v_a in zip(alphas, values)]
 
     best_a, best = _bracket_search(

@@ -22,6 +22,7 @@ from mfstop.pde import (
     stacked_initial_values,
     stacked_os_pde,
     standard_os_pde,
+    step_rows,
 )
 
 K = 1.0
@@ -355,6 +356,45 @@ def test_stacked_sweep_equals_separate_solves(case):
         assert aggregate_slice(m, xs, initial[j], psi) == aggregate_value(m, one, psi)
     with pytest.raises(ValueError, match="payoff"):
         stacked_initial_values(problem, [], cfg)
+
+
+@pytest.mark.parametrize("case", ["sup", "inf", "switch"])
+def test_sweeps_that_share_step_rows_equal_separate_solves(case):
+    # two sweeps with different payoffs over one prepared set of rows: in
+    # 'sup' and 'inf' the rows differ at every step and the running reward
+    # makes a new right-hand side at every step
+    problem, psis, cfg, mode = sweep_case(case)
+    steps = step_rows(problem, cfg)
+    for payoffs in (psis, [put_psi, psis[0]]):
+        reference = reference_sweep(problem, payoffs, cfg, mode)
+        xs, ts, _, values = pde_module._sweep(problem, payoffs, cfg, mode, True, steps)
+        assert values.tobytes() == reference.tobytes()
+        _, initial = stacked_initial_values(problem, payoffs, cfg, mode, steps)
+        assert initial.tobytes() == reference[0].tobytes()
+        assert xs is steps.xs and ts is steps.ts
+
+
+def test_step_rows_are_refused_for_another_problem_or_grid():
+    problem, cfg = brownian_problem(0.3), small_cfg(nt=40)
+    steps = step_rows(problem, cfg)
+    assert len(steps.rows) == cfg.nt and all(rows is steps.rows[0] for rows in steps.rows)
+    # an equal grid built anew is the same grid
+    stacked_initial_values(problem, [put_psi], small_cfg(nt=40), "sup", steps)
+    with pytest.raises(ValueError, match="another problem or grid"):
+        stacked_initial_values(brownian_problem(0.3), [put_psi], cfg, "sup", steps)
+    with pytest.raises(ValueError, match="another problem or grid"):
+        stacked_initial_values(problem, [put_psi], small_cfg(nt=41), "sup", steps)
+
+
+def test_step_rows_are_read_only():
+    problem, cfg = moving_drift_problem(), small_cfg(nt=40)
+    steps = step_rows(problem, cfg)
+    for rows in (steps.rows[0], steps.rows[-1]):
+        for row in rows[:3]:
+            with pytest.raises(ValueError, match="read-only"):
+                row[1] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                row *= 2.0
 
 
 def test_a_step_that_repeats_the_last_one_is_not_solved_again(monkeypatch):

@@ -198,12 +198,23 @@ def counted_sweeps(monkeypatch) -> list:
 
 
 def test_shipped_shortfall_makes_one_sweep_per_scan(monkeypatch):
-    # the 17-level scan, then the 9 rounds that shrink its bracket to xtol
+    # the 17-level scan, then the 9 rounds that shrink its bracket to xtol;
+    # all ten sweeps share the step rows, so the drift is evaluated once per
+    # step of the dual
     sizes = counted_sweeps(monkeypatch)
     inst = build_instance("shortfall")
-    expected_shortfall_value(inst.m0, inst.problem, 0.8, inst.pde_cfg)
+    calls = []
+    drift = inst.problem.b
+
+    def counted(t, x, m):
+        calls.append(t)
+        return drift(t, x, m)
+
+    problem = dataclasses.replace(inst.problem, b=counted)
+    expected_shortfall_value(inst.m0, problem, 0.8, inst.pde_cfg)
     assert len(sizes) == 10
     assert sizes[0] == 17 and max(sizes[1:]) <= 9
+    assert len(calls) == inst.pde_cfg.nt == 300
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.9, 0.95])
@@ -345,7 +356,8 @@ def test_alpha_star_path_runs_its_rule_once(monkeypatch):
 
 def test_mean_variance_dual_makes_one_sweep_per_slope_grid(monkeypatch):
     # the coarse grid and the new slopes of each of the two refine rounds
-    # are one sweep each, and a sweep evaluates the drift once per step
+    # are one sweep each, and the sweeps share the step rows, so the dual
+    # evaluates the drift once per step
     sizes = counted_sweeps(monkeypatch)
     inst = build_instance("mean_variance", lam=1.0)
     calls = []
@@ -358,7 +370,7 @@ def test_mean_variance_dual_makes_one_sweep_per_slope_grid(monkeypatch):
     problem = dataclasses.replace(inst.problem, b=counted)
     res = mean_variance_dual(inst.m0, problem, 1.0, inst.pde_cfg, refine_rounds=2)
     assert len(sizes) == 1 + 2 and sizes[0] == 21 and max(sizes[1:]) <= 9
-    assert len(calls) == 3 * inst.pde_cfg.nt
+    assert len(calls) == inst.pde_cfg.nt
     assert (repr(res.value), repr(res.alpha_star)) == ("0.5648000000000001", "1.7599999999999998")
 
 
