@@ -116,7 +116,7 @@ class Problem:
     def drift(self, t: float, x: np.ndarray, m) -> np.ndarray:
         """b at the rows of x, as an (N, d) array."""
         b = np.asarray(self.b(t, x, m if self.uses_measure else None), dtype=float)
-        return b if b.shape == x.shape else np.broadcast_to(b, x.shape)
+        return b if b.shape == x.shape else np.full(x.shape, b)
 
     def vol(self, t: float, x: np.ndarray, m) -> np.ndarray:
         """sigma at the rows of x, broadcastable to (N, d): a scalar, (N, 1) or (N, d)."""

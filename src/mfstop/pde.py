@@ -10,10 +10,22 @@ The scheme is implicit Euler in time with central/upwind differences in
 space. Each backward step is a tridiagonal linear complementarity problem
 with an M-matrix, solved exactly by policy iteration (Howard's algorithm):
 every row either obeys the linear equation or sits on the obstacle, and
-each iteration is one LAPACK tridiagonal solve (Reisinger & Witte, SIAM J.
-Financial Math. 3, 2012). The same kernel serves both inequality
-directions: mode 'sup' keeps v >= psi (maximize over stopping), mode 'inf'
-keeps v <= psi (minimize, used by the shortfall reduction).
+each iteration is one solve of the masked tridiagonal system, whose rows on
+the obstacle are identity rows (Reisinger & Witte, SIAM J. Financial Math.
+3, 2012). The same kernel serves both inequality directions: mode 'sup'
+keeps v >= psi (maximize over stopping), mode 'inf' keeps v <= psi
+(minimize, used by the shortfall reduction).
+
+The masked system depends only on the step's rows and the obstacle set, so
+it is factored once per obstacle set, not once per solve: LAPACK `gttrf`
+makes its LU factors and every iteration solves with `gttrs`, which does the
+arithmetic of a `gtsv` solve (same multipliers, same pivots, same order), so
+the values are those of a `gtsv` solve bit for bit. An iteration that
+changes the obstacle set factors again, and no change follows the last
+solve of a step, so the factors a step returns always match the warm start
+it leaves behind, whether it moved that warm start or not. The sweep keeps
+them with their rows, and a step whose rows are the same object starts
+from those factors: a put over 600 steps factors twice for 601 solves.
 
 There is one backward sweep, and it carries K obstacles on the same grid
 and coefficients at once; `standard_os_pde` is its K = 1 case. The rows of
@@ -23,8 +35,8 @@ time-homogeneous problem holds one rows object for all its steps. Several
 sweeps over one problem and grid may share that set, as the risk duals'
 scans do; the rows are read-only, and a sweep refuses a set built for
 another problem or grid. Each step stacks the K blocks into one (K nx)-row
-tridiagonal system, so each policy iteration is a single `dgtsv` call over
-all K blocks. A block keeps its own warm start and tolerance; once it
+tridiagonal system, so each policy iteration is a single triangular solve
+over all K blocks. A block keeps its own warm start and tolerance; once it
 settles it keeps its rows, and the step ends when every block has settled.
 The stacked solve is the separate solves bit for bit: the two boundary rows
 of every block sit on the obstacle, so the entries coupling neighbouring
@@ -55,6 +67,7 @@ identity may outlive it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,6 +75,7 @@ import numpy as np
 
 from .dynamics import Problem, check_coefficients
 from .measures import EmpiricalMeasure
+from .util import check_count
 
 __all__ = [
     "PdeConfig",
@@ -84,10 +98,10 @@ class PdeConfig:
     nt: int = 600
 
     def __post_init__(self):
-        if not self.x_lo < self.x_hi:
-            raise ValueError("need x_lo < x_hi")
-        if self.nx < 5 or self.nt < 1:
-            raise ValueError("grid too small")
+        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi) and self.x_lo < self.x_hi):
+            raise ValueError(f"need finite x_lo < x_hi, got {self.x_lo!r} and {self.x_hi!r}")
+        check_count("nx", self.nx, 5)
+        check_count("nt", self.nt, 1)
 
 
 @dataclass(frozen=True)
@@ -123,18 +137,20 @@ class ObstaclePDEGrid:
 
 
 def _slice_value(xs: np.ndarray, row: np.ndarray, x) -> np.ndarray:
-    """Linear interpolation of one time slice; refuses points off the grid."""
+    """Linear interpolation of one time slice; refuses points off the grid
+    and non-finite points."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < xs[0] - 1e-12) or np.any(x > xs[-1] + 1e-12):
-        raise ValueError("query point outside the PDE domain")
+    # negated, so that NaN fails the test too
+    if not (np.all(x >= xs[0] - 1e-12) and np.all(x <= xs[-1] + 1e-12)):
+        raise ValueError("query point not finite or outside the PDE domain")
     return np.interp(x, xs, row)
 
 
-def _coefficient_rows(problem: Problem, t: float, xs: np.ndarray):
-    x_col = xs[:, None]
+def _coefficient_rows(problem: Problem, t: float, x_col: np.ndarray):
+    """Drift and variance at the grid points, the column `x_col` (nx, 1)."""
     b = problem.drift(t, x_col, None)[:, 0]
-    sig = np.broadcast_to(problem.vol(t, x_col, None), x_col.shape)[:, 0]
-    return b, sig**2
+    s2 = np.full(x_col.shape, problem.vol(t, x_col, None) ** 2)[:, 0]
+    return b, s2
 
 
 def _tridiag(b: np.ndarray, s2: np.ndarray, dt: float, h: float):
@@ -181,14 +197,17 @@ def step_rows(problem: Problem, cfg: PdeConfig) -> StepRows:
         raise ValueError("the aggregation route needs measure-free coefficients")
     xs = np.linspace(cfg.x_lo, cfg.x_hi, cfg.nx)
     ts = np.linspace(0.0, problem.horizon, cfg.nt + 1)
+    x_col = xs[:, None]
     rows = [None] * cfg.nt
     coefficients = None
     for k in range(cfg.nt - 1, -1, -1):
-        b, s2 = _coefficient_rows(problem, ts[k], xs)
+        b, s2 = _coefficient_rows(problem, ts[k], x_col)
         # the rows depend on t only through the coefficients: rebuild them
-        # only when those change, which time-homogeneous problems never do
+        # only when those change, which time-homogeneous problems never do;
+        # == is np.array_equal here, as the shapes agree and a non-finite
+        # value never gets past check_coefficients
         if coefficients is None or not (
-            np.array_equal(b, coefficients[0]) and np.array_equal(s2, coefficients[1])
+            (b == coefficients[0]).all() and (s2 == coefficients[1]).all()
         ):
             check_coefficients(b, s2)
             coefficients = (b, s2)
@@ -204,7 +223,8 @@ def _lcp_step(
     psi_max: np.ndarray,
     on_obstacle: np.ndarray,
     mode: str,
-    gtsv,
+    lu: list | None,
+    lapack: tuple,
 ) -> tuple:
     """Solve one backward step of K stacked complementarity systems exactly.
 
@@ -214,39 +234,57 @@ def _lcp_step(
     Policy iteration from the rows `on_obstacle` marks (the two boundary rows
     of each block always are, which pins them to psi), updated in place;
     `psi_max` is max|psi| per block. Each iteration solves all K blocks with
-    one call of `gtsv`, LAPACK's tridiagonal solver. A block settles on a
-    residual at rounding level, not on a repeated set of rows, which can
-    cycle where v and psi coincide; a settled block keeps its rows, so the
-    later solves return it unchanged, and the loop ends once every block
-    has settled. Returns (values, moved): `moved` is False when the first
-    solve settled every block, which leaves `on_obstacle` as it found it.
+    one triangular solve, `gttrs` of `lapack = (gttrf, gttrs)`, LAPACK's
+    tridiagonal LU pair, over the LU factors of the masked system: `lu`
+    when given, which must be the factors of these rows masked by
+    `on_obstacle`, else factors made by `gttrf`; an iteration that changes
+    `on_obstacle` factors again. A block settles on a residual at rounding
+    level, not on a repeated set of rows, which can cycle where v and psi
+    coincide; a settled block keeps its rows, so the later solves return it
+    unchanged, and the loop ends once every block has settled. Returns
+    (values, moved, lu): `moved` is False when the first solve settled
+    every block, which leaves `on_obstacle` as it found it, and `lu` is the
+    factors of the rows masked by `on_obstacle` as it is on return.
     """
     lower, diag, upper, norm_a = rows
-    sign = 1.0 if mode == "sup" else -1.0
-    project = np.maximum if mode == "sup" else np.minimum
+    gttrf, gttrs = lapack
+    sup = mode == "sup"
+    # 'inf' is 'sup' for -v: its gaps are the negated 'sup' gaps, so max
+    # stands for min and the flip test turns round, with equal rounding
+    project, worst = (np.maximum, np.minimum) if sup else (np.minimum, np.maximum)
     # rounding in Av - rhs grows with |A| |v|, and |v| <= max(|rhs|, |psi|)
-    tol = 1e-13 * norm_a * (np.max(np.abs(rhs), axis=1) + psi_max)
+    tol = 1e-13 * norm_a * (np.abs(rhs).max(axis=1) + psi_max)
     for iteration in range(rhs.shape[1]):
-        _, _, _, v, info = gtsv(
-            np.where(on_obstacle, 0.0, lower).ravel()[1:],
-            np.where(on_obstacle, 1.0, diag).ravel(),
-            np.where(on_obstacle, 0.0, upper).ravel()[:-1],
-            np.where(on_obstacle, psi, rhs).ravel(),
-        )
+        if lu is None:
+            *lu, info = gttrf(
+                np.where(on_obstacle, 0.0, lower).ravel()[1:],
+                np.where(on_obstacle, 1.0, diag).ravel(),
+                np.where(on_obstacle, 0.0, upper).ravel()[:-1],
+                overwrite_dl=1,
+                overwrite_d=1,
+                overwrite_du=1,
+            )
+            if info != 0:
+                raise RuntimeError(f"LAPACK tridiagonal factorisation failed (info={info})")
+        v, info = gttrs(*lu, np.where(on_obstacle, psi, rhs).ravel(), overwrite_b=1)
         if info != 0:
             raise RuntimeError(f"LAPACK tridiagonal solve failed (info={info})")
         v = v.reshape(rhs.shape)
         av = diag * v
         av[:, 1:] += lower[1:] * v[:, :-1]
         av[:, :-1] += upper[:-1] * v[:, 1:]
-        equation_gap = sign * (av - rhs)[:, 1:-1]
-        obstacle_gap = sign * (v - psi)[:, 1:-1]
-        settled = np.max(np.abs(np.minimum(equation_gap, obstacle_gap)), axis=1) <= tol
+        equation_gap = av[:, 1:-1] - rhs[:, 1:-1]
+        obstacle_gap = v[:, 1:-1] - psi[:, 1:-1]
+        settled = np.abs(worst(equation_gap, obstacle_gap)).max(axis=1) <= tol
         if settled.all():
-            return project(v, psi), iteration > 0
+            return project(v, psi), iteration > 0, lu
         # near-ties leave the obstacle; flipping them on rounding noise stalls
-        flips = obstacle_gap < equation_gap - tol[:, None]
+        if sup:
+            flips = obstacle_gap < equation_gap - tol[:, None]
+        else:
+            flips = obstacle_gap > equation_gap + tol[:, None]
         on_obstacle[~settled, 1:-1] = flips[~settled]
+        lu = None
     raise RuntimeError(
         f"obstacle step did not settle within {rhs.shape[1]} policy iterations"
     )
@@ -285,7 +323,7 @@ def _sweep(
         row[:] = value
     psi_max = np.max(np.abs(psi_values), axis=1)
 
-    from scipy.linalg.lapack import dgtsv
+    from scipy.linalg.lapack import dgttrf, dgttrs
 
     current = psi_values
     if keep_surfaces:
@@ -293,6 +331,7 @@ def _sweep(
         values[-1] = current
     on_obstacle = np.ones(psi_values.shape, dtype=bool)
     last = None  # (rows, rhs) of the last step, unless it moved its warm start
+    factored = (None, None)  # rows and the LU factors of them masked by on_obstacle
     for k in range(cfg.nt - 1, -1, -1):
         rows = steps.rows[k]
         rhs = current
@@ -301,13 +340,16 @@ def _sweep(
         repeat = (
             last is not None
             and last[0] is rows
-            and (
-                rhs is last[1]
-                or np.array_equal(rhs.view(np.uint64), last[1].view(np.uint64))
-            )
+            # the bytes compare equal exactly when the bits do, and a
+            # comparison that fails stops at the first byte that differs
+            and (rhs is last[1] or rhs.tobytes() == last[1].tobytes())
         )
         if not repeat:  # a repeated step keeps the output `current` already is
-            current, moved = _lcp_step(rhs, rows, psi_values, psi_max, on_obstacle, mode, dgtsv)
+            lu = factored[1] if factored[0] is rows else None
+            current, moved, lu = _lcp_step(
+                rhs, rows, psi_values, psi_max, on_obstacle, mode, lu, (dgttrf, dgttrs)
+            )
+            factored = (rows, lu)
         # a repeated step keeps its own rhs, which is the next step's when f is None
         last = None if moved else (rows, rhs)
         if keep_surfaces:

@@ -34,7 +34,7 @@ from .pde import (
     stacked_os_pde,
     step_rows,
 )
-from .util import check_threads
+from .util import check_count, check_threads
 
 __all__ = [
     "expected_shortfall",
@@ -201,8 +201,7 @@ def expected_shortfall_value(
 
     if not (math.isfinite(beta_lo) and math.isfinite(beta_hi) and beta_lo < beta_hi):
         raise ValueError("beta bounds must be finite and increasing")
-    if scan_points < 3:
-        raise ValueError("scan_points must be at least 3")
+    check_count("scan_points", scan_points, 3)
     if not (math.isfinite(xtol) and xtol > 0.0):
         raise ValueError("xtol must be finite and positive")
 
@@ -279,10 +278,8 @@ def mean_variance_dual(
     check_threads(threads)
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError("lam must be finite and nonnegative")
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
-    if refine_rounds < 0:
-        raise ValueError("refine_rounds must be nonnegative")
+    check_count("grid_points", grid_points, 3)
+    check_count("refine_rounds", refine_rounds, 0)
     if lam == 0.0:
         identity = lambda x: np.asarray(x, dtype=float)
         value = _linear_values(m, problem, [identity], pde_cfg, "sup")[0]

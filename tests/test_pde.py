@@ -14,7 +14,6 @@ from mfstop.dynamics import Problem
 from mfstop.measures import make_empirical
 from mfstop.pde import (
     PdeConfig,
-    _coefficient_rows,
     _lcp_step,
     _tridiag,
     aggregate_slice,
@@ -128,7 +127,8 @@ def lcp_step(rhs, lower, diag, upper, psi, on_obstacle, mode):
     """The step kernel on the blocks in the rows of rhs, psi and on_obstacle."""
     rows = (lower, diag, upper, np.max(np.abs(lower) + diag + np.abs(upper)))
     psi_max = np.max(np.abs(psi), axis=1)
-    return _lcp_step(rhs, rows, psi, psi_max, on_obstacle, mode, scipy.linalg.lapack.dgtsv)[0]
+    lapack = (scipy.linalg.lapack.dgttrf, scipy.linalg.lapack.dgttrs)
+    return _lcp_step(rhs, rows, psi, psi_max, on_obstacle, mode, None, lapack)[0]
 
 
 def random_m_matrix(rng, n):
@@ -165,13 +165,13 @@ def test_stacked_lcp_step_matches_brute_force_and_single_blocks(monkeypatch, mod
     # warm start, and must equal both the oracle and its own K = 1 solve,
     # also where a block settles before the others and is solved again
     solves = []
-    gtsv = scipy.linalg.lapack.dgtsv
+    gttrs = scipy.linalg.lapack.dgttrs
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         solves.append(None)
-        return gtsv(*args)
+        return gttrs(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", counted)
     rng = np.random.default_rng(11)
     uneven = 0  # draws whose blocks settle at different iterations
     for _ in range(40):
@@ -216,16 +216,23 @@ def test_fine_grid_with_long_steps_matches_unconstrained_solve():
 
 
 @pytest.mark.parametrize(
-    "info,solution,message",
-    [(1, 0.0, "LAPACK"), (0, -5.0, "did not settle")],
+    "routine,message",
+    [("dgttrf", "LAPACK"), ("dgttrs", "did not settle")],
     ids=["lapack-info", "iteration-cap"],
 )
-def test_obstacle_step_failures_raise(monkeypatch, info, solution, message):
-    # a singular solve, or solves that never satisfy complementarity
-    def fake_gtsv(dl, d, du, b):
-        return dl, d, du, np.full_like(b, solution), info
+def test_obstacle_step_failures_raise(monkeypatch, routine, message):
+    # a singular factorisation, or solves that never satisfy complementarity
+    gttrf, gttrs = scipy.linalg.lapack.dgttrf, scipy.linalg.lapack.dgttrs
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", fake_gtsv)
+    def singular(*args, **kwargs):
+        return gttrf(*args, **kwargs)[:-1] + (1,)
+
+    def stuck(*args, **kwargs):
+        v, info = gttrs(*args, **kwargs)
+        return np.full_like(v, -5.0), info
+
+    fake = singular if routine == "dgttrf" else stuck
+    monkeypatch.setattr(scipy.linalg.lapack, routine, fake)
     with pytest.raises(RuntimeError, match=message):
         standard_os_pde(brownian_problem(0.0), put_psi, small_cfg(), mode="sup")
     # the same failures with three stacked obstacles
@@ -264,28 +271,60 @@ def test_rows_are_rebuilt_only_when_the_coefficients_change(monkeypatch):
     assert len(builds) == cfg.nt
 
 
+def reference_lcp_step(rhs, rows, psi, psi_max, on_obstacle, mode):
+    """One backward step by policy iteration with one `dgtsv` solve of the
+    whole masked system per iteration, and no factors kept."""
+    lower, diag, upper, norm_a = rows
+    sign = 1.0 if mode == "sup" else -1.0
+    project = np.maximum if mode == "sup" else np.minimum
+    tol = 1e-13 * norm_a * (np.max(np.abs(rhs), axis=1) + psi_max)
+    for _ in range(rhs.shape[1]):
+        _, _, _, v, info = scipy.linalg.lapack.dgtsv(
+            np.where(on_obstacle, 0.0, lower).ravel()[1:],
+            np.where(on_obstacle, 1.0, diag).ravel(),
+            np.where(on_obstacle, 0.0, upper).ravel()[:-1],
+            np.where(on_obstacle, psi, rhs).ravel(),
+        )
+        assert info == 0
+        v = v.reshape(rhs.shape)
+        av = diag * v
+        av[:, 1:] += lower[1:] * v[:, :-1]
+        av[:, :-1] += upper[:-1] * v[:, 1:]
+        equation_gap = sign * (av - rhs)[:, 1:-1]
+        obstacle_gap = sign * (v - psi)[:, 1:-1]
+        settled = np.max(np.abs(np.minimum(equation_gap, obstacle_gap)), axis=1) <= tol
+        if settled.all():
+            return project(v, psi)
+        flips = obstacle_gap < equation_gap - tol[:, None]
+        on_obstacle[~settled, 1:-1] = flips[~settled]
+    raise AssertionError("the reference step did not settle")
+
+
 def reference_sweep(problem, psis, cfg, mode):
     """The backward sweep written out step by step, with nothing reused:
-    coefficient rows, `_tridiag` and `_lcp_step` at every step. Returns the
-    surfaces, shape (nt+1, K, nx)."""
+    coefficients, `_tridiag` and `reference_lcp_step` at every step.
+    Returns the surfaces, shape (nt+1, K, nx)."""
     xs = np.linspace(cfg.x_lo, cfg.x_hi, cfg.nx)
     ts = np.linspace(0.0, problem.horizon, cfg.nt + 1)
     dt = ts[1] - ts[0]
+    x_col = xs[:, None]
     psi_values = np.array([np.asarray(psi(xs), dtype=float) for psi in psis])
     psi_max = np.max(np.abs(psi_values), axis=1)
     on_obstacle = np.ones(psi_values.shape, dtype=bool)
     values = np.empty((cfg.nt + 1,) + psi_values.shape)
     values[-1] = psi_values
     for k in range(cfg.nt - 1, -1, -1):
-        b, s2 = _coefficient_rows(problem, ts[k], xs)
-        rows = _tridiag(b, s2, dt, xs[1] - xs[0])
+        b = np.broadcast_to(problem.drift(ts[k], x_col, None), x_col.shape)[:, 0]
+        sig = np.broadcast_to(problem.vol(ts[k], x_col, None), x_col.shape)[:, 0]
+        rows = _tridiag(b, sig**2, dt, xs[1] - xs[0])
         rhs = values[k + 1]
         if problem.f is not None:
-            rhs = rhs + dt * problem.rate(ts[k], xs[:, None], None)
-        values[k] = _lcp_step(
-            rhs, rows, psi_values, psi_max, on_obstacle, mode, scipy.linalg.lapack.dgtsv
-        )[0]
+            rhs = rhs + dt * problem.rate(ts[k], x_col, None)
+        values[k] = reference_lcp_step(rhs, rows, psi_values, psi_max, on_obstacle, mode)
     return values
+
+
+SWEEP_CASES = ["sup", "inf", "switch", "shortfall", "mean_variance", "mean_variance_gbm", "put"]
 
 
 def sweep_case(name):
@@ -334,9 +373,7 @@ def sweep_case(name):
     return inst.problem, [risk._meanvar_payoff(a, lam) for a in alphas], inst.pde_cfg, "sup"
 
 
-@pytest.mark.parametrize(
-    "case", ["sup", "inf", "switch", "shortfall", "mean_variance", "mean_variance_gbm", "put"]
-)
+@pytest.mark.parametrize("case", SWEEP_CASES)
 def test_stacked_sweep_equals_separate_solves(case):
     # both stacked entry points and the separate solves are the plain
     # step-by-step sweep, byte for byte
@@ -356,6 +393,31 @@ def test_stacked_sweep_equals_separate_solves(case):
         assert aggregate_slice(m, xs, initial[j], psi) == aggregate_value(m, one, psi)
     with pytest.raises(ValueError, match="payoff"):
         stacked_initial_values(problem, [], cfg)
+
+
+def reference_initial_values(problem, psis, cfg, mode="sup", steps=None):
+    """`stacked_initial_values` through `reference_sweep`."""
+    return np.linspace(cfg.x_lo, cfg.x_hi, cfg.nx), reference_sweep(problem, psis, cfg, mode)[0]
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_duals_equal_their_reference_sweeps(monkeypatch, case):
+    # both risk duals on each problem and grid, with every sweep solved by
+    # the reference: the same values, slopes and levels, bit for bit
+    problem, _, cfg, _ = sweep_case(case)
+    if case in ("sup", "inf", "switch"):
+        m = make_empirical([(0.3, 1), (0.9, 1), (1.4, 0)], [0.3, 0.5, 0.2])
+    else:
+        m = build_instance(case if case != "put" else "standard_put").m0
+
+    def duals():
+        mv = risk.mean_variance_dual(m, problem, 1.0, cfg)
+        es = risk.expected_shortfall_value(m, problem, 0.7, cfg)
+        return np.array([mv.value, mv.alpha_star, es.value, es.beta_star])
+
+    solved = duals()
+    monkeypatch.setattr(risk, "stacked_initial_values", reference_initial_values)
+    assert solved.tobytes() == duals().tobytes()
 
 
 @pytest.mark.parametrize("case", ["sup", "inf", "switch"])
@@ -432,6 +494,40 @@ def test_a_step_that_repeats_the_last_one_is_not_solved_again(monkeypatch):
     assert len(calls) == cfg.nt
 
 
+def test_each_obstacle_set_is_factored_once(monkeypatch):
+    # a step reuses the factors of the step before when its rows are the
+    # same object; the put's obstacle set moves at one step, where the
+    # second policy iteration factors again, every dual sweep solves once,
+    # and a drift that moves with t makes new rows, so new factors, at every
+    # step
+    counts = {"dgttrf": 0, "dgttrs": 0}
+    for name in counts:
+        routine = getattr(scipy.linalg.lapack, name)
+
+        def counted(*args, name=name, routine=routine, **kwargs):
+            counts[name] += 1
+            return routine(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+
+    def tally():
+        result = (counts["dgttrf"], counts["dgttrs"])
+        counts.update(dgttrf=0, dgttrs=0)
+        return result
+
+    put = build_instance("standard_put")
+    standard_os_pde(put.problem, put.psi, put.pde_cfg)
+    assert tally() == (2, 601)
+    mv = build_instance("mean_variance", lam=1.0)
+    risk.mean_variance_dual(mv.m0, mv.problem, 1.0, mv.pde_cfg)
+    assert tally() == (3, 3)
+    es = build_instance("shortfall")
+    risk.expected_shortfall_value(es.m0, es.problem, 0.7, es.pde_cfg)
+    assert tally() == (10, 10)
+    standard_os_pde(moving_drift_problem(), put_psi, small_cfg(nt=40), mode="sup")
+    assert tally() == (58, 58)
+
+
 @pytest.mark.parametrize("moved,solves", [(False, 1), (True, 40)])
 def test_a_step_that_moved_its_warm_start_is_solved_again(monkeypatch, moved, solves):
     # a step that returns its own right-hand side makes every later step
@@ -441,7 +537,7 @@ def test_a_step_that_moved_its_warm_start_is_solved_again(monkeypatch, moved, so
 
     def fake_step(rhs, *args):
         calls.append(None)
-        return rhs.copy(), moved
+        return rhs.copy(), moved, None
 
     monkeypatch.setattr(pde_module, "_lcp_step", fake_step)
     standard_os_pde(brownian_problem(0.3), put_psi, small_cfg(nt=40), mode="sup")
@@ -460,6 +556,32 @@ def test_interpolation_and_domain_guard():
         pde.value(0.0, cfg.x_hi + 1.0)
     with pytest.raises(ValueError, match="time"):
         pde.value(2.5, 0.0)
+    # a non-finite point passes no range test, and interpolates to nothing
+    for x in (np.nan, [0.5, np.nan], np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            pde.value(0.0, x)
+        with pytest.raises(ValueError, match="not finite"):
+            pde_module._slice_value(pde.xs, pde.values[0], x)
+
+
+@pytest.mark.parametrize(
+    "kw,message",
+    [
+        (dict(x_lo=float("nan")), "finite x_lo < x_hi"),
+        (dict(x_hi=float("inf")), "finite x_lo < x_hi"),
+        (dict(x_lo=float("-inf")), "finite x_lo < x_hi"),
+        (dict(x_lo=2.0, x_hi=2.0), "finite x_lo < x_hi"),
+        (dict(nx=241.0), "nx must be an integer >= 5"),
+        (dict(nx=4), "nx must be an integer >= 5"),
+        (dict(nx=True), "nx must be an integer >= 5"),
+        (dict(nt=200.0), "nt must be an integer >= 1"),
+        (dict(nt=0), "nt must be an integer >= 1"),
+        (dict(nt=True), "nt must be an integer >= 1"),
+    ],
+)
+def test_pde_config_refuses_a_bad_grid(kw, message):
+    with pytest.raises(ValueError, match=message):
+        small_cfg(**kw)
 
 
 def test_aggregation_of_point_masses():

@@ -171,12 +171,15 @@ def test_shortfall_bracket_failure_raises():
         dict(beta_lo=3.0, beta_hi=-3.0),
         dict(beta_lo=float("-inf"), beta_hi=3.0),
         dict(scan_points=2),
+        dict(scan_points=17.0),
+        dict(scan_points=True),
     ],
 )
 def test_shortfall_value_rejects_bad_search_inputs(monkeypatch, kw):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a bad search input reached the obstacle solver")
 
+    monkeypatch.setattr(risk, "step_rows", no_sweep)
     monkeypatch.setattr(risk, "stacked_initial_values", no_sweep)
     with pytest.raises(ValueError, match="xtol|beta bounds|scan_points"):
         expected_shortfall_value(
@@ -294,12 +297,16 @@ def test_mean_variance_validation():
         (dict(refine_rounds=-1), "refine_rounds"),
         (dict(alpha_bounds=(float("nan"), 3.0)), "alpha bounds must be finite"),
         (dict(alpha_bounds=(0.0, float("inf"))), "alpha bounds must be finite"),
+        (dict(grid_points=21.0), "grid_points must be an integer"),
+        (dict(refine_rounds=1.5), "refine_rounds must be an integer"),
+        (dict(refine_rounds=True), "refine_rounds must be an integer"),
     ],
 )
 def test_mean_variance_dual_rejects_bad_search_inputs(monkeypatch, kw, message):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a bad search input reached the obstacle solver")
 
+    monkeypatch.setattr(risk, "step_rows", no_sweep)
     monkeypatch.setattr(risk, "stacked_initial_values", no_sweep)
     kw = {"lam": 1.0, **kw}
     with warnings.catch_warnings():
