@@ -144,14 +144,15 @@ def estimate_derivatives(
     t: float,
     m: EmpiricalMeasure,
     h: float = BUMP_H,
-    horizon: Optional[float] = None,
+    *,
+    horizon: float,
 ) -> DerivativeEstimate:
     """The flow probe of u at (t, m), the probes `generator` reads; d = 1 only.
 
     Every bump has weight `BUMP_EPS` and is Richardson-extrapolated. The
     survivor-side quotients sit at x and x +- h (1+|x|), with h > 0; the
-    time probe is central with step `BUMP_DT_FRAC` * horizon (horizon 1
-    when not given), one-sided at the ends of [0, horizon]. That is
+    time probe is central with step `BUMP_DT_FRAC` * horizon, one-sided at
+    the ends of [0, horizon]. That is
     1 + 6 per survivor + 2 evaluations of u: 21 on three survivors.
     """
     if m.d != 1:
@@ -167,10 +168,9 @@ def estimate_derivatives(
     dx = (q_plus - q_minus) / (2.0 * hx)
     dxx = (q_plus - 2.0 * q_mid + q_minus) / (hx * hx)
 
-    scale = horizon if horizon is not None else 1.0
-    step = BUMP_DT_FRAC * scale
+    step = BUMP_DT_FRAC * horizon
     lo = max(t - step, 0.0)
-    hi = t + step if horizon is None else min(t + step, horizon)
+    hi = min(t + step, horizon)
     if hi <= lo:
         raise ValueError("time probe collapsed; horizon too small for BUMP_DT_FRAC")
     dt_val = (float(u(hi, m)) - float(u(lo, m))) / (hi - lo)

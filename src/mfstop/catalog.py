@@ -1,11 +1,10 @@
-"""Built-in coefficient fields, benchmark instances, experiment configs.
+"""Built-in benchmark instances and experiment configs.
 
 The command line tools and the acceptance suite all refer to the instances
 defined here, so the concrete numbers (start measures, strikes, domain
-sizes, default parameters) live in exactly one place. Coefficients are
-picked from a small named registry instead of an expression language; the
-`attraction` drift is the one entry whose evaluation genuinely reads the
-measure argument.
+sizes, default parameters) and coefficients live in exactly one place. The
+`attraction` drift is the one coefficient whose evaluation genuinely reads
+the measure argument.
 """
 
 from __future__ import annotations
@@ -24,52 +23,12 @@ from .risk import distorted_expectation, expected_shortfall
 from .util import check_count, check_threads
 
 __all__ = [
-    "coefficient_field",
     "BenchmarkInstance",
     "build_instance",
     "instance_names",
     "ExperimentConfig",
     "load_experiment_config",
 ]
-
-
-# ---------------------------------------------------------------------------
-# named coefficient fields
-# ---------------------------------------------------------------------------
-
-
-def coefficient_field(name: str, **params) -> tuple[Callable, bool]:
-    """Return (callable with signature (t, x, m), uses_measure) by name.
-
-    constant:   value
-    affine:     intercept + slope * x  (componentwise)
-    attraction: kappa * (surviving mean - x); reads the measure
-    """
-    if name == "constant":
-        value = float(params.pop("value"))
-        fn = lambda t, x, m: value
-        uses_measure = False
-    elif name == "affine":
-        intercept = float(params.pop("intercept", 0.0))
-        slope = float(params.pop("slope"))
-        fn = lambda t, x, m: intercept + slope * x
-        uses_measure = False
-    elif name == "attraction":
-
-        kappa = float(params.pop("kappa"))
-
-        def fn(t, x, m):
-            xs, ws = m.survivors()
-            total = float(ws.sum())
-            center = float(xs[:, 0] @ ws / total) if total > 0 else 0.0
-            return kappa * (center - x)
-
-        uses_measure = True
-    else:
-        raise ValueError(f"unknown coefficient field '{name}'")
-    if params:
-        raise ValueError(f"unused parameters for coefficient '{name}': {sorted(params)}")
-    return fn, uses_measure
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +110,10 @@ def _mean_variance(lam: float = 1.0) -> BenchmarkInstance:
 def _mean_variance_gbm(lam: float = 0.5) -> BenchmarkInstance:
     # proportional coefficients with b0 - sigma0^2/2 < 0, so the unstopped
     # state vanishes and cutting the horizon at T approximates T = infinity
-    b, _ = coefficient_field("affine", slope=-0.5)
-    s, _ = coefficient_field("affine", slope=0.45)
     problem = Problem(
         d=1,
-        b=b,
-        sigma=s,
+        b=lambda t, x, m: -0.5 * x,
+        sigma=lambda t, x, m: 0.45 * x,
         f=None,
         g=_mv_reward(lam),
         horizon=6.5,
@@ -188,8 +145,8 @@ def _distortion(exponent: float = 0.7) -> BenchmarkInstance:
     phi = lambda u: np.power(np.asarray(u, dtype=float), exponent)
     psi = lambda x: np.maximum(np.asarray(x, dtype=float), 0.0)
     g = lambda p, w: distorted_expectation(psi(p[:, 0]), w, phi)
-    b, _ = coefficient_field("affine", slope=-0.3)
-    s, _ = coefficient_field("affine", slope=0.4)
+    b = lambda t, x, m: -0.3 * x
+    s = lambda t, x, m: 0.4 * x
     problem = Problem(d=1, b=b, sigma=s, f=None, g=g, horizon=2.0)
     m0 = make_empirical([(0.6, 1), (1.0, 1), (1.6, 1)], [0.4, 0.35, 0.25])
     return BenchmarkInstance(
@@ -198,10 +155,18 @@ def _distortion(exponent: float = 0.7) -> BenchmarkInstance:
 
 
 def _attraction(kappa: float = 2.0, vol: float = 0.4) -> BenchmarkInstance:
-    b, uses = coefficient_field("attraction", kappa=kappa)
-    s, _ = coefficient_field("constant", value=vol)
+    pull, sigma0 = float(kappa), float(vol)
+
+    def b(t, x, m):
+        # kappa * (surviving mean - x)
+        xs, ws = m.survivors()
+        total = float(ws.sum())
+        center = float(xs[:, 0] @ ws / total) if total > 0 else 0.0
+        return pull * (center - x)
+
+    s = lambda t, x, m: sigma0
     g = lambda p, w: float(p[:, 0] @ w)
-    problem = Problem(d=1, b=b, sigma=s, f=None, g=g, horizon=1.0, uses_measure=uses)
+    problem = Problem(d=1, b=b, sigma=s, f=None, g=g, horizon=1.0, uses_measure=True)
     m0 = make_empirical([(-1.0, 1), (0.0, 1), (1.0, 1)], [0.3, 0.3, 0.4])
     return BenchmarkInstance(
         name="attraction", problem=problem, m0=m0, params={"kappa": kappa, "vol": vol}

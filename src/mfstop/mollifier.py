@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays, make_empirical
-from .util import rng_for
+from .util import check_count, rng_for
 
 __all__ = [
     "MollifierParams",
@@ -54,10 +54,8 @@ class MollifierParams:
     z_samples: int = 256
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("resolution n must be at least 2")
-        if self.z_samples < 1:
-            raise ValueError("z_samples must be positive")
+        check_count("n", self.n, 2)
+        check_count("z_samples", self.z_samples, 1)
 
     @property
     def j_max(self) -> int:

@@ -31,20 +31,20 @@ There is one backward sweep, and it carries K obstacles on the same grid
 and coefficients at once; `standard_os_pde` is its K = 1 case. The rows of
 every step come from `step_rows`, which evaluates the coefficients once per
 step and builds the rows again only where they change, so a
-time-homogeneous problem holds one rows object for all its steps. Several
-sweeps over one problem and grid may share that set, as the risk duals'
-scans do; the rows are read-only, and a sweep refuses a set built for
-another problem or grid. Each step stacks the K blocks into one (K nx)-row
-tridiagonal system, so each policy iteration is a single triangular solve
-over all K blocks. A block keeps its own warm start and tolerance; once it
-settles it keeps its rows, and the step ends when every block has settled.
-The stacked solve is the separate solves bit for bit: the two boundary rows
-of every block sit on the obstacle, so the entries coupling neighbouring
-blocks are exactly 0. At each block boundary the
-elimination multiplier is then 0 and partial pivoting never swaps rows
-across it, so every block goes through the separate solve's arithmetic,
-and a settled block solved again comes back unchanged. (Subtracting that
-zero product can only turn a -0.0 boundary payoff into +0.0.)
+time-homogeneous problem holds one rows object for all its steps. That set
+is a sweep's only description of the problem and the grid, and several
+sweeps may share one, as the risk duals' scans do; the rows are read-only.
+Each step stacks the K blocks into one (K nx)-row tridiagonal system, so
+each policy iteration is a single triangular solve over all K blocks. A
+block keeps its own warm start and tolerance; once it settles it keeps its
+rows, and the step ends when every block has settled. The stacked solve is
+the separate solves bit for bit: the two boundary rows of every block sit
+on the obstacle, so the entries coupling neighbouring blocks are exactly 0.
+At each block boundary the elimination multiplier is then 0 and partial
+pivoting never swaps rows across it, so every block goes through the
+separate solve's arithmetic, and a settled block solved again comes back
+unchanged. (Subtracting that zero product can only turn a -0.0 boundary
+payoff into +0.0.)
 
 A step is a pure function of its rows, its right-hand side and the warm
 start it begins from (`psi`, its row maxima and the mode are fixed within a
@@ -106,18 +106,16 @@ class PdeConfig:
 
 @dataclass(frozen=True)
 class ObstaclePDEGrid:
-    """Solved value surface v(t_k, x_j) with its obstacle.
+    """Solved value surface v(t_k, x_j).
 
-    `values[k]` is the slice at time t_k; the terminal slice equals psi, and
-    every slice respects the obstacle for the solve's mode ('sup': v >= psi,
-    'inf': v <= psi).
+    `values[k]` is the slice at time t_k; the terminal slice `values[-1]` is
+    the obstacle psi on the grid, and every slice respects it for the
+    solve's mode ('sup': v >= psi, 'inf': v <= psi).
     """
 
     xs: np.ndarray  # (nx,)
     ts: np.ndarray  # (nt+1,)
     values: np.ndarray  # (nt+1, nx)
-    psi_values: np.ndarray  # (nx,)
-    mode: str
 
     @property
     def dt(self) -> float:
@@ -290,30 +288,17 @@ def _lcp_step(
     )
 
 
-def _sweep(
-    problem: Problem,
-    psis,
-    cfg: PdeConfig,
-    mode: str,
-    keep_surfaces: bool,
-    steps: StepRows | None = None,
-):
-    """One backward obstacle solve for K payoffs on one grid, over the
-    prepared `steps` of (problem, cfg), or over its own when None.
+def _sweep(steps: StepRows, psis, mode: str, keep_surfaces: bool) -> np.ndarray:
+    """One backward obstacle solve for K payoffs over the rows of `steps`.
 
-    Returns (xs, ts, psi_values (K, nx), values): values is (nt+1, K, nx)
-    when `keep_surfaces`, else only the t = 0 slices (K, nx).
+    Returns the surfaces (nt+1, K, nx) when `keep_surfaces`, else only the
+    t = 0 slices (K, nx).
     """
     if mode not in ("sup", "inf"):
         raise ValueError("mode must be 'sup' or 'inf'")
     if len(psis) == 0:
         raise ValueError("need at least one payoff")
-    if steps is None:
-        steps = step_rows(problem, cfg)
-    elif steps.problem is not problem or steps.cfg != cfg:
-        raise ValueError("the step rows were prepared for another problem or grid")
-
-    xs, ts = steps.xs, steps.ts
+    problem, cfg, xs, ts = steps.problem, steps.cfg, steps.xs, steps.ts
     dt = ts[1] - ts[0]
     psi_values = np.empty((len(psis), cfg.nx))
     for row, psi in zip(psi_values, psis):
@@ -354,42 +339,26 @@ def _sweep(
         last = None if moved else (rows, rhs)
         if keep_surfaces:
             values[k] = current
-    return xs, ts, psi_values, values if keep_surfaces else current
+    return values if keep_surfaces else current
 
 
-def stacked_os_pde(
-    problem: Problem,
-    psis,
-    cfg: PdeConfig,
-    mode: str = "sup",
-) -> list:
+def stacked_os_pde(steps: StepRows, psis, mode: str = "sup") -> list:
     """`standard_os_pde` for several payoffs at once, one surface each.
 
-    All payoffs share the grid, the coefficients and every backward step;
-    each surface is bit-identical to its own `standard_os_pde` solve.
+    All payoffs share the grid, the coefficients and every backward step of
+    `steps`; each surface is bit-identical to its own `standard_os_pde` solve.
     """
-    xs, ts, psi_values, values = _sweep(problem, psis, cfg, mode, keep_surfaces=True)
+    values = _sweep(steps, psis, mode, keep_surfaces=True)
     return [
-        ObstaclePDEGrid(xs=xs, ts=ts, values=values[:, j], psi_values=psi_values[j], mode=mode)
+        ObstaclePDEGrid(xs=steps.xs, ts=steps.ts, values=values[:, j])
         for j in range(len(psis))
     ]
 
 
-def stacked_initial_values(
-    problem: Problem,
-    psis,
-    cfg: PdeConfig,
-    mode: str = "sup",
-    steps: StepRows | None = None,
-) -> tuple:
-    """The t = 0 slices of `stacked_os_pde`, without keeping the surfaces.
-
-    `steps`, from `step_rows(problem, cfg)`, lets several sweeps share one
-    set of step rows; by default the sweep builds its own.
-    Returns (xs, values) with values of shape (K, nx), one row per payoff.
-    """
-    xs, _, _, values = _sweep(problem, psis, cfg, mode, keep_surfaces=False, steps=steps)
-    return xs, values
+def stacked_initial_values(steps: StepRows, psis, mode: str = "sup") -> np.ndarray:
+    """The t = 0 slices of `stacked_os_pde` on the grid `steps.xs`, without
+    keeping the surfaces: shape (K, nx), one row per payoff."""
+    return _sweep(steps, psis, mode, keep_surfaces=False)
 
 
 def standard_os_pde(
@@ -405,7 +374,7 @@ def standard_os_pde(
     psi (so the domain must be wide enough that the truncation is harmless),
     and the running reward f, when present, enters the right-hand side.
     """
-    return stacked_os_pde(problem, [psi], cfg, mode)[0]
+    return stacked_os_pde(step_rows(problem, cfg), [psi], mode)[0]
 
 
 def aggregate_value(

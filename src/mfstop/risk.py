@@ -111,11 +111,11 @@ class EsResult:
     beta_star: float
 
 
-def _linear_values(m, problem, psis, pde_cfg, mode, steps=None) -> list:
+def _linear_values(m, steps, psis, mode) -> list:
     """Value of m for each payoff: one stacked sweep over `steps` (see
     `stacked_initial_values`), aggregated at t = 0."""
-    xs, rows = stacked_initial_values(problem, psis, pde_cfg, mode, steps)
-    return [aggregate_slice(m, xs, row, psi) for row, psi in zip(rows, psis)]
+    rows = stacked_initial_values(steps, psis, mode)
+    return [aggregate_slice(m, steps.xs, row, psi) for row, psi in zip(rows, psis)]
 
 
 def _scan(cache: dict, points, objectives) -> list:
@@ -209,7 +209,7 @@ def expected_shortfall_value(
 
     def neg_objectives(betas) -> list:
         psis = [_shortfall_payoff(beta) for beta in betas]
-        values = _linear_values(m, problem, psis, pde_cfg, "inf", steps)
+        values = _linear_values(m, steps, psis, "inf")
         return [-(beta + v_beta / (1.0 - alpha)) for beta, v_beta in zip(betas, values)]
 
     # the bracket is two scan steps wide and each round shrinks it by 4
@@ -282,7 +282,7 @@ def mean_variance_dual(
     check_count("refine_rounds", refine_rounds, 0)
     if lam == 0.0:
         identity = lambda x: np.asarray(x, dtype=float)
-        value = _linear_values(m, problem, [identity], pde_cfg, "sup")[0]
+        value = _linear_values(m, step_rows(problem, pde_cfg), [identity], "sup")[0]
         return MeanVarianceResult(value=value, alpha_star=1.0)
 
     if alpha_bounds is None:
@@ -295,7 +295,7 @@ def mean_variance_dual(
 
     def dual_objectives(alphas) -> list:
         psis = [_meanvar_payoff(a, lam) for a in alphas]
-        values = _linear_values(m, problem, psis, pde_cfg, "sup", steps)
+        values = _linear_values(m, steps, psis, "sup")
         return [v_a - (a - 1.0) ** 2 / (2.0 * lam) for a, v_a in zip(alphas, values)]
 
     best_a, best = _bracket_search(
@@ -379,15 +379,18 @@ def meanvar_alpha_star_path(
 
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("slope tracking needs a finite lam > 0")
+    check_count("grid_points", grid_points, 1)
+    check_count("checkpoints", checkpoints, 1)
     if alpha_bounds is None:
         alpha_bounds = _meanvar_alpha_bounds(m, lam)
     alphas = np.linspace(alpha_bounds[0], alpha_bounds[1], grid_points)
-    pdes = stacked_os_pde(problem, [_meanvar_payoff(a, lam) for a in alphas], pde_cfg, mode="sup")
+    payoffs = [_meanvar_payoff(a, lam) for a in alphas]
+    pdes = stacked_os_pde(step_rows(problem, pde_cfg), payoffs, mode="sup")
 
     def alpha_star_at(t: float, meas: EmpiricalMeasure) -> float:
         vals = [
-            aggregate_value(meas, pde, _meanvar_payoff(a, lam), t=t) - (a - 1.0) ** 2 / (2.0 * lam)
-            for a, pde in zip(alphas, pdes)
+            aggregate_value(meas, pde, psi, t=t) - (a - 1.0) ** 2 / (2.0 * lam)
+            for a, psi, pde in zip(alphas, payoffs, pdes)
         ]
         return float(alphas[int(np.argmax(vals))])
 
@@ -395,11 +398,12 @@ def meanvar_alpha_star_path(
     a0 = alpha_star_at(0.0, m)
     pde0 = pdes[int(np.argmin(np.abs(alphas - a0)))]
     edges = 0.5 * (pde0.xs[:-1] + pde0.xs[1:])
-    scale = 1.0 + np.max(np.abs(pde0.psi_values))
+    psi0 = pde0.values[-1]
+    scale = 1.0 + np.max(np.abs(psi0))
     maps = []
     for k in range(grid.n):
         row = int(round(grid.nodes[k] / problem.horizon * (len(pde0.ts) - 1)))
-        binding = np.abs(pde0.values[row] - pde0.psi_values) <= 1e-7 * scale
+        binding = np.abs(pde0.values[row] - psi0) <= 1e-7 * scale
         maps.append(StopMap.tabular(edges, 1.0 - binding.astype(float)))
 
     nodes = sorted({int(round(q)) for q in np.linspace(0, grid.n - 1, checkpoints)})

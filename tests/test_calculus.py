@@ -432,7 +432,7 @@ def test_residual_config_refuses_a_bad_field_when_made(field, value):
 def test_bump_and_config_validation():
     u = lambda t, m: 0.0
     with pytest.raises(ValueError, match="h must be positive"):
-        estimate_derivatives(u, 0.0, M3, h=0.0)
+        estimate_derivatives(u, 0.0, M3, h=0.0, horizon=1.0)
     with pytest.raises(ValueError):
         ResidualConfig(n_stop_maps=-1)
     with pytest.raises(ValueError, match="flag"):

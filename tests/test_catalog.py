@@ -8,7 +8,6 @@ import pytest
 from mfstop.catalog import (
     ExperimentConfig,
     build_instance,
-    coefficient_field,
     instance_names,
     load_experiment_config,
 )
@@ -47,31 +46,13 @@ def test_mean_variance_instances_refuse_a_non_finite_lam(name, lam):
         build_instance(name, lam=lam)
 
 
-def test_coefficient_field_families():
-    const, uses_m = coefficient_field("constant", value=0.7)
-    assert not uses_m
-    assert np.allclose(const(0.0, np.array([[1.0], [2.0]]), None), 0.7)
-
-    affine, _ = coefficient_field("affine", slope=-0.5, intercept=0.1)
-    out = np.ravel(affine(0.0, np.array([[2.0]]), None))
-    np.testing.assert_allclose(out, [-0.9])
-
-    with pytest.raises(ValueError, match="unknown coefficient"):
-        coefficient_field("fancy")
-    with pytest.raises(ValueError):
-        coefficient_field("constant", value=1.0, slope=2.0)
-
-
 def test_attraction_drift_reads_the_measure():
-    field, uses_m = coefficient_field("attraction", kappa=2.0)
-    assert uses_m
+    problem = build_instance("attraction", kappa=2.0).problem
+    assert problem.uses_measure
     m = make_empirical([(0.0, 1), (2.0, 1), (5.0, 0)], [0.25, 0.25, 0.5])
     # survivor-weighted mean is 1.0; atoms are pulled toward it
-    out = np.ravel(field(0.0, np.array([[0.0], [4.0]]), m))
+    out = np.ravel(problem.drift(0.0, np.array([[0.0], [4.0]]), m))
     np.testing.assert_allclose(out, [2.0, -6.0])
-
-    inst = build_instance("attraction")
-    assert inst.problem.uses_measure
 
 
 def test_experiment_config_validation():

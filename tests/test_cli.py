@@ -328,18 +328,27 @@ for name in instance_names():
     build_instance(name)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print("concurrent.futures" in sys.modules)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "mfstop"))
 """
+
+# the mfstop modules the set-up path loads: a module added to it adds to the
+# start-up of every CLI call
+STARTUP_MODULES = [
+    "mfstop", "mfstop.catalog", "mfstop.cli", "mfstop.dynamics", "mfstop.measures",
+    "mfstop.pde", "mfstop.risk", "mfstop.rng", "mfstop.util",
+]
 
 
 def test_cli_import_and_catalog_builds_leave_scipy_unloaded():
     # scipy costs about half a second to import; only the transport LP and
     # the obstacle solver need it, and they load it when they run. No code
-    # path uses a thread pool, so concurrent.futures must not load either.
+    # path uses a thread pool, so concurrent.futures must not load either,
+    # and the set-up path loads exactly the mfstop modules it loads today.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", STARTUP], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["[]", "False"]
+    assert out.stdout.splitlines() == ["[]", "False", repr(STARTUP_MODULES)]
 
 
 def test_importing_the_cli_loads_no_layer_a_subcommand_runs():

@@ -217,6 +217,9 @@ def test_parameter_validation():
         MollifierParams(n=1)
     with pytest.raises(ValueError):
         MollifierParams(n=2, z_samples=0)
+    for kw in (dict(n=2.5), dict(n=True), dict(n=2, z_samples=2.5), dict(n=2, z_samples=True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MollifierParams(**kw)
     m = make_empirical([(0.0, 1)])
     with pytest.raises(ValueError, match="length"):
         project_measure(m, np.zeros(5), MollifierParams(n=2))

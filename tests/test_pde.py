@@ -66,8 +66,8 @@ def test_driftless_put_matches_gaussian_integral():
     inner = (oracle >= 0.01) & (np.arange(cfg.nx) >= 5) & (np.arange(cfg.nx) < cfg.nx - 5)
     rel = np.abs(pde.values[0] - oracle) / oracle
     assert rel[inner].max() < 5e-3
-    assert np.all(pde.values >= pde.psi_values[None, :] - 1e-12)
-    assert np.array_equal(pde.values[-1], pde.psi_values)
+    assert np.all(pde.values >= pde.values[-1] - 1e-12)
+    assert np.array_equal(pde.values[-1], put_psi(xs))
 
 
 def exercise_boundary(pde, k, tol=1e-7):
@@ -78,7 +78,7 @@ def exercise_boundary(pde, k, tol=1e-7):
     avoids mistaking the far out-of-the-money zone (where v and psi both
     vanish) for exercise.
     """
-    binding = np.abs(pde.values[k] - pde.psi_values) <= tol
+    binding = np.abs(pde.values[k] - pde.values[-1]) <= tol
     if not binding[1]:
         return float("nan")
     j = 1
@@ -104,7 +104,7 @@ def test_inf_mode_keeps_convex_payoff_exercised_immediately():
     beta = 0.8
     psi = lambda x: np.maximum(x - beta, 0.0)
     pde = standard_os_pde(brownian_problem(0.0), psi, small_cfg(), mode="inf")
-    assert np.max(np.abs(pde.values - pde.psi_values[None, :])) < 1e-12
+    assert np.max(np.abs(pde.values - pde.values[-1])) < 1e-12
 
 
 def brute_force_lcp(lower, diag, upper, rhs, psi, mode):
@@ -209,7 +209,7 @@ def test_fine_grid_with_long_steps_matches_unconstrained_solve():
     ab = np.empty((3, cfg.nx))
     ab[0], ab[1], ab[2] = off, 1.0 - 2.0 * off, off
     ab[0, 1], ab[1, 0], ab[1, -1], ab[2, -2] = 0.0, 1.0, 1.0, 0.0
-    v = pde.psi_values
+    v = pde.values[-1]
     for _ in range(cfg.nt):
         v = scipy.linalg.solve_banded((1, 1), ab, v)
     assert np.max(np.abs(pde.values[0] - v)) < 1e-8
@@ -237,10 +237,11 @@ def test_obstacle_step_failures_raise(monkeypatch, routine, message):
         standard_os_pde(brownian_problem(0.0), put_psi, small_cfg(), mode="sup")
     # the same failures with three stacked obstacles
     psis = [put_psi, lambda x: np.maximum(x - K, 0.0), lambda x: 0.5 * put_psi(x)]
+    steps = step_rows(brownian_problem(0.0), small_cfg())
     with pytest.raises(RuntimeError, match=message):
-        stacked_initial_values(brownian_problem(0.0), psis, small_cfg(), mode="sup")
+        stacked_initial_values(steps, psis, mode="sup")
     with pytest.raises(RuntimeError, match=message):
-        stacked_os_pde(brownian_problem(0.0), psis, small_cfg(), mode="sup")
+        stacked_os_pde(steps, psis, mode="sup")
 
 
 def moving_drift_problem():
@@ -379,25 +380,26 @@ def test_stacked_sweep_equals_separate_solves(case):
     # step-by-step sweep, byte for byte
     problem, psis, cfg, mode = sweep_case(case)
     reference = reference_sweep(problem, psis, cfg, mode)
-    xs, initial = stacked_initial_values(problem, psis, cfg, mode=mode)
-    surfaces = stacked_os_pde(problem, psis, cfg, mode=mode)
+    steps = step_rows(problem, cfg)
+    initial = stacked_initial_values(steps, psis, mode=mode)
+    surfaces = stacked_os_pde(steps, psis, mode=mode)
     assert initial.tobytes() == reference[0].tobytes()
     for j, surface in enumerate(surfaces):
         assert surface.values.tobytes() == reference[:, j].tobytes()
-        assert np.array_equal(surface.psi_values, reference[-1, j])
+        assert np.array_equal(surface.values[-1], psis[j](steps.xs))
     m = make_empirical([(0.3, 1), (0.9, 1), (1.4, 0)], [0.3, 0.5, 0.2])
     for j, psi in enumerate(psis):
         one = standard_os_pde(problem, psi, cfg, mode=mode)
-        assert np.array_equal(xs, one.xs)
+        assert np.array_equal(steps.xs, one.xs)
         assert one.values.tobytes() == reference[:, j].tobytes()
-        assert aggregate_slice(m, xs, initial[j], psi) == aggregate_value(m, one, psi)
+        assert aggregate_slice(m, steps.xs, initial[j], psi) == aggregate_value(m, one, psi)
     with pytest.raises(ValueError, match="payoff"):
-        stacked_initial_values(problem, [], cfg)
+        stacked_initial_values(steps, [])
 
 
-def reference_initial_values(problem, psis, cfg, mode="sup", steps=None):
+def reference_initial_values(steps, psis, mode="sup"):
     """`stacked_initial_values` through `reference_sweep`."""
-    return np.linspace(cfg.x_lo, cfg.x_hi, cfg.nx), reference_sweep(problem, psis, cfg, mode)[0]
+    return reference_sweep(steps.problem, psis, steps.cfg, mode)[0]
 
 
 @pytest.mark.parametrize("case", SWEEP_CASES)
@@ -429,23 +431,18 @@ def test_sweeps_that_share_step_rows_equal_separate_solves(case):
     steps = step_rows(problem, cfg)
     for payoffs in (psis, [put_psi, psis[0]]):
         reference = reference_sweep(problem, payoffs, cfg, mode)
-        xs, ts, _, values = pde_module._sweep(problem, payoffs, cfg, mode, True, steps)
-        assert values.tobytes() == reference.tobytes()
-        _, initial = stacked_initial_values(problem, payoffs, cfg, mode, steps)
+        assert pde_module._sweep(steps, payoffs, mode, True).tobytes() == reference.tobytes()
+        initial = stacked_initial_values(steps, payoffs, mode)
         assert initial.tobytes() == reference[0].tobytes()
-        assert xs is steps.xs and ts is steps.ts
+        for j, surface in enumerate(stacked_os_pde(steps, payoffs, mode)):
+            assert surface.values.tobytes() == reference[:, j].tobytes()
+            assert surface.xs is steps.xs and surface.ts is steps.ts
 
 
-def test_step_rows_are_refused_for_another_problem_or_grid():
+def test_time_homogeneous_steps_share_one_rows_object():
     problem, cfg = brownian_problem(0.3), small_cfg(nt=40)
     steps = step_rows(problem, cfg)
     assert len(steps.rows) == cfg.nt and all(rows is steps.rows[0] for rows in steps.rows)
-    # an equal grid built anew is the same grid
-    stacked_initial_values(problem, [put_psi], small_cfg(nt=40), "sup", steps)
-    with pytest.raises(ValueError, match="another problem or grid"):
-        stacked_initial_values(brownian_problem(0.3), [put_psi], cfg, "sup", steps)
-    with pytest.raises(ValueError, match="another problem or grid"):
-        stacked_initial_values(problem, [put_psi], small_cfg(nt=41), "sup", steps)
 
 
 def test_step_rows_are_read_only():

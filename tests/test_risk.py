@@ -192,9 +192,9 @@ def counted_sweeps(monkeypatch) -> list:
     sizes = []
     sweep = risk.stacked_initial_values
 
-    def counted(problem, psis, *args, **kwargs):
+    def counted(steps, psis, *args, **kwargs):
         sizes.append(len(psis))
-        return sweep(problem, psis, *args, **kwargs)
+        return sweep(steps, psis, *args, **kwargs)
 
     monkeypatch.setattr(risk, "stacked_initial_values", counted)
     return sizes
@@ -326,6 +326,28 @@ def test_alpha_star_path_refuses_a_non_finite_lam():
             mv_pde_cfg(),
             TimeGrid(4, 1.0),
         )
+
+
+@pytest.mark.parametrize(
+    "kw,message",
+    [
+        (dict(grid_points=2.5), "grid_points must be an integer"),
+        (dict(grid_points=0), "grid_points must be an integer"),
+        (dict(grid_points=True), "grid_points must be an integer"),
+        (dict(checkpoints=2.5), "checkpoints must be an integer"),
+        (dict(checkpoints=0), "checkpoints must be an integer"),
+    ],
+)
+def test_alpha_star_path_refuses_bad_counts(monkeypatch, kw, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a bad count reached the obstacle solver")
+
+    monkeypatch.setattr(risk, "step_rows", no_sweep)
+    monkeypatch.setattr(risk, "stacked_os_pde", no_sweep)
+    inst = build_instance("mean_variance", lam=1.0)
+    grid = TimeGrid(8, inst.problem.horizon)
+    with pytest.raises(ValueError, match=message):
+        meanvar_alpha_star_path(inst.m0, inst.problem, 1.0, inst.pde_cfg, grid, **kw)
 
 
 def test_alpha_star_path_is_flat_when_stopping_now_is_optimal():
