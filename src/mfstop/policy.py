@@ -120,27 +120,31 @@ class PolicyRun:
         other.particles = self.particles.copy()
         return other
 
-    def multiplicities(self, rng, resamples: int):
-        """Row multiplicities of a bootstrap stratified by source atom."""
-        r = self.paths_per_atom
-        offsets = (np.arange(self.n_atoms) * r)[:, None]
+    def bootstrap_stderr(self, seed: int, tag: str, resamples: int, statistic) -> float:
+        """Stderr of statistic(row multiplicities) over `resamples` bootstraps
+        stratified by source atom, drawn from rng_for(seed, tag); 0 with fewer
+        than two paths per atom or no resamples."""
+        n, r = self.n_atoms, self.paths_per_atom
+        if r < 2 or resamples == 0:
+            return 0.0
+        rng, offsets = rng_for(seed, tag), (np.arange(n) * r)[:, None]
+        vals = []
         for _ in range(resamples):
-            picks = rng.integers(0, r, size=(self.n_atoms, r)) + offsets
-            yield np.bincount(picks.ravel(), minlength=self.n_atoms * r).astype(float)
+            picks = rng.integers(0, r, size=(n, r)) + offsets
+            vals.append(statistic(np.bincount(picks.ravel(), minlength=n * r).astype(float)))
+        return float(np.std(vals, ddof=1))
 
     def estimate(self, seed: int, resamples: int) -> ValueEstimate:
         """Objective on the realized paths plus a stratified bootstrap stderr."""
         points, weights = self.particles.marginal()
         value = float(self.reward.sum() + self.problem.terminal(points, weights))
         stderr = 0.0
-        if self.paths_per_atom >= 2 and resamples != 0:
+        if resamples != 0:
             w, (_, pw, psrc) = self.particles.w, self.particles.pool_arrays()
-            vals = [
-                (self.reward * mult).sum()
-                + self.problem.terminal(points, np.concatenate([w * mult, pw * mult[psrc]]))
-                for mult in self.multiplicities(rng_for(seed, "bootstrap"), resamples)
-            ]
-            stderr = float(np.std(vals, ddof=1))
+            objective = lambda mult: (self.reward * mult).sum() + self.problem.terminal(
+                points, np.concatenate([w * mult, pw * mult[psrc]])
+            )
+            stderr = self.bootstrap_stderr(seed, "bootstrap", resamples, objective)
         return ValueEstimate(value=value, mc_stderr=stderr, n_paths=len(self.reward))
 
 

@@ -236,13 +236,19 @@ class MeanVarianceResult:
     alpha_star: float
 
 
-def _meanvar_alpha_bounds(m: EmpiricalMeasure, lam: float) -> tuple:
-    """Default slope range: 1 + lam * (mean -/+ 6 (std + 1)) of the x-marginal."""
-    xs, ws = m.x_marginal()
-    z1 = float(xs[:, 0] @ ws)
-    z2 = float(xs[:, 0] ** 2 @ ws)
-    spread = math.sqrt(max(z2 - z1 * z1, 0.0)) + 1.0
-    return (1.0 + lam * (z1 - 6.0 * spread), 1.0 + lam * (z1 + 6.0 * spread))
+def _meanvar_alpha_bounds(m: EmpiricalMeasure, lam: float, bounds: Optional[tuple] = None):
+    """The slope range `bounds`, by default 1 + lam * (mean -/+ 6 (std + 1))
+    of the x-marginal; refused unless finite and increasing."""
+    if bounds is None:
+        xs, ws = m.x_marginal()
+        z1 = float(xs[:, 0] @ ws)
+        z2 = float(xs[:, 0] ** 2 @ ws)
+        spread = math.sqrt(max(z2 - z1 * z1, 0.0)) + 1.0
+        bounds = (1.0 + lam * (z1 - 6.0 * spread), 1.0 + lam * (z1 + 6.0 * spread))
+    a_lo, a_hi = bounds
+    if not (math.isfinite(a_lo) and math.isfinite(a_hi) and a_lo < a_hi):
+        raise ValueError("alpha bounds must be finite and increasing")
+    return a_lo, a_hi
 
 
 def _meanvar_payoff(a: float, lam: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -285,12 +291,7 @@ def mean_variance_dual(
         value = _linear_values(m, step_rows(problem, pde_cfg), [identity], "sup")[0]
         return MeanVarianceResult(value=value, alpha_star=1.0)
 
-    if alpha_bounds is None:
-        alpha_bounds = _meanvar_alpha_bounds(m, lam)
-    a_lo, a_hi = alpha_bounds
-    if not (math.isfinite(a_lo) and math.isfinite(a_hi) and a_lo < a_hi):
-        raise ValueError("alpha bounds must be finite and increasing")
-
+    a_lo, a_hi = _meanvar_alpha_bounds(m, lam, alpha_bounds)
     steps = step_rows(problem, pde_cfg)
 
     def dual_objectives(alphas) -> list:
@@ -381,9 +382,7 @@ def meanvar_alpha_star_path(
         raise ValueError("slope tracking needs a finite lam > 0")
     check_count("grid_points", grid_points, 1)
     check_count("checkpoints", checkpoints, 1)
-    if alpha_bounds is None:
-        alpha_bounds = _meanvar_alpha_bounds(m, lam)
-    alphas = np.linspace(alpha_bounds[0], alpha_bounds[1], grid_points)
+    alphas = np.linspace(*_meanvar_alpha_bounds(m, lam, alpha_bounds), grid_points)
     payoffs = [_meanvar_payoff(a, lam) for a in alphas]
     pdes = stacked_os_pde(step_rows(problem, pde_cfg), payoffs, mode="sup")
 

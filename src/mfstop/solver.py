@@ -3,11 +3,10 @@
 `solve_value` maximizes the stopped objective over two parametric policy
 families, constant fractions and thresholds: a coarse sweep with one shared
 parameter across nodes, then per-node coordinate descent with shrinking
-brackets. All candidate evaluations, and the final bootstrap evaluation of
-the winner, read one noise table (`policy.policy_noise`), drawn when the
-search starts: each node's noise is drawn once per solve, it is common
-across policies by construction, and comparisons are far less noisy than
-the individual values.
+brackets. All candidate evaluations read one noise table
+(`policy.policy_noise`), drawn when the search starts: each node's noise is
+drawn once per solve, it is common across policies by construction, and
+comparisons are far less noisy than the individual values.
 
 A refinement trial changes the incumbent at one node k, and the law
 entering node k depends only on the maps before k (the flow property behind
@@ -16,7 +15,8 @@ entering each node as a checkpoint that shares the run's arrays, since no
 run writes them; the search keeps the incumbent's checkpoints and runs each
 trial from its checkpoint k. A trial whose new map stops the same rows with
 the same fractions is the incumbent's run bit for bit and takes its value
-without a run. Both leave every value exactly as a run from m0 gives it.
+without a run. Both leave every value exactly as a run from m0 gives it, so
+the winner's run is taken from the search, not replayed.
 
 The state of the dynamic program is a measure, so no backward recursion over
 a finite state space is available in general. For deterministic dynamics
@@ -108,16 +108,16 @@ class SolveResult:
 class _Searcher:
     """Caches policy evaluations (no bootstrap) under one shared noise object.
 
-    It keeps the incumbent, the best policy evaluated so far, with its run's
-    checkpoints: the state entering each node, before that node's stop.
-    The state entering node k depends only on the maps before k, so a
+    It keeps the incumbent, the best policy evaluated so far, with its run,
+    whose checkpoints hold the state entering each node, before that node's
+    stop. The state entering node k depends only on the maps before k, so a
     policy whose maps stop as the incumbent's do before node k starts from
     the incumbent's checkpoint k instead of from m0. Two maps at a node
     stop alike when they give the same survival fractions on the
     checkpoint's live rows, or when nothing is alive there. A policy that
     stops as the incumbent does at every node has the incumbent's run bit
-    for bit, so it takes the incumbent's value without a run; it still
-    counts as an evaluation.
+    for bit, so it takes the incumbent's run and value without a run; it
+    still counts as an evaluation.
     """
 
     def __init__(self, m0, problem, grid, cfg, seed, start_node):
@@ -131,10 +131,10 @@ class _Searcher:
         self.noise = policy_noise(m0, problem, cfg.paths_per_atom, seed, nodes)
         self.n_evaluations = 0
         self.seen: dict = {}  # policy key -> (value, survivor_mass_mean)
-        # the incumbent's maps, its seen entry and its run's checkpoints
+        # the incumbent's maps, its seen entry and its run
         self.incumbent: Optional[tuple] = None
         self.incumbent_result: Optional[tuple] = None
-        self.checkpoints: tuple = ()
+        self.incumbent_run: Optional[PolicyRun] = None
 
     def _key(self, pol: Policy):
         return tuple(sm.key for sm in pol.maps[self.start_node :])
@@ -156,34 +156,34 @@ class _Searcher:
             mine, theirs = pol.maps[k], self.incumbent[k]
             if mine.key == theirs.key:
                 continue
-            particles = self.checkpoints[k - self.start_node].particles
+            particles = self.incumbent_run.checkpoints[k - self.start_node].particles
             x = particles.x[particles.alive]
             if x.shape[0] and not np.array_equal(mine(x), theirs(x)):
                 return k
         return None
 
-    def _evaluate(self, pol: Policy) -> tuple:
+    def run(self, pol: Policy) -> PolicyRun:
+        """pol's run: the incumbent's when pol stops as it does at every node,
+        else one resumed from the incumbent's checkpoint at the first node
+        where pol stops otherwise (from m0 before there is an incumbent)."""
         k, resume = self.start_node, None
         if self.incumbent is not None:
             k = self._first_change(pol)
             if k is None:
-                return self.incumbent_result
-            resume = self.checkpoints[k - self.start_node]
-        run = run_policy(
-            self.m0,
-            self.problem,
-            self.grid,
-            pol.maps,
-            self.cfg.paths_per_atom,
-            self.seed,
-            k,
-            noise=self.noise,
-            resume=resume,
+                return self.incumbent_run
+            resume = self.incumbent_run.checkpoints[k - self.start_node]
+        return run_policy(
+            self.m0, self.problem, self.grid, pol.maps, self.cfg.paths_per_atom, self.seed, k,
+            self.noise, resume=resume,
         )
+
+    def _evaluate(self, pol: Policy) -> tuple:
+        run = self.run(pol)
+        if run is self.incumbent_run:
+            return self.incumbent_result
         result = (run.estimate(self.seed, 0).value, float(np.mean(run.survivor_mass)))
         if self.incumbent is None or result[0] > self.incumbent_result[0]:
-            self.incumbent, self.incumbent_result = pol.maps, result
-            self.checkpoints = run.checkpoints
+            self.incumbent, self.incumbent_result, self.incumbent_run = pol.maps, result, run
         return result
 
 
@@ -263,12 +263,13 @@ def solve_value(
 ) -> SolveResult:
     """Best objective over the constant and threshold policy families.
 
-    The returned value is a sampled lower bound on the grid-time value (up
-    to MC error): it is the max the search saw, and every evaluated policy's
-    value is a true objective. Near-optimal ties go to the policy that stops
-    least (largest average survivor mass). A final run of the winner, kept
-    as `SolveResult.run`, attaches the standard error from
-    `policy.BOOTSTRAP_RESAMPLES` bootstrap resamples.
+    The returned value is the winner's objective on the search's own noise,
+    within `tol` of the in-sample maximum over the evaluated policies, so it
+    is biased upward as an estimate of the grid-time value, not a lower
+    bound. Near-optimal ties go to the policy that stops least (largest
+    average survivor mass). `SolveResult.run` is the search's own run of the
+    winner, and its standard error comes from `policy.BOOTSTRAP_RESAMPLES`
+    bootstrap resamples of that run.
     """
     cfg = search_cfg or SearchConfig()
     searcher = _Searcher(m0, problem, grid, cfg, seed, start_node)
@@ -308,9 +309,7 @@ def solve_value(
     ]
     best = max(tied, key=searcher.survivor_mass)
 
-    run = run_policy(
-        m0, problem, grid, best.maps, cfg.paths_per_atom, seed, start_node, noise=searcher.noise
-    )
+    run = searcher.run(best)
     return SolveResult(
         estimate=run.estimate(seed, BOOTSTRAP_RESAMPLES),
         policy=best,
@@ -444,15 +443,6 @@ class DppReport:
     mode: str
 
 
-def _prefix_run(run: PolicyRun, seed: int):
-    """A run's state at a node; returns (reward so far, its stderr, snapshot)."""
-    se = 0.0
-    if run.problem.f is not None and run.paths_per_atom >= 2:
-        rng = rng_for(seed, "prefix-bootstrap")
-        se = float(np.std([run.reward @ mult for mult in run.multiplicities(rng, 100)], ddof=1))
-    return float(run.reward.sum()), se, run.particles.snapshot()
-
-
 def verify_dpp(
     m0: EmpiricalMeasure,
     problem: Problem,
@@ -475,8 +465,9 @@ def verify_dpp(
     the Monte Carlo solver and reports a combined stderr.
     """
     cfg = solver_cfg or SearchConfig()
+    check_count("split_index", split_index, 1)
     s = split_index
-    if not 0 < s <= grid.n:
+    if s > grid.n:
         raise ValueError("split index must satisfy 0 < s <= n")
 
     if mode == "exact":
@@ -486,7 +477,10 @@ def verify_dpp(
 
     full = solve_value(m0, problem, grid, cfg, seed)
     state = full.run.checkpoints[s] if s < grid.n else full.run
-    prefix_reward, prefix_se, snapshot = _prefix_run(state, seed)
+    prefix_reward, snapshot = float(state.reward.sum()), state.particles.snapshot()
+    resamples = 100 if problem.f is not None else 0  # else the prefix reward is 0 on every path
+    prefix = lambda mult: state.reward @ mult
+    prefix_se = state.bootstrap_stderr(seed, "prefix-bootstrap", resamples, prefix)
 
     if s == grid.n:
         # terminal layer: the restart value is the terminal-stop sup, which

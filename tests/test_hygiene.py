@@ -7,6 +7,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "mfstop").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -149,3 +150,78 @@ def test_no_module_imports_a_private_name_of_another():
         if (names := private_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def exported_names(tree: ast.Module) -> list[str]:
+    """The names a module's `__all__` lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def uses(node: ast.AST, by_string: bool):
+    """Every name that `node` reads or reaches as an attribute, and with
+    `by_string` every string constant; imports and `__all__` lists do not count."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif by_string and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def unused_exports(package: dict, bench: dict) -> list[str]:
+    """`__all__` names of the package that no package or bench code uses
+    outside the name's own definition; a bench string naming one counts."""
+    trees = {label: ast.parse(source) for label, source in package.items()}
+    total = Counter(name for tree in trees.values() for name in uses(tree, False))
+    for source in bench.values():
+        total.update(uses(ast.parse(source), True))
+    found = []
+    for label, tree in trees.items():
+        for name in exported_names(tree):
+            own = [
+                node
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+            ]
+            if total[name] == sum(ref == name for node in own for ref in uses(node, False)):
+                found.append(f"{label}: {name}")
+    return sorted(found)
+
+
+def test_the_export_scan_flags_only_names_nobody_uses():
+    package = {
+        "a": (
+            "__all__ = ['used', 'reached', 'traced', 'unused', 'recursive']\n"
+            "def used():\n"
+            "    return 'recursive'\n"
+            "def reached():\n"
+            "    pass\n"
+            "def traced():\n"
+            "    pass\n"
+            "def unused():\n"
+            "    pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+        ),
+        "b": (
+            "from .a import unused, used\n"
+            "from . import a\n"
+            "__all__ = ['unused']\n"
+            "x = used() or a.reached\n"
+        ),
+    }
+    bench = {"run": "import a\nwrap(a, 'traced', 'a.unused')\n"}
+    assert unused_exports(package, bench) == ["a: recursive", "a: unused", "b: unused"]
+
+
+def test_every_exported_name_has_a_production_use():
+    # policy_from_json is kept on purpose as the inverse of policy_to_json
+    package = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    bench = {path.name: path.read_text(encoding="utf-8") for path in BENCH}
+    assert unused_exports(package, bench) == ["policy.py: policy_from_json"]

@@ -350,6 +350,20 @@ def test_alpha_star_path_refuses_bad_counts(monkeypatch, kw, message):
         meanvar_alpha_star_path(inst.m0, inst.problem, 1.0, inst.pde_cfg, grid, **kw)
 
 
+@pytest.mark.parametrize("bounds", [(3.0, 1.0), (2.0, 2.0), (float("nan"), 3.0)])
+def test_alpha_star_path_refuses_bad_alpha_bounds(monkeypatch, bounds):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("bad alpha bounds reached the obstacle solver")
+
+    monkeypatch.setattr(risk, "step_rows", no_sweep)
+    inst = build_instance("mean_variance", lam=1.0)
+    grid = TimeGrid(8, inst.problem.horizon)
+    with pytest.raises(ValueError, match="alpha bounds must be finite and increasing"):
+        meanvar_alpha_star_path(
+            inst.m0, inst.problem, 1.0, inst.pde_cfg, grid, paths_per_atom=20, alpha_bounds=bounds
+        )
+
+
 def test_alpha_star_path_is_flat_when_stopping_now_is_optimal():
     # with driftless dynamics the time-0 rule stops everything at once, so
     # the visited law never changes and the re-solved slope cannot move

@@ -12,7 +12,14 @@ from test_calculus import drawn_lanes
 from mfstop.catalog import build_instance, load_experiment_config
 from mfstop.dynamics import MAX_NOISE_DOUBLES, Problem, TimeGrid
 from mfstop.measures import StopMap, apply_stop, make_empirical
-from mfstop.policy import Policy, PolicyRun, evaluate_policy, run_policy
+from mfstop.policy import (
+    BOOTSTRAP_RESAMPLES,
+    Policy,
+    PolicyRun,
+    evaluate_policy,
+    policy_noise,
+    run_policy,
+)
 from mfstop.solver import (
     SearchConfig,
     _Searcher,
@@ -168,9 +175,18 @@ def test_dpp_terminal_split_is_exact_replay():
     assert report.residual <= 1e-10
 
 
-def test_dpp_rejects_bad_split():
-    with pytest.raises(ValueError):
-        verify_dpp(HUMP_M0, hump_problem(), TimeGrid(2, 1.0), split_index=0)
+def test_dpp_rejects_bad_split(monkeypatch):
+    import mfstop.solver
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a bad split index reached the search")
+
+    monkeypatch.setattr(mfstop.solver, "solve_value", no_search)
+    inst = build_instance("standard_put")
+    grid = TimeGrid(4, inst.problem.horizon)
+    for split in (0, 5, 2.5, True):
+        with pytest.raises(ValueError, match="split"):
+            verify_dpp(inst.m0, inst.problem, grid, split_index=split)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +234,7 @@ def test_monotonicity_report_is_clean_on_small_problem():
 
 @pytest.mark.parametrize("start_node", [0, 3])
 def test_search_draws_each_node_noise_once(monkeypatch, start_node):
-    # every candidate and the final bootstrap evaluation share one table
+    # every candidate and the winner's bootstrap estimate share one table
     lanes = drawn_lanes(monkeypatch)
     inst = build_instance("standard_put")
     grid = TimeGrid(8, inst.problem.horizon)
@@ -327,18 +343,19 @@ def test_a_trial_that_stops_as_the_incumbent_reuses_its_value(monkeypatch):
 
 
 def test_search_steps_only_past_the_incumbents_checkpoints(monkeypatch):
-    # 1 296 Euler steps when every trial replayed its run from m0
+    # 1 296 Euler steps when every trial replayed its run from m0, and 653
+    # when the winner's final run was replayed from m0
     steps = _counting_steps(monkeypatch)
     inst = build_instance("standard_put")
     grid = TimeGrid(8, inst.problem.horizon)
     res = solve_value(inst.m0, inst.problem, grid, SearchConfig(paths_per_atom=400), seed=1)
     assert res.n_evaluations == 161
-    assert len(steps) == 653
+    assert len(steps) == 645
 
 
 def test_verify_dpp_steps_only_inside_its_two_solves(monkeypatch):
     # the split law is the winner's checkpoint, so no prefix is replayed
-    # (386 Euler steps when the prefix ran again from m0)
+    # (378 Euler steps when the prefix ran again from m0)
     import mfstop.solver
 
     cfg = load_experiment_config(str(files("mfstop").joinpath("configs", "standard_put.json")))
@@ -357,7 +374,7 @@ def test_verify_dpp_steps_only_inside_its_two_solves(monkeypatch):
     scfg = SearchConfig(paths_per_atom=cfg.paths_per_atom)
     verify_dpp(inst.m0, inst.problem, grid, cfg.split_index, scfg, seed=cfg.seed)
     assert len(in_solves) == 2
-    assert len(steps) == sum(in_solves) == 382
+    assert len(steps) == sum(in_solves) == 374
 
 
 def _digest(run) -> str:
@@ -370,6 +387,24 @@ def _digest(run) -> str:
         for a in part:
             h.update(np.asarray(a).tobytes())
     return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", ["standard_put", "attraction"])
+def test_the_winners_run_is_its_run_from_m0(name):
+    # the search hands back its own run of the winner; on standard_put that
+    # run resumed from a checkpoint, and the attraction search resumes runs
+    # and stops rows fully and fractionally (see the test below)
+    inst = build_instance(name)
+    grid = TimeGrid(8, inst.problem.horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = solve_value(inst.m0, inst.problem, grid, SearchConfig(paths_per_atom=40), seed=1)
+    noise = policy_noise(inst.m0, inst.problem, 40, 1, range(grid.n))
+    fresh = run_policy(inst.m0, inst.problem, grid, res.policy.maps, 40, 1, noise=noise)
+    assert len(res.run.checkpoints) == grid.n
+    runs = [res.run, *res.run.checkpoints], [fresh, *fresh.checkpoints]
+    assert [_digest(r) for r in runs[0]] == [_digest(r) for r in runs[1]]
+    assert res.estimate == fresh.estimate(1, BOOTSTRAP_RESAMPLES)
 
 
 def test_no_run_of_a_search_writes_a_checkpoint_it_shares_arrays_with(monkeypatch):
