@@ -8,7 +8,9 @@ calls the same functions.
 
 Conventions: every criterion function takes no arguments and returns
 (passed, one line of detail). `run_all` prints one line per criterion and
-returns the structured results.
+returns the structured results. The oracles private to a criterion live
+here; the distortion quadrature lives in `risk`, next to the closed form it
+checks, because the `example distortion` table uses it too.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from .measures import EmpiricalMeasure, StopMap, apply_stop, from_arrays, make_e
 from .mollifier import MollifierParams, mollify, monotonicity_probe, partition_weights, project_measure, sample_simplex
 from .pde import aggregate_value, standard_os_pde
 from .policy import terminal_stop_sup
-from .risk import distorted_expectation, distortion_g, es_beta_form, expected_shortfall, expected_shortfall_value, mean_variance_dual
+from .risk import distorted_expectation, distortion_g, es_beta_form, expected_shortfall, expected_shortfall_value, mean_variance_dual, quadrature_distortion
 from .solver import SearchConfig, monotonicity_check, solve_value, verify_dpp
 from .util import rng_for
 
-__all__ = ["CriterionResult", "quadrature_distortion", "run_all", "run_criterion"]
+__all__ = ["CriterionResult", "run_all", "run_criterion"]
 
 
 @dataclass(frozen=True)
@@ -67,24 +69,6 @@ def _gaussian_put_value(x: float, strike: float, horizon: float) -> float:
     pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     cdf = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
     return (strike - x) * cdf + s * pdf
-
-
-def quadrature_distortion(levels, weights, phi) -> float:
-    """Integral of phi(mass strictly above z) over z >= 0, interval by interval.
-
-    The integrand is constant between consecutive atom levels, so summing
-    phi(tail mass) times the interval length is an exact quadrature. Kept
-    deliberately different from the telescoping closed form it checks.
-    """
-    p = np.asarray(levels, dtype=float).reshape(-1)
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    edges = np.unique(np.concatenate([[0.0], p]))
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        tail = float(w[p > mid].sum())
-        total += float(phi(np.array(tail))) * (hi - lo)
-    return total
 
 
 def _brute_wasserstein(m1: EmpiricalMeasure, m2: EmpiricalMeasure, order: int) -> float:

@@ -41,16 +41,6 @@ from .util import check_threads, config_digest, dump_text_atomic
 
 __all__ = ["main"]
 
-_EXAMPLES = ("standard", "meanvar", "es", "distortion")
-
-# which catalog instance each example table is built on
-_EXAMPLE_PROBLEM = {
-    "standard": "standard_put",
-    "meanvar": "mean_variance",
-    "es": "shortfall",
-    "distortion": "distortion",
-}
-
 
 # ---------------------------------------------------------------------------
 # config resolution and artifact plumbing
@@ -72,12 +62,15 @@ def _resolve_config(args, default_problem: str | None = None) -> ExperimentConfi
     return cfg
 
 
+def _stamp(cfg: ExperimentConfig) -> dict:
+    """What identifies an artifact: the config digest, the seed, the version."""
+    return {"config_sha256": config_digest(cfg.as_dict()), "seed": cfg.seed, "version": __version__}
+
+
 def _envelope(subcommand: str, cfg: ExperimentConfig, t0: float, body: dict) -> dict:
     return {
         "subcommand": subcommand,
-        "config_sha256": config_digest(cfg.as_dict()),
-        "seed": cfg.seed,
-        "version": __version__,
+        **_stamp(cfg),
         "runtime_ms": int(round((time.perf_counter() - t0) * 1000.0)),
         **body,
     }
@@ -98,24 +91,14 @@ def _emit_text(args, name: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _value_table(rows: list[dict], cfg: ExperimentConfig) -> str:
+def _value_table(rows: list[list], cfg: ExperimentConfig) -> str:
     """CSV with the example columns, prefixed by identifying comment lines."""
     buf = io.StringIO()
-    buf.write(f"# config_sha256={config_digest(cfg.as_dict())}\n")
-    buf.write(f"# seed={cfg.seed}\n")
-    buf.write(f"# version={__version__}\n")
+    for key, value in _stamp(cfg).items():
+        buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["parameter", "value", "oracle_value", "abs_gap", "stderr"])
-    for r in rows:
-        writer.writerow(
-            [
-                r["parameter"],
-                repr(float(r["value"])),
-                repr(float(r["oracle_value"])),
-                repr(float(r["abs_gap"])),
-                repr(float(r["stderr"])),
-            ]
-        )
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -125,14 +108,10 @@ def _load_measure(args, inst):
     return inst.m0
 
 
-def _row(parameter: str, value: float, oracle: float, stderr: float) -> dict:
-    return {
-        "parameter": parameter,
-        "value": float(value),
-        "oracle_value": float(oracle),
-        "abs_gap": abs(float(value) - float(oracle)),
-        "stderr": float(stderr),
-    }
+def _row(parameter: str, value: float, oracle: float, stderr: float) -> list:
+    """One example table row, in the columns of `_value_table`."""
+    value, oracle = float(value), float(oracle)
+    return [parameter, repr(value), repr(oracle), repr(abs(value - oracle)), repr(float(stderr))]
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +267,11 @@ def _cmd_mollify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _example_standard(cfg: ExperimentConfig) -> list[dict]:
+def _example_standard(cfg: ExperimentConfig, args) -> list[list]:
     from .pde import aggregate_value, standard_os_pde
     from .solver import SearchConfig, solve_value
 
-    inst = build_instance("standard_put", **cfg.problem_params)
+    inst = cfg.instance()
     pde = standard_os_pde(inst.problem, inst.psi, inst.pde_cfg)
     oracle = aggregate_value(inst.m0, pde, inst.psi)
     rows = []
@@ -304,12 +283,12 @@ def _example_standard(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _example_meanvar(cfg: ExperimentConfig, args) -> list[dict]:
+def _example_meanvar(cfg: ExperimentConfig, args) -> list[list]:
     from .risk import mean_variance_dual, meanvar_alpha_star_path
 
     rows = []
     for lam in (0.0, 0.5, 1.0, 2.0):
-        inst = build_instance("mean_variance", lam=lam)
+        inst = build_instance(cfg.problem, lam=lam)
         xs, ws = inst.m0.x_marginal()
         # martingale dynamics: waiting only spreads the law, so stopping at
         # once is optimal and the value collapses to the reward of m0
@@ -317,7 +296,7 @@ def _example_meanvar(cfg: ExperimentConfig, args) -> list[dict]:
         dual = mean_variance_dual(inst.m0, inst.problem, lam, inst.pde_cfg)
         rows.append(_row(f"lam={lam:g}", dual.value, oracle, 0.0))
 
-    inst = build_instance("mean_variance", lam=1.0)
+    inst = build_instance(cfg.problem, lam=1.0)
     grid = TimeGrid(cfg.grid_n, inst.problem.horizon)
     t0 = time.perf_counter()
     path = meanvar_alpha_star_path(
@@ -335,12 +314,12 @@ def _example_meanvar(cfg: ExperimentConfig, args) -> list[dict]:
     return rows
 
 
-def _example_es(cfg: ExperimentConfig) -> list[dict]:
+def _example_es(cfg: ExperimentConfig, args) -> list[list]:
     from .risk import expected_shortfall, expected_shortfall_value
 
     rows = []
     for alpha in (0.5, 0.75, 0.9):
-        inst = build_instance("shortfall", alpha=alpha)
+        inst = build_instance(cfg.problem, alpha=alpha)
         xs, ws = inst.m0.x_marginal()
         # martingale dynamics again: (x - beta)+ is convex, waiting raises
         # every beta-objective, so the reachable minimum is the current ES
@@ -350,11 +329,10 @@ def _example_es(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _example_distortion(cfg: ExperimentConfig) -> list[dict]:
-    from .acceptance import quadrature_distortion
-    from .risk import distortion_g
+def _example_distortion(cfg: ExperimentConfig, args) -> list[list]:
+    from .risk import distortion_g, quadrature_distortion
 
-    inst = build_instance("distortion", **cfg.problem_params)
+    inst = cfg.instance()
     xs, ws = inst.m0.x_marginal()
     rows = []
     for exponent in (0.5, 0.7, 0.9):
@@ -366,22 +344,24 @@ def _example_distortion(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
+# each example table: the catalog instance it runs on, and its row builder
+_EXAMPLES = {
+    "standard": ("standard_put", _example_standard),
+    "meanvar": ("mean_variance", _example_meanvar),
+    "es": ("shortfall", _example_es),
+    "distortion": ("distortion", _example_distortion),
+}
+
+
 def _cmd_example(args) -> int:
-    cfg = _resolve_config(args, default_problem=_EXAMPLE_PROBLEM[args.which])
-    if cfg.problem != _EXAMPLE_PROBLEM[args.which]:
+    problem, build_rows = _EXAMPLES[args.which]
+    cfg = _resolve_config(args, default_problem=problem)
+    if cfg.problem != problem:
         raise ValueError(
             f"config field 'problem' is {cfg.problem!r} but example "
-            f"'{args.which}' runs on {_EXAMPLE_PROBLEM[args.which]!r}"
+            f"'{args.which}' runs on {problem!r}"
         )
-    if args.which == "standard":
-        rows = _example_standard(cfg)
-    elif args.which == "meanvar":
-        rows = _example_meanvar(cfg, args)
-    elif args.which == "es":
-        rows = _example_es(cfg)
-    else:
-        rows = _example_distortion(cfg)
-    _emit_text(args, f"example_{args.which}.csv", _value_table(rows, cfg))
+    _emit_text(args, f"example_{args.which}.csv", _value_table(build_rows(cfg, args), cfg))
     return 0
 
 

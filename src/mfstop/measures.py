@@ -291,6 +291,8 @@ class StopMap:
         """
         sites = np.atleast_2d(np.asarray(sites, dtype=float))
         values = np.asarray(values, dtype=float).ravel()
+        if values.shape[0] != sites.shape[0]:
+            raise ValueError("site_lookup needs one value per site")
         if not ((values >= 0) & (values <= 1)).all() or not 0 <= default <= 1:
             raise ValueError("site_lookup values or default outside [0,1]")
 

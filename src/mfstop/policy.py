@@ -21,6 +21,12 @@ appended to a frozen pool (it can never move again) and the live particle
 continues with reduced weight. Pure {0,1} policies therefore reduce to flag
 flips with the initial weights, and the all-survive policy reproduces a
 kernel run with no stop rule path for path under the same seed.
+
+`policy_to_json` writes a policy as its family tag and one (family, params)
+node per map. `policy_from_json` reads a node back through its family's own
+`StopMap` constructor, called with the params as keywords, so each
+constructor is the one statement of its format and its checks. Only the
+families in `_SERIALIZABLE` are written or read.
 """
 
 from __future__ import annotations
@@ -335,23 +341,17 @@ def policy_to_json(pol: Policy) -> str:
 
 
 def _stop_map_from_dict(d: dict) -> StopMap:
-    family, params = d["family"], d["params"]
-    if family == "constant":
-        return StopMap.constant(params["c"])
-    if family == "threshold":
-        return StopMap.threshold(params["theta"], params["side"])
-    if family == "logistic":
-        return StopMap.logistic(np.asarray(params["a"]), params["c"])
-    if family == "tabular":
-        return StopMap.tabular(params["edges"], params["values"])
-    if family == "site_lookup":
-        return StopMap.site_lookup(
-            np.asarray(params["sites"]), np.asarray(params["values"]), params["default"]
-        )
-    raise ValueError(f"unknown stop map family {family!r}")
+    family = d["family"]
+    if family not in _SERIALIZABLE:
+        raise ValueError(f"unknown stop map family {family!r}")
+    return getattr(StopMap, family)(**d["params"])
 
 
 def policy_from_json(text: str) -> Policy:
+    """The inverse of `policy_to_json`; a malformed document raises ValueError."""
     payload = json.loads(text)
-    maps = tuple(_stop_map_from_dict(d) for d in payload["nodes"])
-    return Policy(maps, payload["family"])
+    try:
+        maps = tuple(_stop_map_from_dict(d) for d in payload["nodes"])
+        return Policy(maps, payload["family"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed policy document ({type(exc).__name__}: {exc})") from None

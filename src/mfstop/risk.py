@@ -13,7 +13,8 @@ that shrink the bracket by 4) whose every scan is one stacked backward sweep;
 a dual builds its step rows once and every one of its sweeps reuses them.
 
 The distortion functional needs no dynamics at all: on an atomic law the
-layer-cake integral collapses to an exact finite sum.
+layer-cake integral collapses to an exact finite sum, and
+`quadrature_distortion` integrates it interval by interval as its oracle.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "MeanVarianceResult",
     "mean_variance_dual",
     "distorted_expectation",
+    "quadrature_distortion",
     "distortion_g",
     "meanvar_alpha_star_path",
 ]
@@ -287,6 +289,8 @@ def mean_variance_dual(
     check_count("grid_points", grid_points, 3)
     check_count("refine_rounds", refine_rounds, 0)
     if lam == 0.0:
+        if alpha_bounds is not None:
+            _meanvar_alpha_bounds(m, lam, alpha_bounds)  # the default range is (1, 1)
         identity = lambda x: np.asarray(x, dtype=float)
         value = _linear_values(m, step_rows(problem, pde_cfg), [identity], "sup")[0]
         return MeanVarianceResult(value=value, alpha_star=1.0)
@@ -335,6 +339,26 @@ def distorted_expectation(
     tail = np.clip(np.cumsum(w[order]), 0.0, 1.0)
     increments = np.diff(np.concatenate([[0.0], np.asarray(phi(tail), dtype=float)]))
     return float(p[order] @ increments)
+
+
+def quadrature_distortion(levels, weights, phi) -> float:
+    """Integral of phi(mass strictly above z) over z >= 0, interval by interval.
+
+    The integrand is constant between consecutive atom levels, so summing
+    phi(tail mass) times the interval length is an exact quadrature. Kept
+    deliberately different from `distorted_expectation`, the telescoping
+    closed form it checks: it is the oracle of acceptance criterion 6 and
+    of the `example distortion` table.
+    """
+    p = np.asarray(levels, dtype=float).reshape(-1)
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    edges = np.unique(np.concatenate([[0.0], p]))
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        tail = float(w[p > mid].sum())
+        total += float(phi(np.array(tail))) * (hi - lo)
+    return total
 
 
 def distortion_g(

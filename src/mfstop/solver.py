@@ -188,10 +188,8 @@ class _Searcher:
 
 
 def _sigma_scale(problem: Problem, m0: EmpiricalMeasure) -> float:
-    xs, _ = m0.survivors()
-    if xs.shape[0] == 0:
-        xs = m0.xs
-    return float(np.median(np.abs(problem.vol(0.0, xs, m0))))
+    """Median |sigma| at time 0 over the survivors of m0 (there must be some)."""
+    return float(np.median(np.abs(problem.vol(0.0, m0.survivors()[0], m0))))
 
 
 def _coarse_candidates(problem, m0, grid, cfg, start_node) -> list:

@@ -351,6 +351,22 @@ def test_cli_import_and_catalog_builds_leave_scipy_unloaded():
     assert out.stdout.splitlines() == ["[]", "False", repr(STARTUP_MODULES)]
 
 
+def test_example_distortion_loads_only_the_set_up_modules(tmp_path):
+    # the table needs no layer beyond the set-up path; its oracle lives in
+    # risk, so no example loads the acceptance suite
+    code = (
+        "import sys; from mfstop import cli; "
+        f"assert cli.main(['example', 'distortion', '--out', {str(tmp_path)!r}, '--quiet']) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mfstop'))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == repr(STARTUP_MODULES)
+    assert (tmp_path / "example_distortion.csv").exists()
+
+
 def test_importing_the_cli_loads_no_layer_a_subcommand_runs():
     # each subcommand imports the layers it runs; dispatch and config
     # loading need none of them

@@ -330,12 +330,32 @@ def test_policy_json_round_trip():
         '{"family": "tabular", "params": {"edges": [0.0], "values": [1.0, NaN]}}',
         '{"family": "site_lookup", "params": {"sites": [[0.0]], "values": [NaN], "default": 1}}',
         '{"family": "site_lookup", "params": {"sites": [[0.0]], "values": [0.5], "default": NaN}}',
+        '{"family": "site_lookup", "params": {"sites": [[0.0], [1.0]], "values": [0.5], "default": 1}}',
+        '{"family": "constant", "params": {}}',
+        '{"family": "threshold", "params": {"theta": 0.5, "side": "below", "zzz": 1}}',
+        '{"family": "constant", "params": [0.5]}',
+        '{"family": "constant"}',
+        '{"params": {"c": 0.5}}',
+        '"constant"',
+        '{"family": ["constant"], "params": {"c": 0.5}}',
+        '{"family": "random", "params": {"rng": 0}}',
+        '{"family": "__init__", "params": {}}',
     ],
 )
 def test_policy_json_refuses_a_bad_stop_map(node):
-    # Python's json reads NaN and Infinity, so the constructors refuse them
+    # Python's json reads NaN and Infinity, so the constructors refuse them;
+    # a missing or unknown parameter, or a family outside the serializable
+    # ones, is refused before or by the family's constructor
     with pytest.raises(ValueError):
         policy_from_json('{"family": "mixed", "nodes": [%s]}' % node)
+
+
+@pytest.mark.parametrize(
+    "text", ['{"family": "mixed"}', '{"nodes": [{"family": "constant", "params": {"c": 0.5}}]}', "[]"]
+)
+def test_policy_json_refuses_a_document_without_its_keys(text):
+    with pytest.raises(ValueError, match="malformed policy document"):
+        policy_from_json(text)
 
 
 def test_policy_json_rejects_opaque_callables():

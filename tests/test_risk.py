@@ -300,6 +300,8 @@ def test_mean_variance_validation():
         (dict(grid_points=21.0), "grid_points must be an integer"),
         (dict(refine_rounds=1.5), "refine_rounds must be an integer"),
         (dict(refine_rounds=True), "refine_rounds must be an integer"),
+        (dict(lam=0.0, alpha_bounds=(3.0, 1.0)), "alpha bounds must be finite"),
+        (dict(lam=0.0, alpha_bounds=(float("nan"), 3.0)), "alpha bounds must be finite"),
     ],
 )
 def test_mean_variance_dual_rejects_bad_search_inputs(monkeypatch, kw, message):

@@ -91,6 +91,55 @@ def test_solver_reproduces_enumeration_on_deterministic_instance():
     assert est.value == pytest.approx(oracle.value, abs=1e-12)
 
 
+def meeting_problem():
+    """sigma = 0: the first step sends the survivors to their mean, the
+    second moves a survivor at the origin 4 to the right; the reward is the
+    terminal spread."""
+
+    def b(t, x, m):
+        if t < 0.25:
+            xs, ws = m.survivors()
+            return 2.0 * (float(xs[:, 0] @ ws) / float(ws.sum()) - x) if ws.size else 0.0
+        return 8.0 * np.maximum(1.0 - np.abs(x), 0.0)
+
+    def spread(points, weights):
+        return float((points[:, 0] - points[:, 0] @ weights) ** 2 @ weights)
+
+    return Problem(
+        d=1, b=b, sigma=lambda t, x, m: 0.0, f=None, g=spread, horizon=1.0, uses_measure=True
+    )
+
+
+def test_search_drops_an_assignment_that_splits_two_atoms_at_one_site(monkeypatch):
+    # both atoms meet at 0 at node 1, and the best pure assignment stops one
+    # of them there and runs the other on: no position-keyed map does that
+    import mfstop.solver
+
+    seen = []
+    real = mfstop.solver._assignment_to_policy
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(mfstop.solver, "_assignment_to_policy", spy)
+    m0 = make_empirical([(-1.0, 1), (1.0, 1)], [0.5, 0.5])
+    grid = TimeGrid(n=2, horizon=1.0)
+    exact = backward_enumeration(m0, meeting_problem(), grid)
+    assert exact.value == 4.0
+    assert set(exact.stop_nodes) == {1, None}
+    assert np.all(exact.node_positions[1] == 0.0)
+
+    cfg = SearchConfig(paths_per_atom=4, refine_rounds=6)  # enough rounds to converge
+    result = solve_value(m0, meeting_problem(), grid, cfg, seed=0)
+    assert seen == [None]
+    # the returned value is the search's own: its winner's run from m0, which
+    # relaxed stops push past the best pure assignment
+    rerun = run_policy(m0, meeting_problem(), grid, result.policy.maps, 4, 0)
+    assert result.estimate.value == rerun.estimate(0, 0).value
+    assert result.estimate.value > exact.value
+
+
 def test_never_stop_is_optimal_for_convex_reward_of_a_martingale():
     problem = Problem(
         d=1, b=lambda t, x, m: 0.0, sigma=lambda t, x, m: 1.0,
@@ -149,6 +198,16 @@ def test_dpp_exact_on_deterministic_instance():
     report = verify_dpp(HUMP_M0, hump_problem(), grid, split_index=1, mode="exact")
     assert report.residual <= 1e-12
     assert report.combined_stderr == 0.0
+
+
+def test_dpp_exact_at_the_terminal_layer():
+    # split at n: the restart is the terminal reward of the law at the horizon
+    grid = TimeGrid(n=2, horizon=1.0)
+    report = verify_dpp(HUMP_M0, hump_problem(), grid, split_index=grid.n, mode="exact")
+    assert report.lhs == pytest.approx(-0.004, abs=1e-14)
+    assert report.rhs == report.lhs
+    assert report.residual == 0.0
+    assert report.split_index == 2
 
 
 def test_dpp_search_mode_on_continuation_favoured_problem():
