@@ -20,7 +20,10 @@ The masked system depends only on the step's rows and the obstacle set, so
 it is factored once per obstacle set, not once per solve: LAPACK `gttrf`
 makes its LU factors and every iteration solves with `gttrs`, which does the
 arithmetic of a `gtsv` solve (same multipliers, same pivots, same order), so
-the values are those of a `gtsv` solve bit for bit. An iteration that
+the values are those of a `gtsv` solve bit for bit. Both routines come from
+the OpenBLAS that numpy's wheel bundles, bound through ctypes on the first
+sweep of a process; a numpy built against another BLAS has none, and then
+`scipy.linalg.lapack` serves them, with the same bits. An iteration that
 changes the obstacle set factors again, and no change follows the last
 solve of a step, so the factors a step returns always match the warm start
 it leaves behind, whether it moved that warm start or not. The sweep keeps
@@ -67,6 +70,8 @@ identity may outlive it.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -232,8 +237,8 @@ def _lcp_step(
     Policy iteration from the rows `on_obstacle` marks (the two boundary rows
     of each block always are, which pins them to psi), updated in place;
     `psi_max` is max|psi| per block. Each iteration solves all K blocks with
-    one triangular solve, `gttrs` of `lapack = (gttrf, gttrs)`, LAPACK's
-    tridiagonal LU pair, over the LU factors of the masked system: `lu`
+    one triangular solve, `gttrs` of `lapack = (gttrf, gttrs)`, the pair of
+    `_lapack`, over the LU factors of the masked system: `lu`
     when given, which must be the factors of these rows masked by
     `on_obstacle`, else factors made by `gttrf`; an iteration that changes
     `on_obstacle` factors again. A block settles on a residual at rounding
@@ -258,13 +263,10 @@ def _lcp_step(
                 np.where(on_obstacle, 0.0, lower).ravel()[1:],
                 np.where(on_obstacle, 1.0, diag).ravel(),
                 np.where(on_obstacle, 0.0, upper).ravel()[:-1],
-                overwrite_dl=1,
-                overwrite_d=1,
-                overwrite_du=1,
             )
             if info != 0:
                 raise RuntimeError(f"LAPACK tridiagonal factorisation failed (info={info})")
-        v, info = gttrs(*lu, np.where(on_obstacle, psi, rhs).ravel(), overwrite_b=1)
+        v, info = gttrs(*lu, np.where(on_obstacle, psi, rhs).ravel())
         if info != 0:
             raise RuntimeError(f"LAPACK tridiagonal solve failed (info={info})")
         v = v.reshape(rhs.shape)
@@ -288,6 +290,52 @@ def _lcp_step(
     )
 
 
+@functools.cache
+def _lapack() -> tuple:
+    """LAPACK's tridiagonal LU pair, resolved on first use, called as
+    `scipy.linalg.lapack`'s that overwrite their input: gttrf(dl, d, du)
+    returns (*lu, info) and gttrs(*lu, b) returns (b, info). The routines of
+    the OpenBLAS bundled with numpy when found, else scipy's."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        factor, solve = lib.scipy_dgttrf_64_, lib.scipy_dgttrs_64_
+    except (OSError, AttributeError):  # numpy built against another BLAS
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        overwrite = dict(overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        return functools.partial(dgttrf, **overwrite), functools.partial(dgttrs, overwrite_b=1)
+    factor.argtypes, factor.restype = [ctypes.c_void_p] * 7, None
+    solve.argtypes, solve.restype = [ctypes.c_void_p] * 11 + [ctypes.c_size_t], None
+    trans, one = ctypes.c_char(b"N"), ctypes.c_int64(1)
+
+    def gttrf(dl, d, du):
+        n = d.shape[0]
+        short, vector = ctypes.c_double * (n - 1), ctypes.c_double * n
+        # N (ILP64), DL, D, DU, DU2, IPIV, INFO; the views keep the arrays alive
+        views = (ctypes.c_int64(n), _doubles(dl, short), _doubles(d, vector), _doubles(du, short),
+                 vector(), (ctypes.c_int64 * n)(), ctypes.c_int64())
+        addresses = [ctypes.addressof(view) for view in views]
+        factor(*addresses)
+        # gttrs reads TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB = N, INFO and
+        # the length of TRANS: every address but B's is taken here, once
+        head = (ctypes.addressof(trans), addresses[0], ctypes.addressof(one), *addresses[1:6])
+        return head, vector, (addresses[0], addresses[6], 1), views, views[-1].value
+
+    def gttrs(head, vector, tail, views, b):
+        solve(*head, _doubles(b, vector), *tail)
+        return b, views[-1].value
+
+    return gttrf, gttrs
+
+
+def _doubles(a: np.ndarray, vector: type):
+    """`a` in place as the ctypes array type `vector` of doubles; from_buffer
+    refuses a read-only, non-contiguous or short array."""
+    if a.dtype != np.float64:
+        raise TypeError("LAPACK needs float64 arrays")
+    return vector.from_buffer(a)
+
+
 def _sweep(steps: StepRows, psis, mode: str, keep_surfaces: bool) -> np.ndarray:
     """One backward obstacle solve for K payoffs over the rows of `steps`.
 
@@ -307,9 +355,7 @@ def _sweep(steps: StepRows, psis, mode: str, keep_surfaces: bool) -> np.ndarray:
             raise ValueError("psi must map the grid to finite values")
         row[:] = value
     psi_max = np.max(np.abs(psi_values), axis=1)
-
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
+    lapack = _lapack()
     current = psi_values
     if keep_surfaces:
         values = np.empty((cfg.nt + 1,) + psi_values.shape)
@@ -332,7 +378,7 @@ def _sweep(steps: StepRows, psis, mode: str, keep_surfaces: bool) -> np.ndarray:
         if not repeat:  # a repeated step keeps the output `current` already is
             lu = factored[1] if factored[0] is rows else None
             current, moved, lu = _lcp_step(
-                rhs, rows, psi_values, psi_max, on_obstacle, mode, lu, (dgttrf, dgttrs)
+                rhs, rows, psi_values, psi_max, on_obstacle, mode, lu, lapack
             )
             factored = (rows, lu)
         # a repeated step keeps its own rhs, which is the next step's when f is None

@@ -340,8 +340,8 @@ STARTUP_MODULES = [
 
 
 def test_cli_import_and_catalog_builds_leave_scipy_unloaded():
-    # scipy costs about half a second to import; only the transport LP and
-    # the obstacle solver need it, and they load it when they run. No code
+    # scipy costs about half a second to import; only the transport LP needs
+    # it, and it loads it when it runs. No code
     # path uses a thread pool, so concurrent.futures must not load either,
     # and the set-up path loads exactly the mfstop modules it loads today.
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -349,6 +349,25 @@ def test_cli_import_and_catalog_builds_leave_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", STARTUP], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.splitlines() == ["[]", "False", repr(STARTUP_MODULES)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--config", BUNDLED_PUT], ["example", "es"]],
+    ids=["solve-put", "example-es"],
+)
+def test_obstacle_routes_leave_scipy_unloaded(tmp_path, argv):
+    # the obstacle sweep binds its LAPACK pair from numpy's own library
+    code = (
+        "import sys; from mfstop import cli; "
+        f"assert cli.main({argv + ['--out', str(tmp_path), '--quiet']!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_example_distortion_loads_only_the_set_up_modules(tmp_path):

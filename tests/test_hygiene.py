@@ -56,6 +56,61 @@ def test_no_unused_imports():
     assert found == {}
 
 
+def scipy_imports(module: str, source: str) -> list[str]:
+    """`module.function` of every scipy import, by the innermost enclosing
+    function; an import at module level reads `module.<module>`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{module}.{scope}")
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+# scipy adds about 0.2 s and 20 MiB to a process that has numpy: only the
+# transport LP and the LAPACK fallback of a numpy without its bundled
+# OpenBLAS may load it
+SCIPY_IMPORTERS = {"measures.wasserstein", "pde._lapack"}
+
+
+def test_the_scipy_scan_names_the_enclosing_function():
+    source = (
+        "import numpy\n"
+        "import scipy\n"
+        "from .scipy import x\n"
+        "def f():\n"
+        "    def g():\n"
+        "        from scipy.optimize import linprog\n"
+        "    import scipy.sparse, os\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        from scipy import stats\n"
+    )
+    assert scipy_imports("m", source) == ["m.<module>", "m.g", "m.f", "m.h"]
+
+
+def test_only_the_transport_lp_and_the_lapack_fallback_import_scipy():
+    found = {
+        name
+        for path in PACKAGE
+        for name in scipy_imports(path.stem, path.read_text(encoding="utf-8"))
+    }
+    assert found == SCIPY_IMPORTERS
+
+
 def private_definitions(tree: ast.Module) -> dict:
     """Top-level `_`-prefixed, non-dunder functions, classes and constants."""
     found = {}

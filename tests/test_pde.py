@@ -1,6 +1,9 @@
 """Obstacle solver against analytic values and structural properties."""
 
+import ctypes
+import functools
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -123,11 +126,12 @@ def brute_force_lcp(lower, diag, upper, rhs, psi, mode):
     raise AssertionError("no set of rows satisfies complementarity")
 
 
-def lcp_step(rhs, lower, diag, upper, psi, on_obstacle, mode):
-    """The step kernel on the blocks in the rows of rhs, psi and on_obstacle."""
+def lcp_step(rhs, lower, diag, upper, psi, on_obstacle, mode, lapack=None):
+    """The step kernel on the blocks in the rows of rhs, psi and on_obstacle,
+    through `lapack` when given, else the pair `pde` resolves."""
     rows = (lower, diag, upper, np.max(np.abs(lower) + diag + np.abs(upper)))
     psi_max = np.max(np.abs(psi), axis=1)
-    lapack = (scipy.linalg.lapack.dgttrf, scipy.linalg.lapack.dgttrs)
+    lapack = lapack or pde_module._lapack()
     return _lcp_step(rhs, rows, psi, psi_max, on_obstacle, mode, None, lapack)[0]
 
 
@@ -138,56 +142,62 @@ def random_m_matrix(rng, n):
     return lower, diag, upper
 
 
-@pytest.mark.parametrize("mode", ["sup", "inf"])
-def test_lcp_step_matches_brute_force_enumeration(mode):
+def random_lcp(rng, n, k):
+    """One M-matrix of n rows and the data and warm starts of k blocks on it,
+    (lower, diag, upper, rhs, psi, start), the blocks of shape (k, n)."""
+    lower, diag, upper = random_m_matrix(rng, n)
+    rhs = rng.normal(size=(k, n))
+    psi = rng.normal(size=(k, n))
+    # ties: rows where the obstacle and the equation data coincide
+    psi[rng.random((k, n)) < 0.2] = 0.0
+    rhs[rng.random((k, n)) < 0.2] = 0.0
+    start = rng.random((k, n)) < 0.5
+    start[:, [0, -1]] = True
+    return lower, diag, upper, rhs, psi, start
+
+
+def single_block_draws():
     rng = np.random.default_rng(7)
     for _ in range(60):
-        n = int(rng.integers(3, 11))
-        lower = -rng.uniform(0.0, 2.0, n)
-        upper = -rng.uniform(0.0, 2.0, n)
-        diag = 1.0 + rng.uniform(0.0, 0.5, n) - lower - upper
-        rhs = rng.normal(size=n)
-        psi = rng.normal(size=n)
-        # ties: rows where the obstacle and the equation data coincide
-        psi[rng.random(n) < 0.2] = 0.0
-        rhs[rng.random(n) < 0.2] = 0.0
-        start = rng.random(n) < 0.5
-        start[[0, -1]] = True
-        v = lcp_step(rhs[None], lower, diag, upper, psi[None], start[None], mode)[0]
-        oracle = brute_force_lcp(lower, diag, upper, rhs, psi, mode)
+        yield random_lcp(rng, int(rng.integers(3, 11)), 1)
+
+
+def stacked_draws():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        yield random_lcp(rng, n, int(rng.integers(2, 6)))
+
+
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+def test_lcp_step_matches_brute_force_enumeration(mode):
+    for lower, diag, upper, rhs, psi, start in single_block_draws():
+        v = lcp_step(rhs, lower, diag, upper, psi, start, mode)[0]
+        oracle = brute_force_lcp(lower, diag, upper, rhs[0], psi[0], mode)
         assert np.max(np.abs(v - oracle)) < 1e-12
         assert np.all(v >= psi) if mode == "sup" else np.all(v <= psi)
 
 
 @pytest.mark.parametrize("mode", ["sup", "inf"])
-def test_stacked_lcp_step_matches_brute_force_and_single_blocks(monkeypatch, mode):
+def test_stacked_lcp_step_matches_brute_force_and_single_blocks(mode):
     # K blocks share one random M-matrix; each block has its own data and
     # warm start, and must equal both the oracle and its own K = 1 solve,
     # also where a block settles before the others and is solved again
     solves = []
-    gttrs = scipy.linalg.lapack.dgttrs
+    gttrf, gttrs = pde_module._lapack()
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         solves.append(None)
-        return gttrs(*args, **kwargs)
+        return gttrs(*args)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", counted)
-    rng = np.random.default_rng(11)
     uneven = 0  # draws whose blocks settle at different iterations
-    for _ in range(40):
-        n = int(rng.integers(3, 9))
-        k = int(rng.integers(2, 6))
-        lower, diag, upper = random_m_matrix(rng, n)
-        rhs = rng.normal(size=(k, n))
-        psi = rng.normal(size=(k, n))
-        psi[rng.random((k, n)) < 0.2] = 0.0
-        rhs[rng.random((k, n)) < 0.2] = 0.0
-        start = rng.random((k, n)) < 0.5
-        start[:, [0, -1]] = True
+    for lower, diag, upper, rhs, psi, start in stacked_draws():
+        k = rhs.shape[0]
         singles, iterations = [], set()
         for j in range(k):
             solves.clear()
-            singles.append(lcp_step(rhs[[j]], lower, diag, upper, psi[[j]], start[[j]], mode)[0])
+            one = lcp_step(rhs[[j]], lower, diag, upper, psi[[j]], start[[j]], mode, (gttrf, counted))
+            singles.append(one[0])
             iterations.add(len(solves))
         uneven += len(iterations) > 1
         v = lcp_step(rhs, lower, diag, upper, psi, start.copy(), mode)
@@ -217,22 +227,22 @@ def test_fine_grid_with_long_steps_matches_unconstrained_solve():
 
 @pytest.mark.parametrize(
     "routine,message",
-    [("dgttrf", "LAPACK"), ("dgttrs", "did not settle")],
+    [("gttrf", "LAPACK"), ("gttrs", "did not settle")],
     ids=["lapack-info", "iteration-cap"],
 )
 def test_obstacle_step_failures_raise(monkeypatch, routine, message):
     # a singular factorisation, or solves that never satisfy complementarity
-    gttrf, gttrs = scipy.linalg.lapack.dgttrf, scipy.linalg.lapack.dgttrs
+    gttrf, gttrs = pde_module._lapack()
 
-    def singular(*args, **kwargs):
-        return gttrf(*args, **kwargs)[:-1] + (1,)
+    def singular(*args):
+        return gttrf(*args)[:-1] + (1,)
 
-    def stuck(*args, **kwargs):
-        v, info = gttrs(*args, **kwargs)
+    def stuck(*args):
+        v, info = gttrs(*args)
         return np.full_like(v, -5.0), info
 
-    fake = singular if routine == "dgttrf" else stuck
-    monkeypatch.setattr(scipy.linalg.lapack, routine, fake)
+    pair = (singular, gttrs) if routine == "gttrf" else (gttrf, stuck)
+    monkeypatch.setattr(pde_module, "_lapack", lambda: pair)
     with pytest.raises(RuntimeError, match=message):
         standard_os_pde(brownian_problem(0.0), put_psi, small_cfg(), mode="sup")
     # the same failures with three stacked obstacles
@@ -497,19 +507,21 @@ def test_each_obstacle_set_is_factored_once(monkeypatch):
     # second policy iteration factors again, every dual sweep solves once,
     # and a drift that moves with t makes new rows, so new factors, at every
     # step
-    counts = {"dgttrf": 0, "dgttrs": 0}
-    for name in counts:
-        routine = getattr(scipy.linalg.lapack, name)
+    counts = {"gttrf": 0, "gttrs": 0}
 
-        def counted(*args, name=name, routine=routine, **kwargs):
+    def counted(name, routine):
+        def call(*args):
             counts[name] += 1
-            return routine(*args, **kwargs)
+            return routine(*args)
 
-        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
+        return call
+
+    pair = tuple(map(counted, counts, pde_module._lapack()))
+    monkeypatch.setattr(pde_module, "_lapack", lambda: pair)
 
     def tally():
-        result = (counts["dgttrf"], counts["dgttrs"])
-        counts.update(dgttrf=0, dgttrs=0)
+        result = (counts["gttrf"], counts["gttrs"])
+        counts.update(gttrf=0, gttrs=0)
         return result
 
     put = build_instance("standard_put")
@@ -539,6 +551,106 @@ def test_a_step_that_moved_its_warm_start_is_solved_again(monkeypatch, moved, so
     monkeypatch.setattr(pde_module, "_lcp_step", fake_step)
     standard_os_pde(brownian_problem(0.3), put_psi, small_cfg(nt=40), mode="sup")
     assert len(calls) == solves
+
+
+def missing_symbols(path):
+    """A loaded library without the LAPACK symbols the resolver looks up."""
+    return types.SimpleNamespace()
+
+
+def no_library(path):
+    raise OSError(f"cannot load {path}")
+
+
+def scipy_lapack(monkeypatch):
+    """The pair `pde` falls back to when numpy bundles no LAPACK."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ctypes, "CDLL", missing_symbols)
+        return pde_module._lapack.__wrapped__()
+
+
+def numpy_bundles_lapack():
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return False
+    return hasattr(lib, "scipy_dgttrf_64_") and hasattr(lib, "scipy_dgttrs_64_")
+
+
+bundled_only = pytest.mark.skipif(
+    not numpy_bundles_lapack(), reason="this numpy bundles no OpenBLAS LAPACK"
+)
+
+
+@bundled_only
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_bundled_and_scipy_lapack_sweep_alike(monkeypatch, case):
+    problem, psis, cfg, mode = sweep_case(case)
+    steps = step_rows(problem, cfg)
+    bundled = pde_module._sweep(steps, psis, mode, True)
+    fallback = scipy_lapack(monkeypatch)
+    monkeypatch.setattr(pde_module, "_lapack", lambda: fallback)
+    assert pde_module._sweep(steps, psis, mode, True).tobytes() == bundled.tobytes()
+
+
+@bundled_only
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+def test_bundled_and_scipy_lapack_solve_the_brute_force_draws_alike(monkeypatch, mode):
+    fallback = scipy_lapack(monkeypatch)
+    for lower, diag, upper, rhs, psi, start in [*single_block_draws(), *stacked_draws()]:
+        bundled = lcp_step(rhs, lower, diag, upper, psi, start.copy(), mode)
+        scipy_v = lcp_step(rhs, lower, diag, upper, psi, start.copy(), mode, fallback)
+        assert bundled.tobytes() == scipy_v.tobytes()
+
+
+@pytest.mark.parametrize("lookup", [missing_symbols, no_library], ids=["symbols", "library"])
+def test_a_failed_lookup_falls_back_to_scipy_with_the_same_bits(monkeypatch, lookup):
+    put = build_instance("standard_put")
+    bundled = standard_os_pde(put.problem, put.psi, put.pde_cfg)
+    solves = []
+    dgttrs = scipy.linalg.lapack.dgttrs
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return dgttrs(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", counted)
+    monkeypatch.setattr(ctypes, "CDLL", lookup)
+    # a fresh cache, so that the sweep resolves the pair under the failing lookup
+    monkeypatch.setattr(pde_module, "_lapack", functools.cache(pde_module._lapack.__wrapped__))
+    surface = standard_os_pde(put.problem, put.psi, put.pde_cfg)
+    assert len(solves) == put.pde_cfg.nt + 1
+    assert surface.values.tobytes() == bundled.values.tobytes()
+
+
+@bundled_only
+def test_the_bundled_pair_refuses_arrays_it_cannot_use_in_place():
+    # LAPACK reads and writes through raw addresses, so every array must be
+    # float64, writable, contiguous and long enough
+    gttrf, gttrs = pde_module._lapack()
+    lower, diag, upper = random_m_matrix(np.random.default_rng(3), 6)
+    frozen = diag.copy()
+    frozen.setflags(write=False)
+    for d, message in [
+        (diag.astype(np.float32), "float64"),
+        (frozen, "not writable"),
+        (np.repeat(diag, 2)[::2], "not C contiguous"),
+    ]:
+        with pytest.raises(TypeError, match=message):
+            gttrf(lower[1:].copy(), d, upper[:-1].copy())
+    with pytest.raises(ValueError, match="too small"):
+        gttrf(lower[2:].copy(), diag.copy(), upper[:-1].copy())
+    *lu, info = gttrf(lower[1:].copy(), diag.copy(), upper[:-1].copy())
+    assert info == 0
+    for b, error, message in [
+        (np.ones(6, dtype=np.float32), TypeError, "float64"),
+        (np.ones(12)[::2], TypeError, "not C contiguous"),
+        (np.ones(5), ValueError, "too small"),
+    ]:
+        with pytest.raises(error, match=message):
+            gttrs(*lu, b)
+    b = np.ones(6)
+    assert gttrs(*lu, b)[0] is b
 
 
 def test_interpolation_and_domain_guard():
